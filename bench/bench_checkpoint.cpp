@@ -104,8 +104,8 @@ double evolve_seconds(std::size_t trials, std::size_t jobs,
   config.jobs = jobs;
   GeneticAlgorithm ga(
       GeneConfig{}, config,
-      make_fitness(Country::kChina, AppProtocol::kHttp, trials,
-                   /*base_seed=*/63'000),
+      make_supervised_fitness(Country::kChina, AppProtocol::kHttp, trials,
+                              /*base_seed=*/63'000, /*quarantine=*/nullptr),
       Rng(21));
   ga.set_fitness_cache(std::make_shared<FitnessCache>("bench-real"));
   if (checkpoint_each_gen) {

@@ -21,7 +21,9 @@ void evolve(Country country, AppProtocol protocol, const char* label,
   config.complexity_weight = 0.5;
 
   GeneticAlgorithm ga(genes, config,
-                      make_fitness(country, protocol, /*trials=*/25, seed),
+                      make_supervised_fitness(country, protocol,
+                                              /*trials=*/25, seed,
+                                              /*quarantine=*/nullptr),
                       Rng(seed));
   const Individual best = ga.run();
 

@@ -35,7 +35,7 @@ void http_timeline() {
 
   env.loop().run_until(env.loop().now() + duration::sec(95));
   const bool still_active =
-      env.china()->box(AppProtocol::kHttp).residual_active(
+      env.censors().china()->box(AppProtocol::kHttp).residual_active(
           eval_server_addr(), env.server_port(), env.loop().now());
   std::printf("  t=%4llus  after the ~90s window  : residual %s\n",
               static_cast<unsigned long long>(env.loop().now() / 1000000),
@@ -57,7 +57,7 @@ void other_protocols() {
                      .protocol = proto,
                      .seed = 77});
     (void)env.run_connection({});
-    const bool residual = env.china()->box(proto).residual_active(
+    const bool residual = env.censors().china()->box(proto).residual_active(
         eval_server_addr(), env.server_port(), env.loop().now());
     std::printf("  %-5s: residual censorship %s\n",
                 std::string(to_string(proto)).c_str(),

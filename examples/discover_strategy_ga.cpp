@@ -32,8 +32,10 @@ int main() {
   });
 
   GeneticAlgorithm ga(genes, config,
-                      make_fitness(country, protocol, /*trials=*/20,
-                                   /*base_seed=*/2026),
+                      make_supervised_fitness(country, protocol,
+                                              /*trials=*/20,
+                                              /*base_seed=*/2026,
+                                              /*quarantine=*/nullptr),
                       Rng(7), logger);
   const Individual best = ga.run();
 

@@ -31,7 +31,7 @@ class AirtelCensor : public Middlebox {
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
   [[nodiscard]] bool in_path() const noexcept override { return false; }
-  void reset() override {}
+  void flush() override {}
 
   /// Full trial-substrate reinitialization: the box is stateless, so this
   /// only zeroes the cumulative counter and rewinds the fault schedule.

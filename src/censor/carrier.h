@@ -34,7 +34,7 @@ class CarrierMiddlebox : public Middlebox {
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
   [[nodiscard]] bool in_path() const noexcept override { return true; }
-  void reset() override { server_spoke_.reset(); }
+  void flush() override { server_spoke_.reset(); }
 
   /// Full trial-substrate reinitialization: state wipe plus the cumulative
   /// drop counter and eviction ledger a fresh construction would zero.

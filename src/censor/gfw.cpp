@@ -115,7 +115,7 @@ GfwBox::GfwBox(GfwBoxParams params, ForbiddenContent content, Rng rng)
       trigger_(std::move(content),
                {{.server_port = 0, .protocol = params.protocol}}) {}
 
-void GfwBox::reset() {
+void GfwBox::flush() {
   flows_.reset();
   residual_.reset();
 }
@@ -425,8 +425,8 @@ const GfwBox& ChinaCensor::box(AppProtocol proto) const {
   throw std::logic_error("no such GFW box");
 }
 
-void ChinaCensor::reset() {
-  for (const auto& box : boxes_) box->reset();
+void ChinaCensor::flush() {
+  for (const auto& box : boxes_) box->flush();
 }
 
 void ChinaCensor::reinit(Rng rng) {
@@ -439,10 +439,6 @@ void ChinaCensor::reinit(Rng rng) {
     box->reinit(architecture_ == Architecture::kMultiBox ? rng.fork()
                                                          : shared);
   }
-}
-
-void ChinaCensor::set_fault_schedule(const FaultSchedule& schedule) {
-  for (const auto& box : boxes_) box->set_fault_schedule(schedule);
 }
 
 }  // namespace caya

@@ -119,9 +119,9 @@ class GfwBox : public Middlebox {
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
   [[nodiscard]] bool in_path() const noexcept override { return false; }
-  void reset() override;
+  void flush() override;
 
-  /// Full trial-substrate reinitialization: beyond the mid-trial reset()
+  /// Full trial-substrate reinitialization: beyond the mid-trial flush()
   /// (flow/residual state), this re-seeds the box's RNG stream, zeroes the
   /// cumulative censorship and eviction ledgers, and rewinds the fault
   /// schedule — leaving the box byte-identical to a fresh construction
@@ -209,17 +209,13 @@ class ChinaCensor {
   [[nodiscard]] std::vector<Middlebox*> middleboxes();
   [[nodiscard]] GfwBox& box(AppProtocol proto);
   [[nodiscard]] const GfwBox& box(AppProtocol proto) const;
-  void reset();
+  /// Flushes every box (the colocated deployment fails over together).
+  void flush();
 
   /// Full trial-substrate reinitialization of every box, replaying the
   /// constructor's RNG fork order (shared stream first, then per-box forks
   /// — or copies of the shared stream under the single-box ablation).
   void reinit(Rng rng);
-
-  /// Attaches a copy of `schedule` to every box (each keeps its own cursor):
-  /// the whole colocated deployment flushes/stalls/restarts together, which
-  /// models a failover of the shared path tap.
-  void set_fault_schedule(const FaultSchedule& schedule);
 
  private:
   Architecture architecture_ = Architecture::kMultiBox;

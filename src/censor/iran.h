@@ -31,7 +31,7 @@ class IranCensor : public Middlebox {
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
   [[nodiscard]] bool in_path() const noexcept override { return true; }
-  void reset() override { blackholed_.reset(); }
+  void flush() override { blackholed_.reset(); }
 
   /// Full trial-substrate reinitialization: state wipe plus the cumulative
   /// counters and ledgers a fresh construction would start at zero.

@@ -47,7 +47,7 @@ class KazakhstanCensor : public Middlebox {
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
   [[nodiscard]] bool in_path() const noexcept override { return true; }
-  void reset() override { flows_.reset(); }
+  void flush() override { flows_.reset(); }
 
   /// Full trial-substrate reinitialization: state wipe plus the cumulative
   /// counters and ledgers a fresh construction would start at zero.

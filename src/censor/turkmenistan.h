@@ -44,7 +44,7 @@ class TurkmenistanCensor : public Middlebox {
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
   [[nodiscard]] bool in_path() const noexcept override { return false; }
-  void reset() override { flows_.reset(); }
+  void flush() override { flows_.reset(); }
 
   /// Full trial-substrate reinitialization: re-seeds the miss-draw stream
   /// and zeroes the cumulative counters/ledgers, leaving the box

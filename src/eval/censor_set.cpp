@@ -3,19 +3,20 @@
 #include "eval/env_pool.h"
 
 #include "censor/airtel.h"
-#include "censor/gfw.h"
 #include "censor/iran.h"
 #include "censor/kazakhstan.h"
 #include "censor/turkmenistan.h"
 
 namespace caya {
 
-CensorSet::CensorSet(Country country, std::uint64_t seed)
-    : country_(country) {
-  const ForbiddenContent content = forbidden_content(country);
-  switch (country) {
+template <typename NextStream>
+void CensorSet::build(ChinaCensor::Architecture architecture,
+                      GfwRegime regime, NextStream next_stream) {
+  const ForbiddenContent content = forbidden_content(country_);
+  switch (country_) {
     case Country::kChina:
-      china_ = std::make_unique<ChinaCensor>(content, Rng(seed));
+      china_ = std::make_unique<ChinaCensor>(content, next_stream(),
+                                             architecture, regime);
       boxes_ = china_->middleboxes();
       break;
     case Country::kIndia:
@@ -31,19 +32,41 @@ CensorSet::CensorSet(Country country, std::uint64_t seed)
       boxes_ = {kazakh_.get()};
       break;
     case Country::kTurkmenistan:
-      turkmen_ = std::make_unique<TurkmenistanCensor>(content, Rng(seed));
+      turkmen_ = std::make_unique<TurkmenistanCensor>(content, next_stream());
       boxes_ = {turkmen_.get()};
       break;
   }
 }
 
-void CensorSet::reset(std::uint64_t seed) {
-  // Matches the constructor's seeding: the Rng is handed over unforked.
-  if (china_) china_->reinit(Rng(seed));
+template <typename NextStream>
+void CensorSet::reinit(NextStream next_stream) {
+  if (china_) china_->reinit(next_stream());
   if (airtel_) airtel_->reinit();
   if (iran_) iran_->reinit();
   if (kazakh_) kazakh_->reinit();
-  if (turkmen_) turkmen_->reinit(Rng(seed));
+  if (turkmen_) turkmen_->reinit(next_stream());
+}
+
+CensorSet::CensorSet(Country country, std::uint64_t seed)
+    : country_(country) {
+  build(ChinaCensor::Architecture::kMultiBox, GfwRegime::kEra2019,
+        [seed] { return Rng(seed); });
+}
+
+CensorSet::CensorSet(Country country, Rng& stream,
+                     ChinaCensor::Architecture architecture,
+                     GfwRegime regime, const FaultSchedule& faults)
+    : country_(country) {
+  build(architecture, regime, [&stream] { return stream.fork(); });
+  for (Middlebox* box : boxes_) box->set_fault_schedule(faults);
+}
+
+void CensorSet::reset(std::uint64_t seed) {
+  reinit([seed] { return Rng(seed); });
+}
+
+void CensorSet::reset(Rng& stream) {
+  reinit([&stream] { return stream.fork(); });
 }
 
 CensorSet::~CensorSet() = default;

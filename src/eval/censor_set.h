@@ -1,21 +1,23 @@
-// Owning bundle of a country's censor middleboxes, shared by every offline
-// ingest path (capture replay, the adversarial fuzz oracle). Trial execution
-// builds its censors inside Environment; this helper exists for the paths
-// that feed *external* bytes to a censor model and need the same
-// construction, the same seeding, and the same counters without re-rolling
-// the five-way switch each time.
+// Owning bundle of a country's censor middleboxes: the one place that knows
+// which boxes a country runs, how they are seeded, how a fault schedule fans
+// out over them, and how many flows they censored. Every Environment owns
+// one for its trials; the offline ingest paths (capture replay, the
+// adversarial fuzz oracle) build their own to feed *external* bytes to the
+// same censor models.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "censor/gfw.h"
 #include "eval/country.h"
+#include "netsim/fault.h"
 #include "netsim/middlebox.h"
+#include "util/rng.h"
 
 namespace caya {
 
-class ChinaCensor;
 class AirtelCensor;
 class IranCensor;
 class KazakhstanCensor;
@@ -23,7 +25,20 @@ class TurkmenistanCensor;
 
 class CensorSet {
  public:
+  /// Offline construction: the censor draws from Rng(seed) directly, and
+  /// China runs its real multi-box deployment in the 2019 regime.
   CensorSet(Country country, std::uint64_t seed);
+
+  /// Trial-substrate construction. The censor's stream is one fork of
+  /// `stream`, taken only by the stochastic censors (China, Turkmenistan);
+  /// the other countries leave `stream` untouched. China runs under
+  /// `architecture` and `regime`. Every box gets its own copy of `faults`
+  /// (its own cursor), so a colocated deployment flushes, stalls and
+  /// restarts together.
+  CensorSet(Country country, Rng& stream,
+            ChinaCensor::Architecture architecture, GfwRegime regime,
+            const FaultSchedule& faults);
+
   ~CensorSet();
   CensorSet(CensorSet&&) noexcept;
   CensorSet& operator=(CensorSet&&) noexcept;
@@ -31,10 +46,11 @@ class CensorSet {
   CensorSet& operator=(const CensorSet&) = delete;
 
   /// Full trial-substrate reinitialization: re-seeds exactly as the
-  /// constructor does (the seed is passed unforked to the censor) and wipes
-  /// every box's flow state, cumulative counters, and eviction ledgers —
-  /// byte-identical to CensorSet(country, seed) on fresh storage.
+  /// matching constructor does, wipes every box's flow state, cumulative
+  /// counters and eviction ledgers, and rewinds its fault schedule —
+  /// byte-identical to a fresh construction on fresh storage.
   void reset(std::uint64_t seed);
+  void reset(Rng& stream);
 
   /// The country this set models.
   [[nodiscard]] Country country() const noexcept { return country_; }
@@ -43,6 +59,10 @@ class CensorSet {
   [[nodiscard]] const std::vector<Middlebox*>& boxes() const noexcept {
     return boxes_;
   }
+
+  /// China's deployment (per-protocol boxes and their residual state);
+  /// null for every other country.
+  [[nodiscard]] ChinaCensor* china() noexcept { return china_.get(); }
 
   /// Sum of censored-flow counts across every box.
   [[nodiscard]] std::size_t censored_total() const;
@@ -54,6 +74,14 @@ class CensorSet {
   [[nodiscard]] std::size_t tcb_total() const;
 
  private:
+  /// `next_stream()` yields the censor's RNG stream; only the stochastic
+  /// censors call it, once each.
+  template <typename NextStream>
+  void build(ChinaCensor::Architecture architecture, GfwRegime regime,
+             NextStream next_stream);
+  template <typename NextStream>
+  void reinit(NextStream next_stream);
+
   Country country_ = Country::kChina;
   std::unique_ptr<ChinaCensor> china_;
   std::unique_ptr<AirtelCensor> airtel_;

@@ -89,8 +89,9 @@ class EnvironmentPool {
   [[nodiscard]] static bool enabled() noexcept;
 
   /// Process-global substrate counters (atomic): how many Environments were
-  /// constructed from scratch vs. recycled via reset(). The zero-allocation
-  /// regression test and bench_trial_substrate key off these.
+  /// constructed from scratch vs. recycled via reset(). The
+  /// zero-construction regression test and perfbench's
+  /// eval.constructions_per_trial key off these.
   [[nodiscard]] static std::uint64_t constructed() noexcept;
   [[nodiscard]] static std::uint64_t reused() noexcept;
   static void reset_stats() noexcept;

@@ -8,8 +8,8 @@
 // which makes the output bit-for-bit independent of completion order:
 // jobs=8 produces byte-identical tables, histories, and pcaps to jobs=1.
 //
-// Exception safety: map() rethrows the first worker exception on the
-// caller, which would tear down a whole batch. Campaign code therefore
+// Exception safety: map_batched() rethrows the first worker exception on
+// the caller, which would tear down a whole batch. Campaign code therefore
 // wraps each trial in run_supervised_trial (eval/trial.h), which converts
 // failures into classified TrialError outcomes — so no exception crosses
 // the pool boundary during a supervised batch, and one poisoned trial
@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -36,30 +35,13 @@ class ParallelEvaluator {
 
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
 
-  /// Runs fn(i) for i in [0, n); blocks until every index completed.
-  template <typename Fn>
-  void for_each_index(std::size_t n, Fn&& fn) const {
-    parallel_for_indexed(jobs_, n, std::forward<Fn>(fn));
-  }
-
   /// Runs fn(i) for i in [0, n) and collects the results indexed by i —
-  /// the canonical-order reduction every caller should go through.
-  template <typename Fn,
-            typename R = std::invoke_result_t<Fn&, std::size_t>>
-  [[nodiscard]] std::vector<R> map(std::size_t n, Fn&& fn) const {
-    static_assert(std::is_default_constructible_v<R>,
-                  "map() results are reduced into a pre-sized vector");
-    std::vector<R> out(n);
-    parallel_for_indexed(jobs_, n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
-  /// Batch-scheduled map: like map(), but indices whose `key_of(i)` match
-  /// run consecutively on the same worker, so substrate pools (warm
-  /// Environments keyed by config digest) hit on nearly every trial instead
-  /// of thrashing across interleaved shapes. Results are still written to
-  /// out[i] — the reduction stays in canonical index order, so output is
-  /// byte-identical to map() at any jobs value.
+  /// the canonical-order reduction every caller goes through. Indices whose
+  /// `key_of(i)` match run consecutively on the same worker, so substrate
+  /// pools (warm Environments keyed by config digest) hit on nearly every
+  /// trial instead of thrashing across interleaved shapes; work of a single
+  /// shape passes a constant key. Results are written to out[i], so output
+  /// is byte-identical to a serial loop at any jobs value.
   ///
   /// Scheduling is deterministic: groups are ordered by first appearance of
   /// their key, indices keep their relative order within a group, and the

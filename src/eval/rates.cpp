@@ -194,20 +194,6 @@ RateReport measure_rate_supervised(Country country, AppProtocol protocol,
   return run_trials(country, protocol, strategy, options, nullptr);
 }
 
-FitnessFn make_fitness(Country country, AppProtocol protocol,
-                       std::size_t trials, std::uint64_t base_seed,
-                       std::size_t jobs) {
-  return [=](const Strategy& strategy) {
-    RateOptions options;
-    options.trials = trials;
-    options.base_seed = base_seed;
-    options.jobs = jobs;
-    const RateCounter rate =
-        measure_rate(country, protocol, strategy, options);
-    return rate.rate() * 100.0;
-  };
-}
-
 TrialErrorKind RateReport::dominant_error() const noexcept {
   TrialErrorKind dominant = TrialErrorKind::kNone;
   std::size_t best = 0;
@@ -305,8 +291,8 @@ FitnessFn make_supervised_fitness(Country country, AppProtocol protocol,
     for (std::size_t p = 0; p < profiles.size(); ++p) {
       RateOptions options;
       options.trials = trials;
-      // Same disjoint seed blocks as make_robust_fitness, so supervised
-      // and unsupervised campaigns score identically on a healthy path.
+      // Disjoint seed blocks per profile, so the clean and impaired runs
+      // are independent samples rather than replays of the same randomness.
       options.base_seed = base_seed + p * trials;
       options.profile = profiles[p];
       options.jobs = jobs;
@@ -323,27 +309,6 @@ FitnessFn make_supervised_fitness(Country country, AppProtocol protocol,
       sum += report.rate.rate();
     }
     if (probing) quarantine->release(key);  // probe passed: reinstated
-    return sum / static_cast<double>(profiles.size()) * 100.0;
-  };
-}
-
-FitnessFn make_robust_fitness(Country country, AppProtocol protocol,
-                              std::size_t trials, std::uint64_t base_seed,
-                              std::vector<ImpairmentProfile> profiles,
-                              std::size_t jobs) {
-  if (profiles.empty()) profiles = all_profiles();
-  return [=, profiles = std::move(profiles)](const Strategy& strategy) {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < profiles.size(); ++p) {
-      RateOptions options;
-      options.trials = trials;
-      // Disjoint seed blocks per profile so the clean and impaired runs are
-      // independent samples rather than replays of the same randomness.
-      options.base_seed = base_seed + p * trials;
-      options.profile = profiles[p];
-      options.jobs = jobs;
-      sum += measure_rate(country, protocol, strategy, options).rate();
-    }
     return sum / static_cast<double>(profiles.size()) * 100.0;
   };
 }

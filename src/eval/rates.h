@@ -144,8 +144,9 @@ class Quarantine {
 /// campaign aborting.
 inline constexpr double kQuarantinedFitness = -100.0;
 
-/// Runs `trials` independent connections (fresh Environment per trial so
-/// censor state never leaks) and reports the observed success rate.
+/// Runs `trials` independent connections (each on a freshly reset
+/// substrate, so censor state never leaks) and reports the observed success
+/// rate.
 [[nodiscard]] RateCounter measure_rate(Country country, AppProtocol protocol,
                                        const std::optional<Strategy>& strategy,
                                        const RateOptions& options = {});
@@ -158,30 +159,18 @@ inline constexpr double kQuarantinedFitness = -100.0;
     Country country, AppProtocol protocol,
     const std::optional<Strategy>& strategy, const RateOptions& options = {});
 
-/// Geneva fitness: success-rate (x100) of `strategy` as a server-side
-/// defense, over `trials` connections. `jobs` shards those connections
-/// (keep 1 when the GA itself runs with jobs > 1 — nested parallel fitness
-/// falls back to inline execution on pool workers anyway).
-[[nodiscard]] FitnessFn make_fitness(Country country, AppProtocol protocol,
-                                     std::size_t trials,
-                                     std::uint64_t base_seed,
-                                     std::size_t jobs = 1);
-
-/// Robust Geneva fitness: the mean success-rate (x100) across `profiles`
-/// (`trials` connections per profile) — evolves strategies that keep working
-/// on degraded paths and across censor failovers, not just on a clean link.
-[[nodiscard]] FitnessFn make_robust_fitness(
-    Country country, AppProtocol protocol, std::size_t trials,
-    std::uint64_t base_seed, std::vector<ImpairmentProfile> profiles,
-    std::size_t jobs = 1);
-
-/// Supervised Geneva fitness for long campaigns: trials run under `policy`
-/// (retry + error accounting); a strategy whose batch trips quarantine is
-/// registered in `quarantine` and scored kQuarantinedFitness — this
-/// evaluation and every later one — instead of aborting the GA. Pass an
-/// empty `profiles` for clean-link fitness, or a list for the robust mean.
-/// Scores on the clean path match make_fitness / make_robust_fitness
-/// exactly.
+/// Geneva fitness: the success rate (x100) of `strategy` as a server-side
+/// defense over `trials` connections, or its mean across `profiles` (an
+/// empty list is the clean link; each profile runs its own disjoint block
+/// of `trials` seeds) to evolve strategies that keep working on degraded
+/// paths and across censor failovers. Trials run under `policy` (retries +
+/// error accounting); a strategy whose batch trips quarantine scores
+/// kQuarantinedFitness instead of aborting the GA, and a non-null
+/// `quarantine` registers it so every later evaluation short-circuits. On a
+/// healthy substrate the clean-link score is measure_rate's rate x100.
+/// `jobs` shards the connections (keep 1 when the GA itself runs with
+/// jobs > 1 — nested parallel fitness falls back to inline execution on
+/// pool workers anyway).
 [[nodiscard]] FitnessFn make_supervised_fitness(
     Country country, AppProtocol protocol, std::size_t trials,
     std::uint64_t base_seed, std::shared_ptr<Quarantine> quarantine,
@@ -192,7 +181,7 @@ inline constexpr double kQuarantinedFitness = -100.0;
 /// built from the same (country, protocol, trials, base_seed, profiles)
 /// score a given strategy identically, so they may share cache entries;
 /// anything else must not. Pass the same profiles list given to
-/// make_robust_fitness (empty for the plain make_fitness).
+/// make_supervised_fitness.
 [[nodiscard]] std::string fitness_cache_digest(
     Country country, AppProtocol protocol, std::size_t trials,
     std::uint64_t base_seed,

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <sstream>
+#include <utility>
 
 #include "eval/env_pool.h"
 #include "util/selfcheck.h"
@@ -30,69 +31,30 @@ Ipv4Address eval_server_addr() {
 }
 
 Environment::Environment(Config config)
-    : config_(config),
-      request_(client_request(config.country)),
-      rng_(config.seed) {
-  net_ = std::make_unique<Network>(loop_, config_.net, rng_.fork());
+    : config_(std::move(config)),
+      request_(client_request(config_.country)),
+      rng_(config_.seed),
+      net_(std::make_unique<Network>(loop_, config_.net, rng_.fork())),
+      censors_(config_.country, rng_, config_.china_architecture,
+               config_.gfw_regime, config_.censor_faults) {
   server_port_ = config_.server_port != 0 ? config_.server_port
                                           : default_port(config_.protocol);
-
   if (config_.carrier != CarrierNetwork::kWifi) {
     carrier_ = std::make_unique<CarrierMiddlebox>(config_.carrier);
     net_->add_middlebox(carrier_.get());
   }
-
-  const ForbiddenContent content = forbidden_content(config_.country);
-  switch (config_.country) {
-    case Country::kChina:
-      china_ = std::make_unique<ChinaCensor>(content, rng_.fork(),
-                                             config_.china_architecture,
-                                             config_.gfw_regime);
-      for (Middlebox* box : china_->middleboxes()) net_->add_middlebox(box);
-      break;
-    case Country::kIndia:
-      airtel_ = std::make_unique<AirtelCensor>(content);
-      net_->add_middlebox(airtel_.get());
-      break;
-    case Country::kIran:
-      iran_ = std::make_unique<IranCensor>(content);
-      net_->add_middlebox(iran_.get());
-      break;
-    case Country::kKazakhstan:
-      kazakh_ = std::make_unique<KazakhstanCensor>(content);
-      net_->add_middlebox(kazakh_.get());
-      break;
-    case Country::kTurkmenistan:
-      turkmen_ = std::make_unique<TurkmenistanCensor>(content, rng_.fork());
-      net_->add_middlebox(turkmen_.get());
-      break;
-  }
-
-  if (!config_.censor_faults.empty()) {
-    if (china_) {
-      china_->set_fault_schedule(config_.censor_faults);
-    }
-    if (airtel_) airtel_->set_fault_schedule(config_.censor_faults);
-    if (iran_) iran_->set_fault_schedule(config_.censor_faults);
-    if (kazakh_) kazakh_->set_fault_schedule(config_.censor_faults);
-    if (turkmen_) turkmen_->set_fault_schedule(config_.censor_faults);
-  }
+  for (Middlebox* box : censors_.boxes()) net_->add_middlebox(box);
 }
 
 void Environment::reset(std::uint64_t seed) {
   // Replays the constructor's RNG stream exactly: seed the root, fork once
-  // for the Network, then once more for the censor — but only for the
-  // countries whose constructor consumed a fork (China, Turkmenistan).
+  // for the Network, then let the censors take their fork (if any).
   config_.seed = seed;
   rng_ = Rng(seed);
   loop_.reset();
   net_->reset(rng_.fork());
   if (carrier_) carrier_->reinit();
-  if (china_) china_->reinit(rng_.fork());
-  if (airtel_) airtel_->reinit();
-  if (iran_) iran_->reinit();
-  if (kazakh_) kazakh_->reinit();
-  if (turkmen_) turkmen_->reinit(rng_.fork());
+  censors_.reset(rng_);
   next_client_port_ = 40000;
   next_isn_ = 11000;
 }
@@ -110,24 +72,9 @@ bool Environment::run_bounded(Time deadline, std::size_t max_events) {
   return !loop_.empty();
 }
 
-std::size_t Environment::censored_total() const {
-  std::size_t total = 0;
-  if (china_) {
-    const ChinaCensor& china = *china_;
-    for (const AppProtocol proto : all_protocols()) {
-      total += china.box(proto).censored_count();
-    }
-  }
-  if (airtel_) total += airtel_->censored_count();
-  if (iran_) total += iran_->censored_count();
-  if (kazakh_) total += kazakh_->censored_count();
-  if (turkmen_) total += turkmen_->censored_count();
-  return total;
-}
-
 TrialResult Environment::run_connection(const ConnectionOptions& options) {
   const ClientRequest& request = request_;
-  const std::size_t censored_before = censored_total();
+  const std::size_t censored_before = censors_.censored_total();
 
   net_->trace().clear();
   // Only pay for trace recording (a packet copy per hop) when the caller
@@ -168,7 +115,7 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
   auto finish = [&](bool success, bool reset) {
     result.success = success;
     result.client_reset = reset;
-    result.censor_events = censored_total() - censored_before;
+    result.censor_events = censors_.censored_total() - censored_before;
     if (server_engine) {
       result.server_amplification = server_engine->amplification();
     }
@@ -182,6 +129,22 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
     net_->set_client(nullptr);
     net_->set_server(nullptr);
   };
+  // Attaches the app pair and runs the client out to quiescence or the
+  // connection's bounds.
+  const auto run = [&](auto& server, auto& client) {
+    net_->set_server(&server);
+    net_->set_client(&client);
+    client.start();
+    result.timed_out = run_bounded(options.deadline, options.max_events);
+  };
+  // The single-connection protocols: the §5 verification hooks go on the
+  // client's endpoint, and a torn-down client counts as reset.
+  const auto run_tcp = [&](auto& server, auto& client) {
+    client.endpoint().set_seq_shift(options.client_data_seq_shift);
+    client.endpoint().set_suppress_induced_rst(options.suppress_induced_rst);
+    run(server, client);
+    finish(client.succeeded(), client.was_reset());
+  };
 
   switch (config_.protocol) {
     case AppProtocol::kHttp: {
@@ -189,67 +152,38 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
                         "<html><body>the real content</body></html>");
       HttpClient client(loop_, *net_, app_config, request.http_host,
                         request.http_path, server.expected_response());
-      net_->set_server(&server);
-      net_->set_client(&client);
-      client.endpoint().set_seq_shift(options.client_data_seq_shift);
-      client.endpoint().set_suppress_induced_rst(
-          options.suppress_induced_rst);
-      client.start();
-      result.timed_out = run_bounded(options.deadline, options.max_events);
-      finish(client.succeeded(), client.was_reset());
-      return result;
+      run_tcp(server, client);
+      break;
     }
     case AppProtocol::kHttps: {
       HttpsServer server(loop_, *net_, eval_server_addr(), server_port_);
       HttpsClient client(loop_, *net_, app_config, request.sni);
-      net_->set_server(&server);
-      net_->set_client(&client);
-      client.endpoint().set_seq_shift(options.client_data_seq_shift);
-      client.endpoint().set_suppress_induced_rst(
-          options.suppress_induced_rst);
-      client.start();
-      result.timed_out = run_bounded(options.deadline, options.max_events);
-      finish(client.succeeded(), client.was_reset());
-      return result;
+      run_tcp(server, client);
+      break;
     }
     case AppProtocol::kDnsOverTcp: {
       DnsServer server(loop_, *net_, eval_server_addr(), server_port_,
                        dns_answer);
       DnsClient client(loop_, *net_, app_config, request.dns_qname,
                        dns_answer);
+      // RFC 7766 retries reconnect to the same server; a client that ran
+      // out of retries counts as reset.
       client.on_new_attempt = [&server] { server.reopen(); };
-      net_->set_server(&server);
-      net_->set_client(&client);
-      client.start();
-      result.timed_out = run_bounded(options.deadline, options.max_events);
+      run(server, client);
       finish(client.succeeded(), !client.succeeded());
-      return result;
+      break;
     }
     case AppProtocol::kFtp: {
       FtpServer server(loop_, *net_, eval_server_addr(), server_port_);
       FtpClient client(loop_, *net_, app_config, request.ftp_filename);
-      net_->set_server(&server);
-      net_->set_client(&client);
-      client.endpoint().set_seq_shift(options.client_data_seq_shift);
-      client.endpoint().set_suppress_induced_rst(
-          options.suppress_induced_rst);
-      client.start();
-      result.timed_out = run_bounded(options.deadline, options.max_events);
-      finish(client.succeeded(), client.was_reset());
-      return result;
+      run_tcp(server, client);
+      break;
     }
     case AppProtocol::kSmtp: {
       SmtpServer server(loop_, *net_, eval_server_addr(), server_port_);
       SmtpClient client(loop_, *net_, app_config, request.smtp_recipient);
-      net_->set_server(&server);
-      net_->set_client(&client);
-      client.endpoint().set_seq_shift(options.client_data_seq_shift);
-      client.endpoint().set_suppress_induced_rst(
-          options.suppress_induced_rst);
-      client.start();
-      result.timed_out = run_bounded(options.deadline, options.max_events);
-      finish(client.succeeded(), client.was_reset());
-      return result;
+      run_tcp(server, client);
+      break;
     }
   }
   return result;

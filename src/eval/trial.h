@@ -2,10 +2,10 @@
 // connecting to a server (optionally running a Geneva strategy) outside it.
 //
 // An Environment owns the event loop, the simulated path, and the country's
-// censor middleboxes; it persists across connections so follow-up behaviour
-// like China's residual censorship (~90 s) can be exercised. Each
-// run_connection() creates a fresh client/server application pair on fresh
-// ports.
+// censor middleboxes (a CensorSet); it persists across connections so
+// follow-up behaviour like China's residual censorship (~90 s) can be
+// exercised. Each run_connection() creates a fresh client/server
+// application pair on fresh ports.
 #pragma once
 
 #include <cstdint>
@@ -19,12 +19,8 @@
 #include "apps/http.h"
 #include "apps/https.h"
 #include "apps/smtp.h"
-#include "censor/airtel.h"
 #include "censor/carrier.h"
-#include "censor/gfw.h"
-#include "censor/iran.h"
-#include "censor/kazakhstan.h"
-#include "censor/turkmenistan.h"
+#include "eval/censor_set.h"
 #include "eval/country.h"
 #include "geneva/engine.h"
 #include "netsim/network.h"
@@ -106,7 +102,7 @@ class Environment {
   /// Full substrate reset: returns the environment to the state a fresh
   /// `Environment({... , .seed = seed})` of the same config would be in,
   /// byte-identically, without reconstructing anything. Replays the
-  /// constructor's RNG fork order (network first, then the censor), rewinds
+  /// constructor's RNG fork order (network first, then the censors), rewinds
   /// the event loop, wipes every censor's flow/counter/ledger state, and
   /// rewinds fault-schedule cursors. Only `seed` may differ from the
   /// original config; all other fields are assumed unchanged (the pool keys
@@ -119,19 +115,10 @@ class Environment {
 
   [[nodiscard]] Network& network() noexcept { return *net_; }
   [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
-  [[nodiscard]] ChinaCensor* china() noexcept { return china_.get(); }
-  [[nodiscard]] KazakhstanCensor* kazakhstan() noexcept {
-    return kazakh_.get();
-  }
-  [[nodiscard]] AirtelCensor* airtel() noexcept { return airtel_.get(); }
-  [[nodiscard]] IranCensor* iran() noexcept { return iran_.get(); }
-  [[nodiscard]] TurkmenistanCensor* turkmenistan() noexcept {
-    return turkmen_.get();
-  }
+  [[nodiscard]] CensorSet& censors() noexcept { return censors_; }
   [[nodiscard]] std::uint16_t server_port() const noexcept {
     return server_port_;
   }
-  [[nodiscard]] std::size_t censored_total() const;
 
  private:
   /// Runs the loop until quiescence, the sim-time deadline, or the event
@@ -142,19 +129,16 @@ class Environment {
   ClientRequest request_;  // per-country, built once (strings are hot-path)
   Rng rng_;
   EventLoop loop_;
-  std::unique_ptr<Network> net_;
+  std::unique_ptr<Network> net_;  // forks rng_ before censors_ does
   std::unique_ptr<CarrierMiddlebox> carrier_;
-  std::unique_ptr<ChinaCensor> china_;
-  std::unique_ptr<AirtelCensor> airtel_;
-  std::unique_ptr<IranCensor> iran_;
-  std::unique_ptr<KazakhstanCensor> kazakh_;
-  std::unique_ptr<TurkmenistanCensor> turkmen_;
+  CensorSet censors_;
   std::uint16_t server_port_ = 80;
   std::uint16_t next_client_port_ = 40000;
   std::uint32_t next_isn_ = 11000;
 };
 
-/// One-shot convenience: build an Environment, run a single connection.
+/// Runs one connection on a warm substrate from the calling thread's
+/// EnvironmentPool — byte-identical to a fresh Environment(env_config).
 [[nodiscard]] TrialResult run_trial(Environment::Config env_config,
                                     const ConnectionOptions& options);
 

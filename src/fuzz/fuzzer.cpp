@@ -38,8 +38,9 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
   report.iters = config.iters;
 
   const ParallelEvaluator evaluator(config.jobs);
-  std::vector<IterationResult> results =
-      evaluator.map(config.iters, [&](std::size_t i) {
+  std::vector<IterationResult> results = evaluator.map_batched(
+      config.iters, [](std::size_t) { return 0; },
+      [&](std::size_t i) {
         const std::uint64_t iter_seed =
             fuzz_iteration_seed(config.seed, i);
         Rng rng(iter_seed);

@@ -5,7 +5,7 @@
 // observationally identical to applying them in the idle gap, and it keeps
 // the discrete-event loop free of censor-owned timers.
 //
-//   kFlush   — per-flow state is wiped (Middlebox::reset()); the box keeps
+//   kFlush   — per-flow state is wiped (Middlebox::flush()); the box keeps
 //              forwarding and inspecting.
 //   kStall   — the box is unresponsive for `duration`: it neither inspects
 //              nor drops (fail-open, the deployment posture of every censor

@@ -68,8 +68,10 @@ class Middlebox {
     return std::nullopt;
   }
 
-  /// Resets all per-flow state (between trials).
-  virtual void reset() {}
+  /// Wipes all per-flow state: the mid-trial censor fault (kFlush and
+  /// kRestart, see fault.h). RNG position, cumulative counters and ledgers
+  /// survive; a full substrate reset is each censor's reinit().
+  virtual void flush() {}
 
   /// Number of per-flow state entries (TCBs and equivalents) the box holds.
   /// The CAYA_SELFCHECK harness bounds this per connection: a table that
@@ -80,7 +82,7 @@ class Middlebox {
   /// Bounded-state ledger: what the box shed to stay within its hard
   /// budgets (FlowTable flow budget, Reassembler per-flow budgets). Every
   /// shed entry is a fail-open bias under flood — the hostile-ingress bench
-  /// and the fuzz oracle report these. Cumulative across reset().
+  /// and the fuzz oracle report these. Cumulative across flush().
   struct StateStats {
     std::uint64_t evicted_flows = 0;     // flow-table budget evictions
     std::uint64_t dropped_segments = 0;  // reassembly budget drops
@@ -99,8 +101,8 @@ class Middlebox {
   /// Rewinds the attached fault schedule's cursor. Part of full
   /// trial-substrate reinitialization (a recycled trial restarts the
   /// simulated timeline at t = 0, so the schedule must fire again exactly
-  /// as it did for a fresh box). Distinct from reset(), which is the
-  /// *mid-trial* fault flush and must not touch the schedule driving it.
+  /// as it did for a fresh box). Distinct from flush(), which is the
+  /// *mid-trial* fault and must not touch the schedule driving it.
   void rewind_fault_schedule() noexcept { faults_.rewind(); }
 
  private:

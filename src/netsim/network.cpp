@@ -187,7 +187,7 @@ bool Network::apply_faults(Middlebox* box, const Packet& pkt,
     const char* note = ev.kind == FaultKind::kFlush   ? "censor state flush"
                        : ev.kind == FaultKind::kStall ? "censor stall"
                                                       : "censor restart";
-    if (ev.kind != FaultKind::kStall) box->reset();
+    if (ev.kind != FaultKind::kStall) box->flush();
     trace_.record(loop_.now(), TracePoint::kCensorFault, dir, pkt, note);
   }
   return faults->stalled_at(loop_.now());

@@ -533,10 +533,13 @@ TEST(Supervision, SupervisedFitnessMatchesPlainOnHealthySubstrate) {
   auto quarantine = std::make_shared<Quarantine>();
   FitnessFn supervised = make_supervised_fitness(
       Country::kChina, AppProtocol::kHttp, 15, 100, quarantine);
-  FitnessFn plain = make_fitness(Country::kChina, AppProtocol::kHttp, 15,
-                                 100);
+  RateOptions options;
+  options.trials = 15;
+  options.base_seed = 100;
   const Strategy strategy = parsed_strategy(1);
-  EXPECT_EQ(supervised(strategy), plain(strategy));
+  const RateCounter plain =
+      measure_rate(Country::kChina, AppProtocol::kHttp, strategy, options);
+  EXPECT_EQ(supervised(strategy), plain.rate() * 100.0);
   EXPECT_EQ(quarantine->size(), 0u);
 }
 

@@ -1,7 +1,8 @@
 // CLI error paths: a long campaign driven by scripts must get a nonzero
 // exit code and ONE structured "caya: error: ..." line on stderr — never a
 // bare exception/terminate — for unknown profiles, malformed strategy DSL,
-// and unwritable output paths. The tests exec the real `caya` binary
+// malformed or missing flag values, unknown options, and unwritable output
+// paths. The tests exec the real `caya` binary
 // (CAYA_CLI_PATH, injected by CMake) and capture its stderr + exit status.
 #include <gtest/gtest.h>
 
@@ -66,6 +67,23 @@ TEST(CliErrors, BadStrategyDslIsStructured) {
   expect_structured_error(
       run_cli("run --trials 1 --strategy \"[TCP:flags:\""),
       "bad strategy");
+}
+
+TEST(CliErrors, MalformedNumberIsStructured) {
+  // Neither may be read as 0 trials or as a wrapped-around SIZE_MAX.
+  expect_structured_error(run_cli("run --trials abc"),
+                          "invalid value \"abc\" for --trials");
+  expect_structured_error(run_cli("run --trials 1 --jobs -1"),
+                          "invalid value \"-1\" for --jobs");
+}
+
+TEST(CliErrors, UnknownOptionIsStructured) {
+  expect_structured_error(run_cli("run --trails 5"),
+                          "unknown option \"--trails\"");
+}
+
+TEST(CliErrors, MissingFlagValueIsStructured) {
+  expect_structured_error(run_cli("run --trials"), "--trials needs a value");
 }
 
 TEST(CliErrors, UnwritableHistoryOutIsStructured) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/rates.h"
+#include "eval/strategies.h"
 #include "eval/trial.h"
 
 namespace caya {
@@ -46,6 +47,24 @@ TEST(FaultInjection, StalledCensorFailsOpen) {
   const TrialResult result = run_trial(config, {});
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.censor_events, 0u);
+}
+
+TEST(ChinaCensor, FaultScheduleReachesEveryBox) {
+  // The CensorSet fans a trial's fault schedule out to every box, the five
+  // colocated GFW boxes included, so the deployment fails over together.
+  FaultSchedule schedule;
+  schedule.add({duration::ms(10), FaultKind::kFlush, 0});
+  for (const Country country : all_countries()) {
+    Rng stream(1);
+    CensorSet censors(country, stream, ChinaCensor::Architecture::kMultiBox,
+                      GfwRegime::kEra2019, schedule);
+    for (Middlebox* box : censors.boxes()) {
+      ASSERT_NE(box->fault_schedule(), nullptr) << to_string(country);
+      // Each box owns an independent cursor over its copy of the schedule.
+      EXPECT_EQ(box->fault_schedule()->take_due(duration::ms(20)).size(), 1u);
+      EXPECT_TRUE(box->fault_schedule()->take_due(duration::ms(20)).empty());
+    }
+  }
 }
 
 TEST(FaultInjection, FaultsAreRecordedInTheTrace) {

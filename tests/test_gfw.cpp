@@ -408,7 +408,7 @@ TEST(ChinaCensor, ResetClearsState) {
       Direction::kClientToServer, inj);
   ASSERT_EQ(http.censored_count(), 1u);
   ASSERT_TRUE(http.residual_active(kServer, 80, 0));
-  china.reset();
+  china.flush();
   EXPECT_FALSE(http.residual_active(kServer, 80, 0));
 }
 
@@ -476,19 +476,6 @@ TEST(GfwBox, ResyncOntoLaterSegmentMissesEarlierBytes) {
                       Direction::kClientToServer, inj);
   EXPECT_EQ(box.censored_count(), 0u);
   EXPECT_TRUE(inj.injected.empty());
-}
-
-TEST(ChinaCensor, FaultScheduleReachesEveryBox) {
-  ChinaCensor china({}, Rng(1));
-  FaultSchedule schedule;
-  schedule.add({duration::ms(10), FaultKind::kFlush, 0});
-  china.set_fault_schedule(schedule);
-  for (Middlebox* box : china.middleboxes()) {
-    ASSERT_NE(box->fault_schedule(), nullptr);
-    // Each box owns an independent cursor over its copy of the schedule.
-    EXPECT_EQ(box->fault_schedule()->take_due(duration::ms(20)).size(), 1u);
-    EXPECT_TRUE(box->fault_schedule()->take_due(duration::ms(20)).empty());
-  }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // cached checksum word sum, the RFC 1624 incremental TCP-checksum memo, and
 // allocation regressions on the steady-state packet path. The allocation
 // tests use a counting global allocator local to this binary (same technique
-// as bench_packet_path), so they catch a reintroduced per-event or per-trial
-// allocation as a test failure rather than a silent bench regression.
+// as perfbench's eval.allocs_per_trial), so they catch a reintroduced
+// per-event or per-trial allocation as a test failure rather than a silent
+// bench regression.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -124,8 +124,8 @@ TEST(BufferArena, SteadyStatePacketValidationAllocatesNothing) {
 TEST(ParallelEvaluator, MapReturnsResultsInIndexOrder) {
   const ParallelEvaluator evaluator(8);
   EXPECT_EQ(evaluator.jobs(), 8u);
-  const std::vector<std::size_t> out =
-      evaluator.map(200, [](std::size_t i) { return i * i; });
+  const std::vector<std::size_t> out = evaluator.map_batched(
+      200, [](std::size_t) { return 0; }, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 200u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i * i);
@@ -184,8 +184,9 @@ TEST(ParallelDeterminism, GaHistoryIsIdenticalFieldByField) {
     config.jobs = jobs;
     GeneticAlgorithm ga(
         GeneConfig{}, config,
-        make_fitness(Country::kChina, AppProtocol::kHttp, /*trials=*/4,
-                     /*base_seed=*/17),
+        make_supervised_fitness(Country::kChina, AppProtocol::kHttp,
+                                /*trials=*/4, /*base_seed=*/17,
+                                /*quarantine=*/nullptr),
         Rng(17));
     ga.set_fitness_cache(std::make_shared<FitnessCache>("test-env"));
     (void)ga.run();
@@ -208,19 +209,19 @@ TEST(ParallelDeterminism, TracePcapIsByteIdentical) {
   // Mirrors `caya run --pcap`: trials sharded across the pool, only trial 0
   // records the trace the pcap is written from.
   auto capture = [](std::size_t jobs) {
-    Trace trace;
     const ParallelEvaluator evaluator(jobs);
-    evaluator.for_each_index(8, [&](std::size_t i) {
-      Environment::Config config;
-      config.protocol = AppProtocol::kHttp;
-      config.seed = 7000 + i;
-      ConnectionOptions options;
-      options.server_strategy = parsed_strategy(1);
-      options.record_trace = i == 0;
-      const TrialResult result = run_trial(config, options);
-      if (i == 0) trace = result.trace;
-    });
-    return to_pcap(trace);
+    const std::vector<Trace> traces = evaluator.map_batched(
+        8, [](std::size_t) { return 0; },
+        [](std::size_t i) {
+          Environment::Config config;
+          config.protocol = AppProtocol::kHttp;
+          config.seed = 7000 + i;
+          ConnectionOptions options;
+          options.server_strategy = parsed_strategy(1);
+          options.record_trace = i == 0;
+          return run_trial(config, options).trace;
+        });
+    return to_pcap(traces[0]);
   };
   EXPECT_EQ(capture(1), capture(8));
 }

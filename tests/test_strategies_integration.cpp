@@ -141,14 +141,16 @@ TEST(Integration, ResidualCensorshipAcrossConnections) {
   const TrialResult second = env.run_connection({});
   EXPECT_FALSE(second.success);
   EXPECT_GT(second.censor_events, 0u);
-  EXPECT_TRUE(env.china()
+  EXPECT_TRUE(env.censors()
+                  .china()
                   ->box(AppProtocol::kHttp)
                   .residual_active(eval_server_addr(), env.server_port(),
                                    env.loop().now()));
 
   // After the 90 s window the residual entry expires.
   env.loop().run_until(env.loop().now() + duration::sec(120));
-  EXPECT_FALSE(env.china()
+  EXPECT_FALSE(env.censors()
+                   .china()
                    ->box(AppProtocol::kHttp)
                    .residual_active(eval_server_addr(), env.server_port(),
                                     env.loop().now()));
@@ -164,7 +166,7 @@ TEST(Integration, NoResidualCensorshipForOtherProtocols) {
                      .protocol = proto,
                      .seed = 1234});
     (void)env.run_connection({});
-    EXPECT_FALSE(env.china()->box(proto).residual_active(
+    EXPECT_FALSE(env.censors().china()->box(proto).residual_active(
         eval_server_addr(), env.server_port(), env.loop().now()))
         << to_string(proto);
   }

@@ -197,7 +197,7 @@ TEST(Turkmenistan, TcbCountAndReset) {
     (void)censor.on_packet(syn, Direction::kClientToServer, inj);
   }
   EXPECT_EQ(censor.tcb_count(), 5u);
-  censor.reset();
+  censor.flush();
   EXPECT_EQ(censor.tcb_count(), 0u);
 }
 

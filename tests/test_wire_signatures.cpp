@@ -4,6 +4,8 @@
 // the DSL, the action semantics, or the engine.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "eval/strategies.h"
 #include "eval/trial.h"
 
@@ -17,6 +19,13 @@ struct Signature {
   // packets crossing the censor, in order.
   std::vector<std::string> server_packets;
 };
+
+// Without this, GoogleTest prints a Signature as its raw bytes, heap
+// pointers included, and CTest builds the case names from that print, so
+// the names changed from one build to the next.
+void PrintTo(const Signature& sig, std::ostream* os) {
+  *os << "strategy" << sig.strategy_id << "_" << to_string(sig.protocol);
+}
 
 std::vector<std::string> observed_server_packets(int strategy_id,
                                                  AppProtocol proto,

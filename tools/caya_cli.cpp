@@ -40,6 +40,7 @@
 //   caya sweep --axis loss --published 1 --published 6 --trials 50
 //   caya run --country kazakhstan --strategy
 //       "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:},)-| \\/"
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +49,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,6 +82,53 @@ class CliError : public std::runtime_error {
 };
 
 [[noreturn]] void fail(const std::string& message) { throw CliError(message); }
+
+/// One subcommand's options, read flag by flag. Every read is checked: a
+/// flag missing its value, a malformed number and an unknown option each
+/// fail() with one structured line, never usage noise or a silent 0.
+class Args {
+ public:
+  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
+
+  [[nodiscard]] bool done() const noexcept { return next_ >= argc_; }
+
+  /// Advances to the next flag.
+  const std::string& flag() {
+    flag_ = argv_[next_++];
+    return flag_;
+  }
+
+  /// The current flag's value.
+  std::string value() {
+    if (done()) fail(flag_ + " needs a value");
+    return argv_[next_++];
+  }
+
+  /// The current flag's value as a whole decimal number in T's range.
+  template <typename T = std::uint64_t>
+  T number() {
+    const std::string text = value();
+    T parsed{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+    if (ec != std::errc{} || ptr != end) {
+      fail("invalid value \"" + text + "\" for " + flag_ + " (expected " +
+           (std::is_signed_v<T> ? "an integer" : "a non-negative integer") +
+           ")");
+    }
+    return parsed;
+  }
+
+  [[noreturn]] void unknown() const {
+    fail("unknown option \"" + flag_ + "\"");
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int next_ = 0;
+  std::string flag_;
+};
 
 [[noreturn]] void usage(int code) {
   std::printf(
@@ -188,9 +238,9 @@ Strategy parse_strategy_arg(const std::string& dsl) {
   }
 }
 
-Strategy published_strategy_arg(const std::string& id) {
+Strategy published_strategy_arg(int id) {
   try {
-    return parsed_strategy(std::atoi(id.c_str()));
+    return parsed_strategy(id);
   } catch (const std::out_of_range& e) {
     fail(e.what());
   }
@@ -257,41 +307,36 @@ int cmd_evolve(int argc, char** argv) {
   bool resume = false;
   std::string history_out;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
+  for (Args args(argc, argv); !args.done();) {
+    const std::string& arg = args.flag();
     if (arg == "--country") {
-      country = parse_country(next());
+      country = parse_country(args.value());
     } else if (arg == "--protocol") {
-      protocol = parse_protocol(next());
+      protocol = parse_protocol(args.value());
     } else if (arg == "--population") {
-      population = static_cast<std::size_t>(std::atoll(next().c_str()));
+      population = args.number();
     } else if (arg == "--gens") {
-      generations = static_cast<std::size_t>(std::atoll(next().c_str()));
+      generations = args.number();
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      seed = args.number();
     } else if (arg == "--save") {
-      save_path = next();
+      save_path = args.value();
     } else if (arg == "--name") {
-      save_name = next();
+      save_name = args.value();
     } else if (arg == "--robust") {
       robust = true;
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(next().c_str()));
+      jobs = args.number();
     } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = next();
+      checkpoint_dir = args.value();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = static_cast<std::size_t>(std::atoll(next().c_str()));
+      checkpoint_every = args.number();
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--history-out") {
-      history_out = next();
+      history_out = args.value();
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
   if (checkpoint_every == 0) checkpoint_every = 1;
@@ -454,15 +499,14 @@ int cmd_replay(int argc, char** argv) {
   const std::string path = argv[0];
   Country country = Country::kChina;
   bool lenient = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--country" && i + 1 < argc) {
-      country = parse_country(argv[++i]);
+  for (Args args(argc - 1, argv + 1); !args.done();) {
+    const std::string& arg = args.flag();
+    if (arg == "--country") {
+      country = parse_country(args.value());
     } else if (arg == "--lenient") {
       lenient = true;
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
   // Load/parse failures propagate to main(): one structured
@@ -531,29 +575,24 @@ int cmd_fuzz(int argc, char** argv) {
   FuzzConfig config;
   config.jobs = ThreadPool::hardware_jobs();
   std::string repro;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
+  for (Args args(argc, argv); !args.done();) {
+    const std::string& arg = args.flag();
     if (arg == "--censor") {
-      const std::string value = next();
+      const std::string value = args.value();
       censor_given = true;
       if (value != "all") countries = {parse_country(value)};
     } else if (arg == "--iters") {
-      config.iters = static_cast<std::size_t>(std::stoull(next()));
+      config.iters = args.number();
     } else if (arg == "--seed") {
-      config.seed = std::stoull(next());
+      config.seed = args.number();
     } else if (arg == "--jobs") {
-      config.jobs = static_cast<std::size_t>(std::stoull(next()));
+      config.jobs = args.number();
     } else if (arg == "--corpus-dir") {
-      config.corpus_dir = next();
+      config.corpus_dir = args.value();
     } else if (arg == "--repro") {
-      repro = next();
+      repro = args.value();
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
 
@@ -601,18 +640,14 @@ int cmd_sweep(int argc, char** argv) {
   std::string table_out;
   SupervisionPolicy supervision;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
+  for (Args args(argc, argv); !args.done();) {
+    const std::string& arg = args.flag();
     if (arg == "--country") {
-      country = parse_country(next());
+      country = parse_country(args.value());
     } else if (arg == "--protocol") {
-      protocol = parse_protocol(next());
+      protocol = parse_protocol(args.value());
     } else if (arg == "--axis") {
-      const std::string name = next();
+      const std::string name = args.value();
       if (name == "loss") {
         axis = SweepAxis::kLoss;
       } else if (name == "burst") {
@@ -623,30 +658,27 @@ int cmd_sweep(int argc, char** argv) {
         fail("unknown axis \"" + name + "\" (available: loss burst reorder)");
       }
     } else if (arg == "--published") {
-      published.push_back(std::atoi(next().c_str()));
+      published.push_back(args.number<int>());
     } else if (arg == "--trials") {
-      trials = static_cast<std::size_t>(std::atoll(next().c_str()));
+      trials = args.number();
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      seed = args.number();
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(next().c_str()));
+      jobs = args.number();
     } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = next();
+      checkpoint_dir = args.value();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = static_cast<std::size_t>(std::atoll(next().c_str()));
+      checkpoint_every = args.number();
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--table-out") {
-      table_out = next();
+      table_out = args.value();
     } else if (arg == "--inject-soft-fault-every") {
-      supervision.inject_soft_fault_every =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
+      supervision.inject_soft_fault_every = args.number();
     } else if (arg == "--inject-hard-fault-every") {
-      supervision.inject_hard_fault_every =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
+      supervision.inject_hard_fault_every = args.number();
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
   if (published.empty()) published = {1, 2, 6};
@@ -659,7 +691,7 @@ int cmd_sweep(int argc, char** argv) {
   strategies.emplace_back("no evasion", std::nullopt);
   for (const int id : published) {
     strategies.emplace_back("published " + std::to_string(id),
-                            published_strategy_arg(std::to_string(id)));
+                            published_strategy_arg(id));
   }
 
   const std::vector<double> values =
@@ -823,53 +855,46 @@ int cmd_serve(int argc, char** argv) {
   std::string report_out;
   bool update_library = false;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
+  for (Args args(argc, argv); !args.done();) {
+    const std::string& arg = args.flag();
     if (arg == "--country") {
-      config.country = parse_country(next());
+      config.country = parse_country(args.value());
     } else if (arg == "--protocol") {
-      config.protocol = parse_protocol(next());
+      config.protocol = parse_protocol(args.value());
     } else if (arg == "--library") {
-      library_path = next();
+      library_path = args.value();
     } else if (arg == "--published") {
-      published.push_back(std::atoi(next().c_str()));
+      published.push_back(args.number<int>());
     } else if (arg == "--flows") {
-      config.flows = static_cast<std::size_t>(std::atoll(next().c_str()));
+      config.flows = args.number();
     } else if (arg == "--regime-flip-at") {
-      config.regime_flip_at =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
+      config.regime_flip_at = args.number();
     } else if (arg == "--regime-before") {
-      config.regime_before = parse_regime_arg(next());
+      config.regime_before = parse_regime_arg(args.value());
     } else if (arg == "--regime-after") {
-      config.regime_after = parse_regime_arg(next());
+      config.regime_after = parse_regime_arg(args.value());
     } else if (arg == "--seed") {
-      config.base_seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      config.base_seed = args.number();
       if (!breaker_seed_set) config.breaker_seed = config.base_seed;
     } else if (arg == "--breaker-seed") {
-      config.breaker_seed =
-          static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      config.breaker_seed = args.number();
       breaker_seed_set = true;
     } else if (arg == "--jobs") {
-      config.jobs = static_cast<std::size_t>(std::atoll(next().c_str()));
+      config.jobs = args.number();
     } else if (arg == "--chunk") {
-      config.chunk = static_cast<std::size_t>(std::atoll(next().c_str()));
+      config.chunk = args.number();
     } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = next();
+      checkpoint_dir = args.value();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = static_cast<std::size_t>(std::atoll(next().c_str()));
+      checkpoint_every = args.number();
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--report-out") {
-      report_out = next();
+      report_out = args.value();
     } else if (arg == "--update-library") {
       update_library = true;
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
   if (checkpoint_every == 0) checkpoint_every = 1;
@@ -901,7 +926,7 @@ int cmd_serve(int argc, char** argv) {
     if (published.empty()) published = {7, 6, 2};
     for (const int id : published) {
       tiers.push_back({"published " + std::to_string(id),
-                       published_strategy_arg(std::to_string(id))});
+                       published_strategy_arg(id)});
     }
   }
 
@@ -1009,29 +1034,24 @@ int cmd_rates(int argc, char** argv) {
   ImpairmentProfile profile = ImpairmentProfile::kClean;
   std::size_t jobs = ThreadPool::hardware_jobs();
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
+  for (Args args(argc, argv); !args.done();) {
+    const std::string& arg = args.flag();
     if (arg == "--country") {
-      country = parse_country(next());
+      country = parse_country(args.value());
     } else if (arg == "--strategy") {
-      strategy = parse_strategy_arg(next());
+      strategy = parse_strategy_arg(args.value());
     } else if (arg == "--published") {
-      strategy = published_strategy_arg(next());
+      strategy = published_strategy_arg(args.number<int>());
     } else if (arg == "--trials") {
-      trials = static_cast<std::size_t>(std::atoll(next().c_str()));
+      trials = args.number();
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      seed = args.number();
     } else if (arg == "--profile") {
-      profile = parse_profile_arg(next());
+      profile = parse_profile_arg(args.value());
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(next().c_str()));
+      jobs = args.number();
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
 
@@ -1077,45 +1097,40 @@ int cmd_run(int argc, char** argv) {
   ImpairmentProfile profile = ImpairmentProfile::kClean;
   std::size_t jobs = ThreadPool::hardware_jobs();
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
+  for (Args args(argc, argv); !args.done();) {
+    const std::string& arg = args.flag();
     if (arg == "--country") {
-      country = parse_country(next());
+      country = parse_country(args.value());
     } else if (arg == "--protocol") {
-      protocol = parse_protocol(next());
+      protocol = parse_protocol(args.value());
     } else if (arg == "--strategy") {
-      strategy = parse_strategy_arg(next());
+      strategy = parse_strategy_arg(args.value());
     } else if (arg == "--published") {
-      strategy = published_strategy_arg(next());
+      strategy = published_strategy_arg(args.number<int>());
     } else if (arg == "--from") {
-      from_path = next();
+      from_path = args.value();
     } else if (arg == "--name") {
-      from_name = next();
+      from_name = args.value();
     } else if (arg == "--client-side") {
       client_side = true;
     } else if (arg == "--trials") {
-      trials = static_cast<std::size_t>(std::atoll(next().c_str()));
+      trials = args.number();
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      seed = args.number();
     } else if (arg == "--os") {
-      os = parse_os(next());
+      os = parse_os(args.value());
     } else if (arg == "--waterfall") {
       waterfall = true;
     } else if (arg == "--stages") {
       stages = true;
     } else if (arg == "--pcap") {
-      pcap_path = next();
+      pcap_path = args.value();
     } else if (arg == "--profile") {
-      profile = parse_profile_arg(next());
+      profile = parse_profile_arg(args.value());
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(next().c_str()));
+      jobs = args.number();
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(2);
+      args.unknown();
     }
   }
 
@@ -1135,11 +1150,11 @@ int cmd_run(int argc, char** argv) {
     }
   }
 
-  // Trials are independent simulations seeded from seed + i; shard them
-  // across the pool and reduce outcomes in index order, so any --jobs value
-  // prints exactly the --jobs 1 report. Only trial 0 records a trace (the
-  // one the waterfall/pcap outputs show), so the capture is deterministic
-  // too.
+  // Trials are independent simulations seeded from seed + i, each on a
+  // pooled substrate; shard them across the pool and reduce outcomes in
+  // index order, so any --jobs value prints exactly the --jobs 1 report.
+  // Only trial 0 records a trace (the one the waterfall/pcap outputs show),
+  // so the capture is deterministic too.
   struct RunOutcome {
     bool success = false;
     bool timed_out = false;
@@ -1147,8 +1162,9 @@ int cmd_run(int argc, char** argv) {
   const bool want_trace = waterfall || stages || !pcap_path.empty();
   Trace first_trace;
   const ParallelEvaluator evaluator(jobs);
-  const std::vector<RunOutcome> outcomes =
-      evaluator.map(trials, [&](std::size_t i) {
+  const std::vector<RunOutcome> outcomes = evaluator.map_batched(
+      trials, [](std::size_t) { return 0; },
+      [&](std::size_t i) {
         Environment::Config config;
         config.country = country;
         config.protocol = protocol;
@@ -1163,8 +1179,7 @@ int cmd_run(int argc, char** argv) {
         }
         options.client_os = os;
         options.record_trace = want_trace && i == 0;
-        Environment env(config);
-        const TrialResult result = env.run_connection(options);
+        const TrialResult result = run_trial(config, options);
         if (options.record_trace) first_trace = result.trace;
         return RunOutcome{result.success, result.timed_out};
       });
