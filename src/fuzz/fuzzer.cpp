@@ -8,16 +8,6 @@ namespace caya {
 
 namespace {
 
-/// splitmix64 finalizer: decorrelates consecutive iteration indices into
-/// independent seed points. (mt19937_64 seeded with i and i+1 would already
-/// be fine; the mix makes the streams obviously unrelated.)
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 struct IterationResult {
   MutationKind kind = MutationKind::kBitFlip;
   OracleOutcome outcome;
@@ -28,7 +18,11 @@ struct IterationResult {
 
 std::uint64_t fuzz_iteration_seed(std::uint64_t seed,
                                   std::size_t iter) noexcept {
-  return mix64(seed ^ mix64(static_cast<std::uint64_t>(iter) + 1));
+  // Two splitmix64 steps decorrelate consecutive iteration indices into
+  // independent seed points, so neighbouring streams are obviously unrelated.
+  std::uint64_t index_state = static_cast<std::uint64_t>(iter) + 1;
+  std::uint64_t seed_state = seed ^ splitmix64(index_state);
+  return splitmix64(seed_state);
 }
 
 FuzzReport run_fuzz(const FuzzConfig& config) {

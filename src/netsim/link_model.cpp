@@ -31,12 +31,9 @@ LinkModel::LinkModel(Config config, Rng rng) { reset(config, rng); }
 
 void LinkModel::reset(const Config& config, Rng rng) {
   // Fork streams in a fixed order, independent of which impairments are
-  // enabled, so a config change never re-seeds an unrelated stream. The
-  // seed *draws* always happen (parent-stream consumption is part of the
-  // determinism contract), but the expensive mt19937_64 seeding is skipped
-  // for streams the lane can never consult: Rng::chance(p) draws nothing
-  // when p <= 0, so a disabled stream's engine state is unobservable. On a
-  // clean link this turns a substrate reset's 20 engine re-seeds into 0.
+  // enabled, so a config change never re-seeds an unrelated stream. A
+  // disabled stream is never drawn from (Rng::chance(p) draws nothing when
+  // p <= 0), so seeding it costs four words and changes no outcome.
   for (std::size_t seg = 0; seg < 2; ++seg) {
     for (std::size_t d = 0; d < 2; ++d) {
       Lane& lane = lanes_[seg * 2 + d];
@@ -45,21 +42,12 @@ void LinkModel::reset(const Config& config, Rng rng) {
       const auto dir = d == 0 ? Direction::kClientToServer
                               : Direction::kServerToClient;
       lane.config = config.at(segment, dir);
-      const Impairments& imp = lane.config;
-      const std::uint64_t loss_seed = rng.engine()();
-      const std::uint64_t burst_seed = rng.engine()();
-      const std::uint64_t duplicate_seed = rng.engine()();
-      const std::uint64_t corrupt_seed = rng.engine()();
-      const std::uint64_t reorder_seed = rng.engine()();
-      if (imp.loss > 0.0) lane.loss_rng = Rng(loss_seed);
-      if (imp.burst.enabled()) lane.burst_rng = Rng(burst_seed);
-      if (imp.duplicate > 0.0) lane.duplicate_rng = Rng(duplicate_seed);
-      if (imp.corrupt > 0.0) lane.corrupt_rng = Rng(corrupt_seed);
-      // The reorder stream also feeds the jitter-magnitude draw, which is
-      // consumed whenever the jitter range is non-degenerate.
-      if (imp.reorder > 0.0 || imp.jitter_max > imp.jitter_min) {
-        lane.reorder_rng = Rng(reorder_seed);
-      }
+      lane.loss_rng = rng.fork();
+      lane.burst_rng = rng.fork();
+      lane.duplicate_rng = rng.fork();
+      lane.corrupt_rng = rng.fork();
+      // The reorder stream also feeds the jitter-magnitude draw.
+      lane.reorder_rng = rng.fork();
       lane.burst_bad = false;
     }
   }

@@ -12,7 +12,9 @@ namespace caya {
 namespace {
 
 constexpr std::string_view kMagic = "caya-snapshot";
-constexpr std::uint32_t kVersion = 1;
+// 2: Rng state is four xoshiro256** words. Version-1 snapshots hold the old
+// engine's stream, so resuming one would splice two streams; refuse them.
+constexpr std::uint32_t kVersion = 2;
 constexpr std::string_view kChecksumKey = "checksum";
 
 // Escapes the three structural bytes so arbitrary field content survives the

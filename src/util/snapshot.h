@@ -8,7 +8,7 @@
 //   checksum\t<16-hex FNV-1a over everything above>\n
 //
 // Field bytes are escaped (\\, \t, \n) so arbitrary strings — strategy DSL,
-// mt19937_64 state, cache keys — round-trip exactly; doubles are written as
+// Rng state, cache keys — round-trip exactly; doubles are written as
 // C hexfloats so they round-trip bit-for-bit. The trailing checksum makes
 // torn writes (truncation) and bit flips detectable: SnapshotReader::parse
 // refuses anything whose footer is missing or wrong.

@@ -45,7 +45,7 @@ TEST(Snapshot, RoundTripsRecordsAndScalars) {
 
   const SnapshotReader r = SnapshotReader::parse(bytes);
   EXPECT_EQ(r.kind(), "test-kind");
-  EXPECT_EQ(r.version(), 1u);
+  EXPECT_EQ(r.version(), 2u);
   EXPECT_EQ(r.get("name"), "campaign");
   EXPECT_EQ(r.get_u64("generation"), 18446744073709551615ull);
   EXPECT_EQ(r.get_double("fitness"), 97.3);
@@ -57,7 +57,7 @@ TEST(Snapshot, RoundTripsRecordsAndScalars) {
 
 TEST(Snapshot, EscapesHostileFieldBytes) {
   // Tabs, newlines, backslashes and field-separator lookalikes must all
-  // round-trip: strategy DSL and mt19937_64 state are arbitrary strings.
+  // round-trip: strategy DSL and Rng state are arbitrary strings.
   const std::vector<std::string> hostile = {
       "tab\there", "newline\nhere", "back\\slash", "\\t not a tab",
       "\n\t\\\n\t", "", "trailing\\", "unit\x1fsep"};

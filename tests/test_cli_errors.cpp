@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 namespace caya {
@@ -143,6 +144,47 @@ TEST(CliErrors, ReplayTruncatedPcapIsStructuredWithOffset) {
   EXPECT_EQ(lenient.exit_code, 0);
   EXPECT_TRUE(lenient.stderr_text.empty()) << lenient.stderr_text;
   std::remove(path.c_str());
+}
+
+// Version-1 checkpoints hold the previous Rng engine's stream; resuming one
+// would splice two streams into one result. The corpus files were written by
+// the last version-1 build with
+//   caya sweep --country china --protocol http --published 1 --trials 2
+//     --seed 1 --jobs 1 --checkpoint-dir D   (D/sweep.ckpt.1: 11 of 12 cells)
+//   caya evolve --country china --protocol http --population 4 --gens 1
+//     --seed 1 --jobs 1 --checkpoint-dir D   (D/evolve.ckpt)
+void expect_version1_resume_refused(const std::string& kind,
+                                    const std::string& args,
+                                    const std::string& output_flag) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / ("caya_v1_" + kind);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path corpus = fs::path(CAYA_CORPUS_DIR) / "checkpoints";
+  fs::copy_file(corpus / ("v1_" + kind + ".ckpt"), dir / (kind + ".ckpt"));
+  const fs::path output = dir / "output.txt";
+  expect_structured_error(
+      run_cli(args + " --checkpoint-dir " + dir.string() + " --resume " +
+              output_flag + " " + output.string()),
+      "unsupported snapshot version 1");
+  EXPECT_FALSE(fs::exists(output)) << output_flag << " was written";
+  fs::remove_all(dir);
+}
+
+TEST(CliErrors, SweepResumeRefusesVersion1Checkpoint) {
+  expect_version1_resume_refused(
+      "sweep",
+      "sweep --country china --protocol http --published 1 --trials 2 "
+      "--seed 1 --jobs 1",
+      "--table-out");
+}
+
+TEST(CliErrors, EvolveResumeRefusesVersion1Checkpoint) {
+  expect_version1_resume_refused(
+      "evolve",
+      "evolve --country china --protocol http --population 4 --gens 1 "
+      "--seed 1 --jobs 1",
+      "--history-out");
 }
 
 TEST(CliErrors, FuzzUnknownCensorIsStructured) {

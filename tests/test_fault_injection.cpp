@@ -2,6 +2,8 @@
 // heavy link impairments, exercised through the full Environment harness.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "eval/rates.h"
 #include "eval/strategies.h"
 #include "eval/trial.h"
@@ -92,20 +94,51 @@ TEST(FaultInjection, RestartOutageCoversTheRequest) {
 
 TEST(FaultInjection, DroppedServerFinUnderBurstTimesOut) {
   // The acceptance scenario: a bursty path plus a link flap that swallows
-  // the server's FIN (and every retransmission of it). The connection can
-  // never reach quiescence, so the deadline cuts it off and the trial is
-  // classified as timed out instead of hanging the harness.
-  Environment::Config config = china_http(/*seed=*/3);
-  apply_profile(ImpairmentProfile::kBursty, config);
-  LinkFlap fin_blackout{duration::ms(80), duration::sec(600)};
-  config.net.link.censor_server_up.flaps.push_back(fin_blackout);
-  config.net.link.censor_server_down.flaps.push_back(fin_blackout);
+  // the server's closing segment (and every retransmission of it). The
+  // connection can never reach quiescence, so the deadline cuts it off and
+  // the trial is classified as timed out instead of hanging the harness.
+  //
+  // The flap is placed from a flap-free probe of the same trial rather than
+  // at a fixed time, so the outcome does not depend on where one seed's
+  // loss bursts fall. India/HTTPS is uncensored, so the probe's connection
+  // runs to completion. The simulated servers send their response and never
+  // close, so the first server segment that needs an ACK (data or FIN) is
+  // where the server's side of the exchange ends. The flap opens there, on
+  // the censor<->server segment in both directions: nothing the server
+  // sends from then on is delivered or acknowledged, and its retransmit
+  // timer (300 ms, doubling) is still pending at the 2 s deadline.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Environment::Config config;
+    config.country = Country::kIndia;
+    config.protocol = AppProtocol::kHttps;
+    config.seed = seed;
+    apply_profile(ImpairmentProfile::kBursty, config);
+    ConnectionOptions options;
+    options.deadline = duration::sec(2);
 
-  ConnectionOptions options;
-  options.deadline = duration::sec(2);
+    std::optional<Time> closing_at;
+    {
+      ConnectionOptions probe_options = options;
+      probe_options.record_trace = true;
+      Environment probe_env(config);
+      const TrialResult probe = probe_env.run_connection(probe_options);
+      for (const TraceEvent& event : probe.trace.at(TracePoint::kServerSent)) {
+        if (!event.packet.payload.empty() ||
+            has_flag(event.packet.tcp.flags, tcpflag::kFin)) {
+          closing_at = event.at;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(closing_at.has_value()) << "seed " << seed;
 
-  const TrialResult result = run_trial(config, options);
-  EXPECT_TRUE(result.timed_out);
+    const LinkFlap blackout{*closing_at, duration::sec(600)};
+    config.net.link.censor_server_up.flaps.push_back(blackout);
+    config.net.link.censor_server_down.flaps.push_back(blackout);
+    const TrialResult result = run_trial(config, options);
+    EXPECT_TRUE(result.timed_out) << "seed " << seed;
+    EXPECT_FALSE(result.success) << "seed " << seed;
+  }
 }
 
 TEST(FaultInjection, EventCapCutsOffRunawayConnections) {

@@ -260,5 +260,12 @@ TEST(Fuzz, IterationSeedsAreDecorrelated) {
   EXPECT_NE(fuzz_iteration_seed(1, 0), fuzz_iteration_seed(2, 0));
 }
 
+TEST(Fuzz, IterationSeedsArePinned) {
+  // Corpus entries are replayed by (campaign seed, iteration), so the
+  // derivation may never change, whatever happens to the Rng engine.
+  EXPECT_EQ(fuzz_iteration_seed(1, 0), 0xe9fd6049d65af21eULL);
+  EXPECT_EQ(fuzz_iteration_seed(7, 12345), 0x6c4a7de206938933ULL);
+}
+
 }  // namespace
 }  // namespace caya

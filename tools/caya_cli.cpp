@@ -373,12 +373,6 @@ int cmd_evolve(int argc, char** argv) {
       fitness_cache_digest(country, protocol, 20, seed, fitness_profiles));
   ga.set_fitness_cache(cache);
 
-  // Validate output paths before any trials run: an unwritable file should
-  // cost seconds, not a finished campaign.
-  std::optional<std::ofstream> history_stream;
-  if (!history_out.empty()) {
-    history_stream = open_output(history_out, "history");
-  }
   std::string checkpoint_path;
   if (!checkpoint_dir.empty()) {
     std::error_code ec;
@@ -412,6 +406,13 @@ int cmd_evolve(int argc, char** argv) {
       write_checkpoint(checkpoint_path,
                        writer.encode(GeneticAlgorithm::snapshot_kind()));
     });
+  }
+  // Validate output paths before any trials run: an unwritable file should
+  // cost seconds, not a finished campaign. Opened after the resume checks,
+  // so a refused checkpoint leaves no history.
+  std::optional<std::ofstream> history_stream;
+  if (!history_out.empty()) {
+    history_stream = open_output(history_out, "history");
   }
 
   const Individual best = ga.run();
@@ -733,10 +734,6 @@ int cmd_sweep(int argc, char** argv) {
   const std::size_t total = strategies.size() * values.size();
   std::size_t done = 0;
 
-  std::optional<std::ofstream> table_stream;
-  if (!table_out.empty()) {
-    table_stream = open_output(table_out, "table");
-  }
   std::string checkpoint_path;
   if (!checkpoint_dir.empty()) {
     std::error_code ec;
@@ -791,6 +788,11 @@ int cmd_sweep(int argc, char** argv) {
                   loaded->fell_back ? " [fell back to last-good]" : "", done,
                   total);
     }
+  }
+  // Opened after the resume checks, so a refused checkpoint leaves no table.
+  std::optional<std::ofstream> table_stream;
+  if (!table_out.empty()) {
+    table_stream = open_output(table_out, "table");
   }
 
   const auto save_cells = [&]() {
@@ -932,10 +934,6 @@ int cmd_serve(int argc, char** argv) {
 
   Orchestrator orch(config, std::move(tiers));
 
-  std::optional<std::ofstream> report_stream;
-  if (!report_out.empty()) {
-    report_stream = open_output(report_out, "report");
-  }
   std::string checkpoint_path;
   if (!checkpoint_dir.empty()) {
     std::error_code ec;
@@ -971,6 +969,11 @@ int cmd_serve(int argc, char** argv) {
           write_checkpoint(checkpoint_path,
                            writer.encode(Orchestrator::snapshot_kind()));
         });
+  }
+  // Opened after the resume checks, so a refused checkpoint leaves no report.
+  std::optional<std::ofstream> report_stream;
+  if (!report_out.empty()) {
+    report_stream = open_output(report_out, "report");
   }
 
   const ServeReport& report = orch.run();
