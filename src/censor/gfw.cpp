@@ -84,14 +84,6 @@ std::string_view to_string(GfwRegime regime) noexcept {
   return "?";
 }
 
-std::optional<GfwRegime> parse_gfw_regime(std::string_view name) noexcept {
-  if (name == to_string(GfwRegime::kEra2019)) return GfwRegime::kEra2019;
-  if (name == to_string(GfwRegime::kEraHttpsResync)) {
-    return GfwRegime::kEraHttpsResync;
-  }
-  return std::nullopt;
-}
-
 GfwBoxParams gfw_params(AppProtocol proto, GfwRegime regime) {
   GfwBoxParams params = gfw_params(proto);
   switch (regime) {

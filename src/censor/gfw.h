@@ -106,8 +106,6 @@ enum class GfwRegime {
 };
 
 [[nodiscard]] std::string_view to_string(GfwRegime regime) noexcept;
-[[nodiscard]] std::optional<GfwRegime> parse_gfw_regime(
-    std::string_view name) noexcept;
 
 /// Parameters for one box under a given regime. kEra2019 is gfw_params().
 [[nodiscard]] GfwBoxParams gfw_params(AppProtocol proto, GfwRegime regime);

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "packet/payload.h"
+
 namespace caya {
 
 namespace {
@@ -104,7 +106,14 @@ void EnvironmentPool::Lease::keep() {
 }
 
 EnvironmentPool& EnvironmentPool::local() {
-  static thread_local EnvironmentPool pool;
+  // Thread-locals die in reverse order of construction, and pooled
+  // environments release payload reps and buffers as they die. Building and
+  // dropping one payload first constructs Payload's rep pool and this
+  // thread's BufferArena, so both outlive the pool.
+  static thread_local EnvironmentPool pool = [] {
+    (void)Payload(Bytes(1));
+    return EnvironmentPool();
+  }();
   return pool;
 }
 

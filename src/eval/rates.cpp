@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "eval/env_pool.h"
@@ -17,13 +19,6 @@ std::string_view to_string(ImpairmentProfile profile) noexcept {
     case ImpairmentProfile::kFlakyCensor: return "flaky-censor";
   }
   return "?";
-}
-
-std::optional<ImpairmentProfile> parse_profile(std::string_view name) noexcept {
-  for (const ImpairmentProfile profile : all_profiles()) {
-    if (name == to_string(profile)) return profile;
-  }
-  return std::nullopt;
 }
 
 const std::vector<ImpairmentProfile>& all_profiles() {
@@ -164,8 +159,7 @@ RateReport reduce_outcomes(const std::vector<TrialOutcome>& outcomes,
 
 RateReport run_trials(Country country, AppProtocol protocol,
                       const std::optional<Strategy>& strategy,
-                      const RateOptions& options,
-                      const LinkModel::Config* link_override) {
+                      const RateOptions& options) {
   // Each trial is an independent simulation seeded from base_seed + i, so
   // the evaluator may run them on any worker; the outcome vector is reduced
   // in index order, making the counters identical for every jobs value.
@@ -173,7 +167,7 @@ RateReport run_trials(Country country, AppProtocol protocol,
   // index), so outcomes — and therefore the whole report — are also
   // identical across jobs values and across checkpoint resumes.
   const ParallelEvaluator evaluator(options.jobs);
-  const TrialCell cell(country, protocol, strategy, options, link_override);
+  const TrialCell cell(country, protocol, strategy, options, nullptr);
   const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
       options.trials, [&](std::size_t) { return cell.digest; },
       [&](std::size_t i) { return cell.run(i, options.supervision); });
@@ -185,13 +179,13 @@ RateReport run_trials(Country country, AppProtocol protocol,
 RateCounter measure_rate(Country country, AppProtocol protocol,
                          const std::optional<Strategy>& strategy,
                          const RateOptions& options) {
-  return run_trials(country, protocol, strategy, options, nullptr).rate;
+  return run_trials(country, protocol, strategy, options).rate;
 }
 
 RateReport measure_rate_supervised(Country country, AppProtocol protocol,
                                    const std::optional<Strategy>& strategy,
                                    const RateOptions& options) {
-  return run_trials(country, protocol, strategy, options, nullptr);
+  return run_trials(country, protocol, strategy, options);
 }
 
 TrialErrorKind RateReport::dominant_error() const noexcept {
@@ -390,14 +384,54 @@ SweepPoint sweep_point_from_report(double value, const RateReport& report) {
 
 }  // namespace
 
-SweepPoint measure_sweep_cell(Country country, AppProtocol protocol,
-                              const std::optional<Strategy>& strategy,
-                              SweepAxis axis, double value,
-                              const RateOptions& options) {
-  const LinkModel::Config link = sweep_link_config(axis, value);
-  const RateReport report =
-      run_trials(country, protocol, strategy, options, &link);
-  return sweep_point_from_report(value, report);
+std::vector<SweepPoint> measure_sweep_cells(
+    Country country, AppProtocol protocol,
+    const std::vector<std::pair<std::string, std::optional<Strategy>>>&
+        strategies,
+    SweepAxis axis, const std::vector<double>& values,
+    const RateOptions& options, std::size_t first, std::size_t count) {
+  if (first + count > strategies.size() * values.size()) {
+    throw std::out_of_range("sweep cells out of range");
+  }
+  // Flattened batch: every cell's trials feed ONE batch-scheduled map,
+  // keyed by (substrate digest, strategy) so each worker runs a cell's
+  // trials consecutively against a warm pooled environment instead of
+  // bouncing between cell shapes. Per-cell reports are reduced from
+  // contiguous slices of the flat outcome vector in trial order, so every
+  // point is what a cell-by-cell loop would measure, at any jobs value.
+  const std::size_t trials = options.trials;
+  std::vector<TrialCell> cells;
+  cells.reserve(count);
+  for (std::size_t c = first; c < first + count; ++c) {
+    const LinkModel::Config link =
+        sweep_link_config(axis, values[c % values.size()]);
+    cells.emplace_back(country, protocol, strategies[c / values.size()].second,
+                       options, &link);
+  }
+
+  const ParallelEvaluator evaluator(options.jobs);
+  const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
+      count * trials,
+      [&](std::size_t i) {
+        const std::size_t c = i / trials;
+        // (env digest, strategy): same-shape cells of the same strategy may
+        // merge into one batch; distinct strategies never do.
+        return cells[c].digest * 1099511628211ull +
+               (first + c) / values.size();
+      },
+      [&](std::size_t i) {
+        return cells[i / trials].run(i % trials, options.supervision);
+      });
+
+  std::vector<SweepPoint> points;
+  points.reserve(count);
+  for (std::size_t c = 0; c < count; ++c) {
+    const RateReport report = reduce_outcomes(
+        outcomes, c * trials, (c + 1) * trials, options.supervision);
+    points.push_back(
+        sweep_point_from_report(values[(first + c) % values.size()], report));
+  }
+  return points;
 }
 
 std::vector<SweepCurve> measure_impairment_sweep(
@@ -406,52 +440,15 @@ std::vector<SweepCurve> measure_impairment_sweep(
         strategies,
     SweepAxis axis, const std::vector<double>& values,
     const RateOptions& options) {
-  // Flattened batch: every (strategy, value) cell's trials feed ONE
-  // batch-scheduled map, keyed by (substrate digest, strategy) so each
-  // worker runs a cell's trials consecutively against a warm pooled
-  // environment instead of bouncing between cell shapes. Per-cell reports
-  // are reduced from contiguous slices of the flat outcome vector in trial
-  // order — byte-identical to the old serial per-cell loop at any jobs
-  // value. (The CLI sweep keeps its own per-cell loop: its checkpointing is
-  // cell-granular by design.)
-  const std::size_t trials = options.trials;
-  std::vector<TrialCell> cells;  // cell-major: strategy × value
-  cells.reserve(strategies.size() * values.size());
-  for (const auto& [name, strategy] : strategies) {
-    for (const double value : values) {
-      const LinkModel::Config link = sweep_link_config(axis, value);
-      cells.emplace_back(country, protocol, strategy, options, &link);
-    }
-  }
-
-  const ParallelEvaluator evaluator(options.jobs);
-  const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
-      cells.size() * trials,
-      [&](std::size_t i) {
-        const std::size_t c = i / trials;
-        // (env digest, strategy): same-shape cells of the same strategy may
-        // merge into one batch; distinct strategies never do.
-        return cells[c].digest * 1099511628211ull + c / values.size();
-      },
-      [&](std::size_t i) {
-        return cells[i / trials].run(i % trials, options.supervision);
-      });
-
-  std::vector<SweepCurve> curves;
-  curves.reserve(strategies.size());
-  std::size_t c = 0;
-  for (const auto& [name, strategy] : strategies) {
-    (void)strategy;
-    SweepCurve curve;
-    curve.strategy_name = name;
-    curve.points.reserve(values.size());
-    for (const double value : values) {
-      const RateReport report = reduce_outcomes(
-          outcomes, c * trials, (c + 1) * trials, options.supervision);
-      curve.points.push_back(sweep_point_from_report(value, report));
-      ++c;
-    }
-    curves.push_back(std::move(curve));
+  std::vector<SweepPoint> points =
+      measure_sweep_cells(country, protocol, strategies, axis, values,
+                          options, 0, strategies.size() * values.size());
+  std::vector<SweepCurve> curves(strategies.size());
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
+    curves[s].strategy_name = strategies[s].first;
+    const auto begin = points.begin() + s * values.size();
+    curves[s].points.assign(std::make_move_iterator(begin),
+                            std::make_move_iterator(begin + values.size()));
   }
   return curves;
 }

@@ -31,8 +31,6 @@ namespace caya {
 enum class ImpairmentProfile { kClean, kLossy, kBursty, kFlakyCensor };
 
 [[nodiscard]] std::string_view to_string(ImpairmentProfile profile) noexcept;
-[[nodiscard]] std::optional<ImpairmentProfile> parse_profile(
-    std::string_view name) noexcept;
 [[nodiscard]] const std::vector<ImpairmentProfile>& all_profiles();
 
 /// Applies `profile` to an environment config (link impairments and, for
@@ -217,13 +215,17 @@ struct SweepCurve {
   std::vector<SweepPoint> points;
 };
 
-/// Measures one sweep cell (one strategy at one axis value) under
-/// supervision. Sweeps — including resumed ones — are built cell by cell
-/// from this, so a partial sweep table checkpoints cleanly.
-[[nodiscard]] SweepPoint measure_sweep_cell(
+/// Measures cells [first, first + count) of a sweep as one supervised
+/// batch. Cells are numbered strategy-major: cell c is
+/// strategies[c / values.size()] at values[c % values.size()]. A point does
+/// not depend on which batch measured it, so a sweep resumed from a
+/// checkpoint of its first cells completes byte-identically.
+[[nodiscard]] std::vector<SweepPoint> measure_sweep_cells(
     Country country, AppProtocol protocol,
-    const std::optional<Strategy>& strategy, SweepAxis axis, double value,
-    const RateOptions& options = {});
+    const std::vector<std::pair<std::string, std::optional<Strategy>>>&
+        strategies,
+    SweepAxis axis, const std::vector<double>& values,
+    const RateOptions& options, std::size_t first, std::size_t count);
 
 /// Success-rate-vs-impairment curves: for each named strategy, measures the
 /// success rate at every axis value. Deterministic for a fixed base_seed.

@@ -1,7 +1,7 @@
 #include "geneva/ga.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -149,6 +149,11 @@ void GeneticAlgorithm::step() {
 Individual GeneticAlgorithm::run() {
   if (!resumed_) {
     ensure_population();
+    if (population_.empty()) {
+      throw std::invalid_argument(
+          "the GA population is empty: population size 0 and no seeded "
+          "strategy");
+    }
     eval_ = evaluate_all();
     best_so_far_ = population_.front().fitness;
     stale_ = 0;
@@ -200,10 +205,7 @@ std::string GeneticAlgorithm::config_digest() const {
   w.put_double("complexity_weight", config_.complexity_weight);
   w.put_u64("convergence_patience", config_.convergence_patience);
   // jobs deliberately omitted: sharding never changes evolution results.
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(w.encode("ga-config"))));
-  return std::string(buf);
+  return w.digest("ga-config");
 }
 
 void GeneticAlgorithm::save_checkpoint(SnapshotWriter& writer) const {

@@ -64,7 +64,9 @@ class GeneticAlgorithm {
   GeneticAlgorithm(GeneConfig genes, GaConfig config, FitnessFn fitness,
                    Rng rng, Logger logger = Logger::silent());
 
-  /// Runs the full evolution; returns the best individual found.
+  /// Runs the full evolution; returns the best individual found. Throws
+  /// std::invalid_argument when the population is empty (population size 0
+  /// and no seeded strategy).
   Individual run();
 
   /// Seeds the initial population with a known strategy (in addition to

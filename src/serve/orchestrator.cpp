@@ -105,11 +105,7 @@ std::string Orchestrator::config_digest() const {
     w.record("tier", {tier.name,
                       tier.strategy ? tier.strategy->to_string() : ""});
   }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a64(w.encode("serve-config"))));
-  return buf;
+  return w.digest("serve-config");
 }
 
 std::size_t Orchestrator::route_preview(std::size_t flow) const {

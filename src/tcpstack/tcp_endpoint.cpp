@@ -417,7 +417,9 @@ void TcpEndpoint::update_peer_window(const Packet& pkt) {
     // itself is never scaled.
     const auto shift = pkt.tcp.window_scale();
     peer_wscale_enabled_ = shift.has_value() && config_.window_scale.has_value();
-    peer_wscale_shift_ = shift.value_or(0);
+    // RFC 7323 §2.3: a shift above 14 is used as 14, so a tampered option
+    // cannot shift the 32-bit window by its own width or more.
+    peer_wscale_shift_ = std::min<std::uint8_t>(shift.value_or(0), 14);
   }
   peer_window_ = pkt.tcp.window;
 }

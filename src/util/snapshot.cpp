@@ -137,6 +137,10 @@ std::string SnapshotWriter::encode(std::string_view kind) const {
   return out;
 }
 
+std::string SnapshotWriter::digest(std::string_view kind) const {
+  return checksum_hex(encode(kind));
+}
+
 SnapshotReader SnapshotReader::parse(std::string_view bytes) {
   // Footer first: the last line must be "checksum\t<hex>" over everything
   // before it. A torn write loses the footer; a bit flip breaks the hash.

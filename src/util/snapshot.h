@@ -37,8 +37,8 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// FNV-1a 64-bit over a byte string (the snapshot integrity footer; also
-/// handy for config digests).
+/// FNV-1a 64-bit over a byte string (the snapshot integrity footer and
+/// SnapshotWriter::digest).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 class SnapshotWriter {
@@ -55,6 +55,10 @@ class SnapshotWriter {
 
   /// Serializes header + records + checksum footer.
   [[nodiscard]] std::string encode(std::string_view kind) const;
+
+  /// 16-hex FNV-1a of encode(kind): a configuration digest that a
+  /// checkpoint records and a resume compares.
+  [[nodiscard]] std::string digest(std::string_view kind) const;
 
   /// Exact hexfloat rendering ("%a") — parses back bit-identically.
   [[nodiscard]] static std::string format_double(double value);

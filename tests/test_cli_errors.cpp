@@ -1,15 +1,25 @@
-// CLI error paths: a long campaign driven by scripts must get a nonzero
-// exit code and ONE structured "caya: error: ..." line on stderr — never a
-// bare exception/terminate — for unknown profiles, malformed strategy DSL,
-// malformed or missing flag values, unknown options, and unwritable output
-// paths. The tests exec the real `caya` binary
-// (CAYA_CLI_PATH, injected by CMake) and capture its stderr + exit status.
+// The `caya` binary end to end. Error paths: a long campaign driven by
+// scripts must get a nonzero exit code and ONE structured "caya: error: ..."
+// line on stderr — never a bare exception/terminate — for unknown names,
+// malformed strategy DSL, malformed or missing flag values, unknown options,
+// and unwritable output paths. Resume: a checkpointed evolve, sweep or serve
+// job resumed from a partial snapshot writes the uninterrupted run's output.
+// The tests exec the real binary (CAYA_CLI_PATH, injected by CMake) and
+// capture its stderr + exit status.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include "eval/rates.h"
+#include "eval/strategies.h"
+#include "geneva/library.h"
 
 namespace caya {
 namespace {
@@ -19,10 +29,11 @@ struct CliResult {
   std::string stderr_text;
 };
 
-CliResult run_cli(const std::string& args) {
-  // Redirect stderr into the pipe; stdout is discarded.
-  const std::string command =
-      std::string(CAYA_CLI_PATH) + " " + args + " 2>&1 1>/dev/null";
+CliResult run_cli(const std::string& args,
+                  const std::string& stdout_path = "/dev/null") {
+  // Redirect stderr into the pipe; stdout goes to `stdout_path`.
+  const std::string command = std::string(CAYA_CLI_PATH) + " " + args +
+                              " 2>&1 1>" + stdout_path;
   FILE* pipe = ::popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CliResult result;
@@ -202,6 +213,181 @@ TEST(CliErrors, FuzzSmokeCampaignExitsZero) {
       run_cli("fuzz --censor india --iters 20 --seed 1 --jobs 2");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_TRUE(result.stderr_text.empty()) << result.stderr_text;
+}
+
+// A one-entry library ("evolved") for the --from and `library` paths.
+std::string write_library(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  StrategyLibrary library;
+  library.add({.name = "evolved",
+               .success = 0.5,
+               .notes = "",
+               .dsl = "[TCP:flags:SA]-tamper{TCP:window:replace:10}-|"});
+  library.save(path);
+  return path;
+}
+
+TEST(CliErrors, RunFromMissingLibraryIsStructured) {
+  expect_structured_error(
+      run_cli("run --trials 1 --from /nonexistent-dir-xyzzy/lib.txt --name x"),
+      "cannot open /nonexistent-dir-xyzzy/lib.txt");
+}
+
+TEST(CliErrors, RunFromMissingEntryIsStructured) {
+  const std::string path = write_library("caya_cli_from.lib");
+  expect_structured_error(run_cli("run --trials 1 --from " + path +
+                                  " --name nope"),
+                          "no entry \"nope\" in " + path);
+  // Without --name the entry looked up is "".
+  expect_structured_error(run_cli("run --trials 1 --from " + path),
+                          "no entry \"\" in " + path);
+  std::remove(path.c_str());
+}
+
+TEST(CliErrors, LibraryLoadErrorIsStructured) {
+  expect_structured_error(run_cli("library /nonexistent-dir-xyzzy/lib.txt"),
+                          "cannot open /nonexistent-dir-xyzzy/lib.txt");
+}
+
+TEST(CliErrors, UnknownCommandIsStructured) {
+  expect_structured_error(run_cli("frobnicate"),
+                          "unknown command \"frobnicate\"");
+}
+
+TEST(CliErrors, TrailingArgumentsAreStructured) {
+  const std::string path = write_library("caya_cli_trailing.lib");
+  expect_structured_error(run_cli("list extra"), "unknown option \"extra\"");
+  expect_structured_error(
+      run_cli("parse '[TCP:flags:SA]-tamper{TCP:window:replace:10}-|' extra"),
+      "unknown option \"extra\"");
+  expect_structured_error(run_cli("library " + path + " extra"),
+                          "unknown option \"extra\"");
+  std::remove(path.c_str());
+}
+
+TEST(CliErrors, MissingOperandIsStructured) {
+  expect_structured_error(run_cli("parse"), "missing strategy DSL");
+  expect_structured_error(run_cli("library"), "missing library FILE");
+  expect_structured_error(run_cli("replay"), "missing capture FILE");
+}
+
+TEST(CliErrors, EvolveEmptyPopulationIsStructured) {
+  expect_structured_error(run_cli("evolve --population 0 --gens 1 --jobs 1"),
+                          "population is empty");
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Runs `job ARGS` with checkpoints at --jobs 2, rolls its checkpoint back to
+// the rotated last-good copy (a genuinely partial snapshot, described by
+// `progress`), resumes at --jobs 4 and expects the uninterrupted run's
+// output file.
+void expect_resume_matches(const std::string& job, const std::string& args,
+                           const std::string& output_flag,
+                           const std::string& progress) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / ("caya_resume_" + job);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string command = job + " " + args + " --checkpoint-dir " +
+                              (dir / "ckpt").string() + " " + output_flag +
+                              " ";
+  const CliResult full =
+      run_cli(command + (dir / "ref").string() + " --jobs 2");
+  ASSERT_EQ(full.exit_code, 0) << full.stderr_text;
+  const fs::path ckpt = dir / "ckpt" / (job + ".ckpt");
+  fs::copy_file(ckpt.string() + ".1", ckpt,
+                fs::copy_options::overwrite_existing);
+
+  const fs::path log = dir / "resume.log";
+  const CliResult resumed = run_cli(
+      command + (dir / "resumed").string() + " --jobs 4 --resume",
+      log.string());
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.stderr_text;
+  EXPECT_NE(read_file(log).find("resumed   : " + ckpt.string() + " (" +
+                                progress + ")"),
+            std::string::npos)
+      << read_file(log);
+  EXPECT_EQ(read_file(dir / "resumed"), read_file(dir / "ref"));
+  fs::remove_all(dir);
+}
+
+TEST(CliResume, Evolve) {
+  expect_resume_matches("evolve",
+                        "--population 8 --gens 4 --checkpoint-every 3",
+                        "--history-out", "history through generation 2");
+}
+
+TEST(CliResume, Sweep) {
+  expect_resume_matches("sweep",
+                        "--published 1 --trials 20 --checkpoint-every 1",
+                        "--table-out", "11/12 cells");
+}
+
+TEST(CliResume, Serve) {
+  expect_resume_matches("serve",
+                        "--published 7 --published 6 --flows 2000 "
+                        "--regime-flip-at 1000 --checkpoint-every 1",
+                        "--report-out", "1984/2000 flows");
+}
+
+TEST(CliResume, SweepRefusesDifferentConfig) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "caya_resume_config";
+  fs::remove_all(dir);
+  const std::string sweep =
+      "sweep --published 1 --jobs 2 --checkpoint-dir " +
+      (dir / "ckpt").string();
+  ASSERT_EQ(run_cli(sweep + " --trials 2").exit_code, 0);
+  const fs::path table = dir / "table.txt";
+  expect_structured_error(
+      run_cli(sweep + " --trials 3 --resume --table-out " + table.string()),
+      "was taken under a different sweep configuration");
+  EXPECT_FALSE(fs::exists(table));
+  fs::remove_all(dir);
+}
+
+template <typename T>
+std::string cli_name(T value) {
+  std::string name(to_string(value));
+  for (char& c : name) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return name;
+}
+
+TEST(CliChoices, EveryNameIsAccepted) {
+  std::vector<std::string> commands;
+  for (const Country country : all_countries()) {
+    commands.push_back("run --trials 0 --country " + cli_name(country));
+  }
+  for (const AppProtocol protocol : all_protocols()) {
+    commands.push_back("run --trials 0 --protocol " + cli_name(protocol));
+  }
+  for (const ImpairmentProfile profile : all_profiles()) {
+    commands.push_back("run --trials 0 --profile " + cli_name(profile));
+  }
+  for (const SweepAxis axis :
+       {SweepAxis::kLoss, SweepAxis::kBurst, SweepAxis::kReorder}) {
+    commands.push_back("sweep --trials 0 --published 1 --axis " +
+                       cli_name(axis));
+  }
+  for (const GfwRegime regime :
+       {GfwRegime::kEra2019, GfwRegime::kEraHttpsResync}) {
+    commands.push_back("serve --flows 0 --regime-before " + cli_name(regime));
+  }
+  ASSERT_EQ(commands.size(), 19u);
+  for (const std::string& command : commands) {
+    const CliResult result = run_cli(command);
+    EXPECT_EQ(result.exit_code, 0) << command;
+    EXPECT_TRUE(result.stderr_text.empty()) << command << ": "
+                                            << result.stderr_text;
+  }
 }
 
 }  // namespace

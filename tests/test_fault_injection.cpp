@@ -169,15 +169,6 @@ TEST(FaultInjection, ImpairedTrialsAreReproducible) {
   EXPECT_EQ(a.censor_events, b.censor_events);
 }
 
-TEST(FaultInjection, ProfileRoundTripsThroughNames) {
-  for (const ImpairmentProfile profile : all_profiles()) {
-    const auto parsed = parse_profile(to_string(profile));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, profile);
-  }
-  EXPECT_FALSE(parse_profile("garbage").has_value());
-}
-
 TEST(FaultInjection, CleanProfileMatchesDefaultConfig) {
   Environment::Config config = china_http(/*seed=*/5);
   apply_profile(ImpairmentProfile::kClean, config);

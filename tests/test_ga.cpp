@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "geneva/parser.h"
 
 namespace caya {
@@ -69,6 +71,19 @@ TEST(GeneticAlgorithm, ConvergenceStopsEarly) {
   GeneticAlgorithm ga(GeneConfig{}, config, constant, Rng(2));
   (void)ga.run();
   EXPECT_LT(ga.history().size(), 50u);
+}
+
+TEST(GeneticAlgorithm, EmptyPopulationThrowsButSeedingFillsIt) {
+  GaConfig config = small_config();
+  config.population_size = 0;
+  GeneticAlgorithm empty(GeneConfig{}, config, window_fitness, Rng(1));
+  EXPECT_THROW((void)empty.run(), std::invalid_argument);
+
+  const std::string dsl = "[TCP:flags:SA]-tamper{TCP:window:replace:10}-|";
+  GeneticAlgorithm seeded(GeneConfig{}, config, window_fitness, Rng(1));
+  seeded.seed(parse_strategy(dsl));
+  EXPECT_EQ(seeded.run().strategy.to_string(),
+            parse_strategy(dsl).to_string());
 }
 
 TEST(GeneticAlgorithm, HistoryRecordsEveryGeneration) {

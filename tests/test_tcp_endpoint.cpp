@@ -176,6 +176,35 @@ TEST(TcpEndpoint, BadAckSynAckInducesRst) {
   EXPECT_EQ(client.state(), TcpState::kSynSent);  // connection not aborted
 }
 
+TEST(TcpEndpoint, WindowScaleShiftIsClampedAt14) {
+  // RFC 7323 §2.3: a received shift above 14 is used as 14. With a window
+  // of 1 the client may have exactly 1 << 14 bytes in flight.
+  for (const std::uint8_t wscale : {15, 255}) {
+    EventLoop loop;
+    std::vector<Packet> sent;
+    TcpEndpoint client(loop,
+                       {.local_addr = kClientAddr,
+                        .local_port = 3822,
+                        .remote_addr = kServerAddr,
+                        .remote_port = 80,
+                        .isn = 1000},
+                       [&](Packet p) { sent.push_back(std::move(p)); });
+    client.connect();
+    Packet synack = make_tcp_packet(kServerAddr, 80, kClientAddr, 3822,
+                                    tcpflag::kSyn | tcpflag::kAck, 5000, 1001);
+    synack.tcp.window = 1;
+    synack.tcp.set_option(TcpOption::kWindowScale, Bytes{wscale});
+    client.deliver(synack);
+    ASSERT_EQ(client.state(), TcpState::kEstablished);
+    sent.clear();
+
+    client.send_data(Bytes(40000, 'x'));
+    std::size_t in_flight = 0;
+    for (const Packet& p : sent) in_flight += p.payload.size();
+    EXPECT_EQ(in_flight, std::size_t{1} << 14) << "wscale " << int{wscale};
+  }
+}
+
 TEST(TcpEndpoint, SuppressInducedRstHookWorks) {
   EventLoop loop;
   std::vector<Packet> sent;

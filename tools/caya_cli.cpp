@@ -1,54 +1,16 @@
-// caya — command-line front end to the library.
-//
-//   caya list
-//       List the paper's eleven published strategies.
-//   caya parse "<dsl>"
-//       Validate a strategy and print its canonical form.
-//   caya run [options]
-//       Run trials of a strategy against a simulated censor.
-//         --country china|india|iran|kazakhstan|turkmenistan
-//                                                 (default china)
-//         --protocol dns|ftp|http|https|smtp      (default http)
-//         --strategy "<dsl>" | --published N      (default: no evasion)
-//         --client-side                           (deploy at the client)
-//         --trials N                              (default 100)
-//         --seed N                                (default 1)
-//         --os <substring of OS name>             (default Ubuntu 18.04.1)
-//         --waterfall                             (print one packet diagram)
-//         --stages                                (print censor pipeline
-//                                                  stage events, trial 0)
-//         --pcap FILE                             (write censor-view pcap)
-//         --profile clean|lossy|bursty|flaky-censor  (path/censor condition)
-//         --jobs N                                (parallel trials; default:
-//                                                  hardware concurrency)
-//   caya rates [options]
-//       Success rate of one strategy across every protocol (a Table 2 row).
-//         --country C  [--strategy DSL | --published N]  --trials N
-//         --seed N  --profile P  --jobs N
-//   caya sweep [options]
-//       Success-rate-vs-impairment curves for a set of strategies.
-//         --country C --protocol P --axis loss|burst|reorder
-//         --published N (repeatable)  --trials N  --seed N  --jobs N
-//   caya evolve [options]
-//       ... --robust averages fitness across all impairment profiles;
-//       --jobs N evaluates the population in parallel (deterministic: any
-//       jobs value reproduces the --jobs 1 output byte-identically).
-//
-// Examples:
-//   caya run --country china --protocol http --published 1 --trials 500
-//   caya run --country china --published 6 --profile bursty
-//   caya sweep --axis loss --published 1 --published 6 --trials 50
-//   caya run --country kazakhstan --strategy
-//       "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:},)-| \\/"
+// caya — command-line front end to the library. usage() lists every
+// subcommand and flag.
+#include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <utility>
@@ -83,24 +45,46 @@ class CliError : public std::runtime_error {
 
 [[noreturn]] void fail(const std::string& message) { throw CliError(message); }
 
-/// One subcommand's options, read flag by flag. Every read is checked: a
-/// flag missing its value, a malformed number and an unknown option each
-/// fail() with one structured line, never usage noise or a silent 0.
+class Args;
+
+/// One row of a subcommand's flag table: the flag and how to read it.
+struct Flag {
+  std::string_view name;
+  std::function<void(Args&)> read;
+};
+using Flags = std::vector<Flag>;
+
+/// A subcommand's arguments, read in order. Every read is checked: a flag
+/// missing its value, a malformed number, an unknown option and a missing
+/// operand each fail() with one structured line, never usage noise or a
+/// silent 0.
 class Args {
  public:
   Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
-  [[nodiscard]] bool done() const noexcept { return next_ >= argc_; }
+  /// Reads every remaining argument as a flag of `flags` or `shared`, in
+  /// command-line order.
+  void read(Flags flags, const Flags& shared = {}) {
+    flags.insert(flags.end(), shared.begin(), shared.end());
+    while (next_ < argc_) {
+      flag_ = argv_[next_++];
+      const auto row = std::find_if(
+          flags.begin(), flags.end(),
+          [this](const Flag& f) { return f.name == flag_; });
+      if (row == flags.end()) fail("unknown option \"" + flag_ + "\"");
+      row->read(*this);
+    }
+  }
 
-  /// Advances to the next flag.
-  const std::string& flag() {
-    flag_ = argv_[next_++];
-    return flag_;
+  /// The next positional argument.
+  std::string operand(const std::string& what) {
+    if (next_ >= argc_) fail("missing " + what);
+    return argv_[next_++];
   }
 
   /// The current flag's value.
   std::string value() {
-    if (done()) fail(flag_ + " needs a value");
+    if (next_ >= argc_) fail(flag_ + " needs a value");
     return argv_[next_++];
   }
 
@@ -119,10 +103,6 @@ class Args {
     return parsed;
   }
 
-  [[noreturn]] void unknown() const {
-    fail("unknown option \"" + flag_ + "\"");
-  }
-
  private:
   int argc_;
   char** argv_;
@@ -130,7 +110,7 @@ class Args {
   std::string flag_;
 };
 
-[[noreturn]] void usage(int code) {
+void usage() {
   std::printf(
       "usage: caya list | caya parse \"<dsl>\" | caya run [options] |\n"
       "       caya library FILE | caya evolve [options] |\n"
@@ -179,42 +159,30 @@ class Args {
       "success rates back into --library FILE.\n"
       "--checkpoint-dir D writes a crash-safe snapshot every\n"
       "--checkpoint-every N units of progress (evolve: generations; sweep:\n"
-      "cells); --resume continues from the newest valid snapshot and\n"
-      "reproduces the uninterrupted run's output byte-identically.\n"
+      "cells; serve: chunks); --resume continues from the newest valid\n"
+      "snapshot and reproduces the uninterrupted run's output\n"
+      "byte-identically.\n"
       "--jobs N shards independent trials over N worker threads (default:\n"
       "hardware concurrency; 1 = serial). Output is byte-identical for any\n"
       "jobs value under the same seed.\n");
-  std::exit(code);
 }
 
-Country parse_country(const std::string& name) {
-  if (name == "china") return Country::kChina;
-  if (name == "india") return Country::kIndia;
-  if (name == "iran") return Country::kIran;
-  if (name == "kazakhstan") return Country::kKazakhstan;
-  if (name == "turkmenistan") return Country::kTurkmenistan;
-  fail("unknown country \"" + name +
-       "\" (available: china india iran kazakhstan turkmenistan)");
-}
-
-AppProtocol parse_protocol(const std::string& name) {
-  if (name == "dns") return AppProtocol::kDnsOverTcp;
-  if (name == "ftp") return AppProtocol::kFtp;
-  if (name == "http") return AppProtocol::kHttp;
-  if (name == "https") return AppProtocol::kHttps;
-  if (name == "smtp") return AppProtocol::kSmtp;
-  fail("unknown protocol \"" + name +
-       "\" (available: dns ftp http https smtp)");
-}
-
-ImpairmentProfile parse_profile_arg(const std::string& name) {
-  if (const auto profile = parse_profile(name)) return *profile;
+/// The value among `values` whose lower-cased to_string() name is `name`;
+/// otherwise fails, listing every name.
+template <typename T>
+T parse_choice(const std::string& name, const std::vector<T>& values,
+               std::string_view what) {
   std::string available;
-  for (const ImpairmentProfile p : all_profiles()) {
-    available += ' ';
-    available += to_string(p);
+  for (const T value : values) {
+    std::string known(to_string(value));
+    for (char& c : known) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (known == name) return value;
+    available += ' ' + known;
   }
-  fail("unknown profile \"" + name + "\" (available:" + available + ")");
+  fail("unknown " + std::string(what) + " \"" + name +
+       "\" (available:" + available + ")");
 }
 
 OsProfile parse_os(const std::string& needle) {
@@ -246,17 +214,172 @@ Strategy published_strategy_arg(int id) {
   }
 }
 
-/// Opens `path` for writing or fails with a structured one-liner — output
-/// problems (missing directory, permissions) surface before hours of trials
-/// are spent, not after.
-std::ofstream open_output(const std::string& path,
-                          const std::string& what) {
-  std::ofstream out(path);
-  if (!out) fail("cannot write " + what + " file \"" + path + "\"");
-  return out;
+// ---- Flag rows --------------------------------------------------------------
+
+template <typename T>
+Flag number_flag(std::string_view name, T& target) {
+  return {name, [&target](Args& args) { target = args.number<T>(); }};
 }
 
-int cmd_list() {
+Flag text_flag(std::string_view name, std::string& target) {
+  return {name, [&target](Args& args) { target = args.value(); }};
+}
+
+Flag switch_flag(std::string_view name, bool& target) {
+  return {name, [&target](Args&) { target = true; }};
+}
+
+template <typename T>
+Flag choice_flag(std::string_view name, T& target,
+                 std::type_identity_t<std::vector<T>> values,
+                 std::string_view what) {
+  return {name, [&target, values = std::move(values), what](Args& args) {
+            target = parse_choice(args.value(), values, what);
+          }};
+}
+
+Flag country_flag(Country& country) {
+  return choice_flag("--country", country, all_countries(), "country");
+}
+
+Flag protocol_flag(AppProtocol& protocol) {
+  return choice_flag("--protocol", protocol, all_protocols(), "protocol");
+}
+
+Flag profile_flag(ImpairmentProfile& profile) {
+  return choice_flag("--profile", profile, all_profiles(), "profile");
+}
+
+Flag regime_flag(std::string_view name, GfwRegime& regime) {
+  return choice_flag(name, regime,
+                     {GfwRegime::kEra2019, GfwRegime::kEraHttpsResync},
+                     "GFW regime");
+}
+
+/// --strategy DSL | --published N: the one strategy run and rates deploy.
+Flags strategy_flags(std::optional<Strategy>& strategy) {
+  return {{"--strategy",
+           [&strategy](Args& args) {
+             strategy = parse_strategy_arg(args.value());
+           }},
+          {"--published", [&strategy](Args& args) {
+             strategy = published_strategy_arg(args.number<int>());
+           }}};
+}
+
+/// Repeatable --published N: the strategy list sweep and serve take.
+Flag published_list_flag(std::vector<int>& published) {
+  return {"--published", [&published](Args& args) {
+            published.push_back(args.number<int>());
+          }};
+}
+
+/// --checkpoint-dir, --checkpoint-every and --resume for one job: where its
+/// snapshot lives, resuming from the newest valid one, and when it is saved.
+class Checkpoints {
+ public:
+  /// Given the snapshot and the file it came from, restores the job and
+  /// returns its progress for the "resumed" line.
+  using Restore =
+      std::function<std::string(const SnapshotReader&, const std::string&)>;
+  using Save = std::function<void(SnapshotWriter&)>;
+
+  /// The snapshot is <dir>/<job>.ckpt, of `kind`; `what` names the job in
+  /// the error for a snapshot of another kind.
+  Checkpoints(std::string job, std::string_view kind, std::string what)
+      : job_(std::move(job)), kind_(kind), what_(std::move(what)) {}
+  // Its flag rows and the jobs' checkpoint hooks hold its address.
+  Checkpoints(const Checkpoints&) = delete;
+  Checkpoints& operator=(const Checkpoints&) = delete;
+
+  Flags flags() {
+    return {text_flag("--checkpoint-dir", dir_),
+            number_flag("--checkpoint-every", every_),
+            switch_flag("--resume", resume_)};
+  }
+
+  /// Checks the flags; call it right after they are read.
+  void validate() {
+    if (every_ == 0) every_ = 1;
+    if (resume_ && dir_.empty()) fail("--resume requires --checkpoint-dir");
+  }
+
+  /// Creates the checkpoint directory and, under --resume, restores the
+  /// newest valid snapshot. Only then opens the output file `out_path`
+  /// (when given), so an unwritable path costs seconds rather than a
+  /// finished campaign, and a refused checkpoint leaves no output.
+  std::optional<std::ofstream> open(const Restore& restore,
+                                    const std::string& out_path,
+                                    const std::string& out_what) {
+    if (!dir_.empty()) {
+      std::error_code ec;
+      std::filesystem::create_directories(dir_, ec);
+      if (ec) {
+        fail("cannot create checkpoint dir \"" + dir_ +
+             "\": " + ec.message());
+      }
+      path_ = dir_ + "/" + job_ + ".ckpt";
+    }
+    // No checkpoint yet means a fresh start: the first crash of a campaign
+    // has nothing to resume from.
+    if (resume_) {
+      if (const auto loaded = load_checkpoint(path_)) {
+        const SnapshotReader reader = SnapshotReader::parse(loaded->bytes);
+        if (reader.kind() != kind_) {
+          fail("\"" + loaded->path + "\" is a " + reader.kind() +
+               " snapshot, not a " + what_ + " checkpoint");
+        }
+        const std::string progress = restore(reader, loaded->path);
+        std::printf("resumed   : %s%s (%s)\n", loaded->path.c_str(),
+                    loaded->fell_back ? " [fell back to last-good]" : "",
+                    progress.c_str());
+      }
+    }
+    std::optional<std::ofstream> out;
+    if (!out_path.empty()) {
+      out.emplace(out_path);
+      if (!*out) {
+        fail("cannot write " + out_what + " file \"" + out_path + "\"");
+      }
+    }
+    return out;
+  }
+
+  /// Whether `units` completed units end a --checkpoint-every interval.
+  [[nodiscard]] bool due(std::size_t units) const {
+    return units % every_ == 0;
+  }
+
+  /// Where the interval holding unit `done` ends, capped at `total`; all of
+  /// `total` when not checkpointing.
+  [[nodiscard]] std::size_t interval_end(std::size_t done,
+                                         std::size_t total) const {
+    return path_.empty() ? total
+                         : std::min(total, (done / every_ + 1) * every_);
+  }
+
+  /// Writes the snapshot `build` fills; does nothing when not checkpointing.
+  void save(const Save& build) const {
+    if (path_.empty()) return;
+    SnapshotWriter writer;
+    build(writer);
+    write_checkpoint(path_, writer.encode(kind_));
+  }
+
+ private:
+  std::string job_;
+  std::string_view kind_;
+  std::string what_;
+  std::string dir_;
+  std::size_t every_ = 1;
+  bool resume_ = false;
+  std::string path_;
+};
+
+// ---- Subcommands ------------------------------------------------------------
+
+int cmd_list(Args& args) {
+  args.read({});
   std::printf("%-3s %-34s %s\n", "id", "name", "dsl");
   for (const auto& s : published_strategies()) {
     std::printf("%-3d %-34s %s\n", s.id, s.name.c_str(), s.dsl.c_str());
@@ -264,90 +387,56 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_parse(const std::string& dsl) {
+int cmd_parse(Args& args) {
+  const std::string dsl = args.operand("strategy DSL");
+  args.read({});
   try {
     const Strategy s = parse_strategy(dsl);
     std::printf("ok: %s\n", s.to_string().c_str());
     std::printf("size: %zu nodes\n", s.size());
     return 0;
   } catch (const ParseError& e) {
+    // Exit 1 is parse's answer ("not a strategy"), not a CLI failure.
     std::fprintf(stderr, "parse error: %s\n", e.what());
     return 1;
   }
 }
 
-int cmd_library(const std::string& path) {
-  try {
-    const StrategyLibrary library = StrategyLibrary::load(path);
-    std::printf("%-20s %8s  %-30s %s\n", "name", "success", "notes", "dsl");
-    for (const auto& entry : library.entries()) {
-      std::printf("%-20s %7.0f%%  %-30s %s\n", entry.name.c_str(),
-                  entry.success * 100, entry.notes.c_str(),
-                  entry.dsl.c_str());
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
+int cmd_library(Args& args) {
+  const std::string path = args.operand("library FILE");
+  args.read({});
+  const StrategyLibrary library = StrategyLibrary::load(path);
+  std::printf("%-20s %8s  %-30s %s\n", "name", "success", "notes", "dsl");
+  for (const auto& entry : library.entries()) {
+    std::printf("%-20s %7.0f%%  %-30s %s\n", entry.name.c_str(),
+                entry.success * 100, entry.notes.c_str(), entry.dsl.c_str());
   }
+  return 0;
 }
 
-int cmd_evolve(int argc, char** argv) {
+int cmd_evolve(Args& args) {
   Country country = Country::kChina;
   AppProtocol protocol = AppProtocol::kHttp;
-  std::size_t population = 80;
-  std::size_t generations = 20;
+  GaConfig config;
+  config.population_size = 80;
+  config.generations = 20;
+  config.jobs = ThreadPool::hardware_jobs();
   std::uint64_t seed = 1;
   std::string save_path;
   std::string save_name = "evolved";
   bool robust = false;
-  std::size_t jobs = ThreadPool::hardware_jobs();
-  std::string checkpoint_dir;
-  std::size_t checkpoint_every = 1;
-  bool resume = false;
   std::string history_out;
+  Checkpoints checkpoints("evolve", GeneticAlgorithm::snapshot_kind(), "GA");
+  args.read({country_flag(country), protocol_flag(protocol),
+             number_flag("--population", config.population_size),
+             number_flag("--gens", config.generations),
+             number_flag("--seed", seed), text_flag("--save", save_path),
+             text_flag("--name", save_name), switch_flag("--robust", robust),
+             number_flag("--jobs", config.jobs),
+             text_flag("--history-out", history_out)},
+            checkpoints.flags());
+  checkpoints.validate();
 
-  for (Args args(argc, argv); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--country") {
-      country = parse_country(args.value());
-    } else if (arg == "--protocol") {
-      protocol = parse_protocol(args.value());
-    } else if (arg == "--population") {
-      population = args.number();
-    } else if (arg == "--gens") {
-      generations = args.number();
-    } else if (arg == "--seed") {
-      seed = args.number();
-    } else if (arg == "--save") {
-      save_path = args.value();
-    } else if (arg == "--name") {
-      save_name = args.value();
-    } else if (arg == "--robust") {
-      robust = true;
-    } else if (arg == "--jobs") {
-      jobs = args.number();
-    } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = args.value();
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every = args.number();
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--history-out") {
-      history_out = args.value();
-    } else {
-      args.unknown();
-    }
-  }
-  if (checkpoint_every == 0) checkpoint_every = 1;
-  if (resume && checkpoint_dir.empty()) {
-    fail("--resume requires --checkpoint-dir");
-  }
-
-  GaConfig config;
-  config.population_size = population;
-  config.generations = generations;
-  config.jobs = jobs;
   Logger logger(LogLevel::kInfo, [](LogLevel, std::string_view msg) {
     std::printf("  %.*s\n", static_cast<int>(msg.size()), msg.data());
   });
@@ -373,58 +462,27 @@ int cmd_evolve(int argc, char** argv) {
       fitness_cache_digest(country, protocol, 20, seed, fitness_profiles));
   ga.set_fitness_cache(cache);
 
-  std::string checkpoint_path;
-  if (!checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir, ec);
-    if (ec) {
-      fail("cannot create checkpoint dir \"" + checkpoint_dir +
-           "\": " + ec.message());
-    }
-    checkpoint_path = checkpoint_dir + "/evolve.ckpt";
-    if (resume) {
-      if (const auto loaded = load_checkpoint(checkpoint_path)) {
-        const SnapshotReader reader = SnapshotReader::parse(loaded->bytes);
-        if (reader.kind() != GeneticAlgorithm::snapshot_kind()) {
-          fail("\"" + loaded->path + "\" is a " + reader.kind() +
-               " snapshot, not a GA checkpoint");
-        }
+  std::optional<std::ofstream> history_stream = checkpoints.open(
+      [&ga](const SnapshotReader& reader, const std::string&) {
         ga.restore_checkpoint(reader);
-        std::printf("resumed   : %s%s (history through generation %zu)\n",
-                    loaded->path.c_str(),
-                    loaded->fell_back ? " [fell back to last-good]" : "",
-                    ga.history().empty() ? 0
-                                         : ga.history().back().generation);
-      }
-      // No checkpoint yet: fall through and start fresh (the first crash
-      // of a campaign has nothing to resume from).
-    }
-    ga.set_checkpoint_hook([&](const GeneticAlgorithm& g, std::size_t gen) {
-      if ((gen + 1) % checkpoint_every != 0) return;
-      SnapshotWriter writer;
-      g.save_checkpoint(writer);
-      write_checkpoint(checkpoint_path,
-                       writer.encode(GeneticAlgorithm::snapshot_kind()));
-    });
-  }
-  // Validate output paths before any trials run: an unwritable file should
-  // cost seconds, not a finished campaign. Opened after the resume checks,
-  // so a refused checkpoint leaves no history.
-  std::optional<std::ofstream> history_stream;
-  if (!history_out.empty()) {
-    history_stream = open_output(history_out, "history");
-  }
+        return "history through generation " +
+               std::to_string(ga.history().empty()
+                                  ? 0
+                                  : ga.history().back().generation);
+      },
+      history_out, "history");
+  const auto save_ga = [&ga](SnapshotWriter& writer) {
+    ga.save_checkpoint(writer);
+  };
+  ga.set_checkpoint_hook([&](const GeneticAlgorithm&, std::size_t gen) {
+    if (checkpoints.due(gen + 1)) checkpoints.save(save_ga);
+  });
 
   const Individual best = ga.run();
 
   // Final checkpoint so a later --resume replays the finished campaign
   // without re-running anything.
-  if (!checkpoint_path.empty()) {
-    SnapshotWriter writer;
-    ga.save_checkpoint(writer);
-    write_checkpoint(checkpoint_path,
-                     writer.encode(GeneticAlgorithm::snapshot_kind()));
-  }
+  checkpoints.save(save_ga);
   if (history_stream) {
     // Hexfloat fitness values: byte-exact, so a resumed run's history file
     // can be diffed against the uninterrupted run's.
@@ -441,7 +499,7 @@ int cmd_evolve(int argc, char** argv) {
   RateOptions options;
   options.trials = 200;
   options.base_seed = seed + 777'777;
-  options.jobs = jobs;
+  options.jobs = config.jobs;
   const double confirmed =
       measure_rate(country, protocol, best.strategy, options).rate();
   std::printf("\nbest      : %s\n", best.strategy.to_string().c_str());
@@ -495,21 +553,11 @@ int cmd_evolve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_replay(int argc, char** argv) {
-  if (argc < 1) usage(2);
-  const std::string path = argv[0];
+int cmd_replay(Args& args) {
+  const std::string path = args.operand("capture FILE");
   Country country = Country::kChina;
   bool lenient = false;
-  for (Args args(argc - 1, argv + 1); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--country") {
-      country = parse_country(args.value());
-    } else if (arg == "--lenient") {
-      lenient = true;
-    } else {
-      args.unknown();
-    }
-  }
+  args.read({country_flag(country), switch_flag("--lenient", lenient)});
   // Load/parse failures propagate to main(): one structured
   // "caya: error: ..." line (with the offset of the first bad record for a
   // damaged capture), exit 2. --lenient instead skips the bad tail.
@@ -570,32 +618,26 @@ void print_fuzz_report(const FuzzReport& report) {
   }
 }
 
-int cmd_fuzz(int argc, char** argv) {
+int cmd_fuzz(Args& args) {
   std::vector<Country> countries = all_countries();
   bool censor_given = false;
   FuzzConfig config;
   config.jobs = ThreadPool::hardware_jobs();
   std::string repro;
-  for (Args args(argc, argv); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--censor") {
-      const std::string value = args.value();
-      censor_given = true;
-      if (value != "all") countries = {parse_country(value)};
-    } else if (arg == "--iters") {
-      config.iters = args.number();
-    } else if (arg == "--seed") {
-      config.seed = args.number();
-    } else if (arg == "--jobs") {
-      config.jobs = args.number();
-    } else if (arg == "--corpus-dir") {
-      config.corpus_dir = args.value();
-    } else if (arg == "--repro") {
-      repro = args.value();
-    } else {
-      args.unknown();
-    }
-  }
+  args.read({{"--censor",
+              [&](Args& a) {
+                const std::string value = a.value();
+                censor_given = true;
+                if (value != "all") {
+                  countries = {
+                      parse_choice(value, all_countries(), "country")};
+                }
+              }},
+             number_flag("--iters", config.iters),
+             number_flag("--seed", config.seed),
+             number_flag("--jobs", config.jobs),
+             text_flag("--corpus-dir", config.corpus_dir),
+             text_flag("--repro", repro)});
 
   if (!repro.empty()) {
     if (!censor_given || countries.size() != 1) {
@@ -627,66 +669,35 @@ int cmd_fuzz(int argc, char** argv) {
   return clean ? 0 : 4;
 }
 
-int cmd_sweep(int argc, char** argv) {
+int cmd_sweep(Args& args) {
   Country country = Country::kChina;
   AppProtocol protocol = AppProtocol::kHttp;
   SweepAxis axis = SweepAxis::kLoss;
   std::vector<int> published;
-  std::size_t trials = 50;
-  std::uint64_t seed = 1;
-  std::size_t jobs = ThreadPool::hardware_jobs();
-  std::string checkpoint_dir;
-  std::size_t checkpoint_every = 1;
-  bool resume = false;
+  RateOptions options;
+  options.trials = 50;
+  options.base_seed = 1;
+  options.jobs = ThreadPool::hardware_jobs();
+  SupervisionPolicy& supervision = options.supervision;
   std::string table_out;
-  SupervisionPolicy supervision;
-
-  for (Args args(argc, argv); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--country") {
-      country = parse_country(args.value());
-    } else if (arg == "--protocol") {
-      protocol = parse_protocol(args.value());
-    } else if (arg == "--axis") {
-      const std::string name = args.value();
-      if (name == "loss") {
-        axis = SweepAxis::kLoss;
-      } else if (name == "burst") {
-        axis = SweepAxis::kBurst;
-      } else if (name == "reorder") {
-        axis = SweepAxis::kReorder;
-      } else {
-        fail("unknown axis \"" + name + "\" (available: loss burst reorder)");
-      }
-    } else if (arg == "--published") {
-      published.push_back(args.number<int>());
-    } else if (arg == "--trials") {
-      trials = args.number();
-    } else if (arg == "--seed") {
-      seed = args.number();
-    } else if (arg == "--jobs") {
-      jobs = args.number();
-    } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = args.value();
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every = args.number();
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--table-out") {
-      table_out = args.value();
-    } else if (arg == "--inject-soft-fault-every") {
-      supervision.inject_soft_fault_every = args.number();
-    } else if (arg == "--inject-hard-fault-every") {
-      supervision.inject_hard_fault_every = args.number();
-    } else {
-      args.unknown();
-    }
-  }
+  Checkpoints checkpoints("sweep", "sweep-checkpoint", "sweep");
+  args.read({country_flag(country), protocol_flag(protocol),
+             choice_flag("--axis", axis,
+                         {SweepAxis::kLoss, SweepAxis::kBurst,
+                          SweepAxis::kReorder},
+                         "axis"),
+             published_list_flag(published),
+             number_flag("--trials", options.trials),
+             number_flag("--seed", options.base_seed),
+             number_flag("--jobs", options.jobs),
+             text_flag("--table-out", table_out),
+             number_flag("--inject-soft-fault-every",
+                         supervision.inject_soft_fault_every),
+             number_flag("--inject-hard-fault-every",
+                         supervision.inject_hard_fault_every)},
+            checkpoints.flags());
+  checkpoints.validate();
   if (published.empty()) published = {1, 2, 6};
-  if (checkpoint_every == 0) checkpoint_every = 1;
-  if (resume && checkpoint_dir.empty()) {
-    fail("--resume requires --checkpoint-dir");
-  }
 
   std::vector<std::pair<std::string, std::optional<Strategy>>> strategies;
   strategies.emplace_back("no evasion", std::nullopt);
@@ -699,33 +710,22 @@ int cmd_sweep(int argc, char** argv) {
       axis == SweepAxis::kReorder
           ? std::vector<double>{0.0, 0.05, 0.1, 0.25, 0.5}
           : std::vector<double>{0.0, 0.01, 0.02, 0.05, 0.1, 0.2};
-  RateOptions options;
-  options.trials = trials;
-  options.base_seed = seed;
-  options.jobs = jobs;
-  options.supervision = supervision;
 
-  // The sweep runs cell by cell in row-major order (strategy-major), so a
-  // checkpoint after any cell captures a resumable partial table. The
-  // config digest ties a snapshot to this exact sweep: resuming under a
-  // different axis/seed/strategy set is refused, not silently diverged.
-  const auto sweep_digest = [&]() {
-    SnapshotWriter w;
-    w.put("country", to_string(country));
-    w.put("protocol", to_string(protocol));
-    w.put("axis", to_string(axis));
-    w.put_u64("trials", trials);
-    w.put_u64("seed", seed);
-    w.put_u64("soft", supervision.inject_soft_fault_every);
-    w.put_u64("hard", supervision.inject_hard_fault_every);
-    for (const auto& [name, strategy] : strategies) w.put("strategy", name);
-    for (const double value : values) w.put_double("value", value);
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(w.encode("sweep-config"))));
-    return std::string(buf);
-  }();
+  // Cells run in row-major order (strategy-major), so a checkpoint after
+  // any cell captures a resumable partial table. The config digest ties a
+  // snapshot to this exact sweep: resuming under a different
+  // axis/seed/strategy set is refused, not silently diverged.
+  SnapshotWriter spec;
+  spec.put("country", to_string(country));
+  spec.put("protocol", to_string(protocol));
+  spec.put("axis", to_string(axis));
+  spec.put_u64("trials", options.trials);
+  spec.put_u64("seed", options.base_seed);
+  spec.put_u64("soft", supervision.inject_soft_fault_every);
+  spec.put_u64("hard", supervision.inject_hard_fault_every);
+  for (const auto& [name, strategy] : strategies) spec.put("strategy", name);
+  for (const double value : values) spec.put_double("value", value);
+  const std::string sweep_digest = spec.digest("sweep-config");
 
   std::vector<SweepCurve> curves(strategies.size());
   for (std::size_t s = 0; s < strategies.size(); ++s) {
@@ -733,70 +733,47 @@ int cmd_sweep(int argc, char** argv) {
   }
   const std::size_t total = strategies.size() * values.size();
   std::size_t done = 0;
+  const auto add_cell = [&](SweepPoint point) {
+    curves[done / values.size()].points.push_back(std::move(point));
+    ++done;
+  };
 
-  std::string checkpoint_path;
-  if (!checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir, ec);
-    if (ec) {
-      fail("cannot create checkpoint dir \"" + checkpoint_dir +
-           "\": " + ec.message());
-    }
-    checkpoint_path = checkpoint_dir + "/sweep.ckpt";
-  }
-  if (resume && !checkpoint_path.empty()) {
-    if (const auto loaded = load_checkpoint(checkpoint_path)) {
-      const SnapshotReader reader = SnapshotReader::parse(loaded->bytes);
-      if (reader.kind() != "sweep-checkpoint") {
-        fail("\"" + loaded->path + "\" is a " + reader.kind() +
-             " snapshot, not a sweep checkpoint");
-      }
-      if (reader.get("config") != sweep_digest) {
-        fail("checkpoint \"" + loaded->path +
-             "\" was taken under a different sweep configuration; resuming "
-             "would silently diverge");
-      }
-      for (const SnapshotReader::Record* rec : reader.all("cell")) {
-        // 7 fields: pre-quarantine-reason checkpoints, still resumable.
-        if (rec->fields.size() != 7 && rec->fields.size() != 9) {
-          fail("malformed sweep checkpoint cell");
+  std::optional<std::ofstream> table_stream = checkpoints.open(
+      [&](const SnapshotReader& reader, const std::string& path) {
+        if (reader.get("config") != sweep_digest) {
+          fail("checkpoint \"" + path +
+               "\" was taken under a different sweep configuration; "
+               "resuming would silently diverge");
         }
-        const std::size_t index = SnapshotReader::parse_u64(rec->fields[0]);
-        if (index != done || done >= total) {
-          fail("sweep checkpoint cells are out of order");
-        }
-        SweepPoint point;
-        point.value = SnapshotReader::parse_double(rec->fields[1]);
-        const std::size_t successes =
-            SnapshotReader::parse_u64(rec->fields[2]);
-        const std::size_t cell_trials =
-            SnapshotReader::parse_u64(rec->fields[3]);
-        for (std::size_t t = 0; t < cell_trials; ++t) {
-          point.rate.record(t < successes);
-        }
-        point.timeouts = SnapshotReader::parse_u64(rec->fields[4]);
-        point.errors = SnapshotReader::parse_u64(rec->fields[5]);
-        point.retries = SnapshotReader::parse_u64(rec->fields[6]);
-        if (rec->fields.size() == 9) {
+        for (const SnapshotReader::Record* rec : reader.all("cell")) {
+          if (rec->fields.size() != 9) {
+            fail("malformed sweep checkpoint cell");
+          }
+          const std::size_t index = SnapshotReader::parse_u64(rec->fields[0]);
+          if (index != done || done >= total) {
+            fail("sweep checkpoint cells are out of order");
+          }
+          SweepPoint point;
+          point.value = SnapshotReader::parse_double(rec->fields[1]);
+          const std::size_t successes =
+              SnapshotReader::parse_u64(rec->fields[2]);
+          const std::size_t cell_trials =
+              SnapshotReader::parse_u64(rec->fields[3]);
+          for (std::size_t t = 0; t < cell_trials; ++t) {
+            point.rate.record(t < successes);
+          }
+          point.timeouts = SnapshotReader::parse_u64(rec->fields[4]);
+          point.errors = SnapshotReader::parse_u64(rec->fields[5]);
+          point.retries = SnapshotReader::parse_u64(rec->fields[6]);
           point.quarantined = rec->fields[7] == "1";
           point.quarantine_reason = rec->fields[8];
+          add_cell(std::move(point));
         }
-        curves[done / values.size()].points.push_back(point);
-        ++done;
-      }
-      std::printf("resumed   : %s%s (%zu/%zu cells)\n", loaded->path.c_str(),
-                  loaded->fell_back ? " [fell back to last-good]" : "", done,
-                  total);
-    }
-  }
-  // Opened after the resume checks, so a refused checkpoint leaves no table.
-  std::optional<std::ofstream> table_stream;
-  if (!table_out.empty()) {
-    table_stream = open_output(table_out, "table");
-  }
+        return std::to_string(done) + "/" + std::to_string(total) + " cells";
+      },
+      table_out, "table");
 
-  const auto save_cells = [&]() {
-    SnapshotWriter writer;
+  const auto save_cells = [&](SnapshotWriter& writer) {
     writer.put("config", sweep_digest);
     std::size_t index = 0;
     for (const SweepCurve& curve : curves) {
@@ -813,96 +790,63 @@ int cmd_sweep(int argc, char** argv) {
         ++index;
       }
     }
-    write_checkpoint(checkpoint_path, writer.encode("sweep-checkpoint"));
   };
 
-  for (std::size_t c = done; c < total; ++c) {
-    const std::size_t s = c / values.size();
-    const std::size_t v = c % values.size();
-    curves[s].points.push_back(measure_sweep_cell(
-        country, protocol, strategies[s].second, axis, values[v], options));
-    ++done;
-    if (!checkpoint_path.empty() &&
-        (done % checkpoint_every == 0 || done == total)) {
-      save_cells();
+  // Each --checkpoint-every interval of cells is measured as one batch and
+  // then saved; without checkpoints every cell is one batch.
+  while (done < total) {
+    const std::size_t end = checkpoints.interval_end(done, total);
+    for (SweepPoint& point :
+         measure_sweep_cells(country, protocol, strategies, axis, values,
+                             options, done, end - done)) {
+      add_cell(std::move(point));
     }
+    checkpoints.save(save_cells);
   }
 
   std::printf("%s vs %s/%s, %zu trials per point\n\n",
               std::string(to_string(axis)).c_str(),
               std::string(to_string(country)).c_str(),
-              std::string(to_string(protocol)).c_str(), trials);
+              std::string(to_string(protocol)).c_str(), options.trials);
   const std::string table = render_sweep(curves, axis);
   std::printf("%s", table.c_str());
   if (table_stream) *table_stream << table;
   return 0;
 }
 
-GfwRegime parse_regime_arg(const std::string& name) {
-  if (const auto regime = parse_gfw_regime(name)) return *regime;
-  fail("unknown GFW regime \"" + name +
-       "\" (available: era-2019 era-https-resync)");
-}
-
-int cmd_serve(int argc, char** argv) {
+int cmd_serve(Args& args) {
   ServeConfig config;
   config.flows = 512;
   config.jobs = ThreadPool::hardware_jobs();
   std::string library_path;
   std::vector<int> published;
   bool breaker_seed_set = false;
-  std::string checkpoint_dir;
-  std::size_t checkpoint_every = 1;
-  bool resume = false;
   std::string report_out;
   bool update_library = false;
-
-  for (Args args(argc, argv); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--country") {
-      config.country = parse_country(args.value());
-    } else if (arg == "--protocol") {
-      config.protocol = parse_protocol(args.value());
-    } else if (arg == "--library") {
-      library_path = args.value();
-    } else if (arg == "--published") {
-      published.push_back(args.number<int>());
-    } else if (arg == "--flows") {
-      config.flows = args.number();
-    } else if (arg == "--regime-flip-at") {
-      config.regime_flip_at = args.number();
-    } else if (arg == "--regime-before") {
-      config.regime_before = parse_regime_arg(args.value());
-    } else if (arg == "--regime-after") {
-      config.regime_after = parse_regime_arg(args.value());
-    } else if (arg == "--seed") {
-      config.base_seed = args.number();
-      if (!breaker_seed_set) config.breaker_seed = config.base_seed;
-    } else if (arg == "--breaker-seed") {
-      config.breaker_seed = args.number();
-      breaker_seed_set = true;
-    } else if (arg == "--jobs") {
-      config.jobs = args.number();
-    } else if (arg == "--chunk") {
-      config.chunk = args.number();
-    } else if (arg == "--checkpoint-dir") {
-      checkpoint_dir = args.value();
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every = args.number();
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--report-out") {
-      report_out = args.value();
-    } else if (arg == "--update-library") {
-      update_library = true;
-    } else {
-      args.unknown();
-    }
-  }
-  if (checkpoint_every == 0) checkpoint_every = 1;
-  if (resume && checkpoint_dir.empty()) {
-    fail("--resume requires --checkpoint-dir");
-  }
+  Checkpoints checkpoints("serve", Orchestrator::snapshot_kind(), "serve");
+  args.read({country_flag(config.country), protocol_flag(config.protocol),
+             text_flag("--library", library_path),
+             published_list_flag(published),
+             number_flag("--flows", config.flows),
+             number_flag("--regime-flip-at", config.regime_flip_at),
+             regime_flag("--regime-before", config.regime_before),
+             regime_flag("--regime-after", config.regime_after),
+             {"--seed",
+              [&](Args& a) {
+                config.base_seed = a.number();
+                if (!breaker_seed_set) config.breaker_seed = config.base_seed;
+              }},
+             {"--breaker-seed",
+              [&](Args& a) {
+                config.breaker_seed = a.number();
+                breaker_seed_set = true;
+              }},
+             number_flag("--jobs", config.jobs),
+             number_flag("--chunk", config.chunk),
+             text_flag("--report-out", report_out),
+             switch_flag("--update-library", update_library)},
+            checkpoints.flags());
+  checkpoints.validate();
   if (!library_path.empty() && !published.empty()) {
     fail("--library and --published are mutually exclusive");
   }
@@ -917,11 +861,7 @@ int cmd_serve(int argc, char** argv) {
   StrategyLibrary library;
   std::vector<ServeTier> tiers;
   if (!library_path.empty()) {
-    try {
-      library = StrategyLibrary::load(library_path);
-    } catch (const std::exception& e) {
-      fail(e.what());
-    }
+    library = StrategyLibrary::load(library_path);
     tiers = tiers_from_library(library);
     if (tiers.empty()) fail("library \"" + library_path + "\" is empty");
   } else {
@@ -933,48 +873,21 @@ int cmd_serve(int argc, char** argv) {
   }
 
   Orchestrator orch(config, std::move(tiers));
-
-  std::string checkpoint_path;
-  if (!checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir, ec);
-    if (ec) {
-      fail("cannot create checkpoint dir \"" + checkpoint_dir +
-           "\": " + ec.message());
-    }
-    checkpoint_path = checkpoint_dir + "/serve.ckpt";
-    if (resume) {
-      if (const auto loaded = load_checkpoint(checkpoint_path)) {
-        const SnapshotReader reader = SnapshotReader::parse(loaded->bytes);
-        if (reader.kind() != Orchestrator::snapshot_kind()) {
-          fail("\"" + loaded->path + "\" is a " + reader.kind() +
-               " snapshot, not a serve checkpoint");
-        }
+  std::optional<std::ofstream> report_stream = checkpoints.open(
+      [&](const SnapshotReader& reader, const std::string&) {
         orch.restore_checkpoint(reader);
-        std::printf("resumed   : %s%s (%zu/%zu flows)\n",
-                    loaded->path.c_str(),
-                    loaded->fell_back ? " [fell back to last-good]" : "",
-                    orch.report().flows, config.flows);
-      }
-    }
-    orch.set_checkpoint_hook(
-        [checkpoint_path, checkpoint_every, chunks_done = std::size_t{0}](
-            const Orchestrator& o, std::size_t flows_done) mutable {
-          if (++chunks_done % checkpoint_every != 0 &&
-              flows_done != o.config().flows) {
-            return;
-          }
-          SnapshotWriter writer;
-          o.save_checkpoint(writer);
-          write_checkpoint(checkpoint_path,
-                           writer.encode(Orchestrator::snapshot_kind()));
-        });
-  }
-  // Opened after the resume checks, so a refused checkpoint leaves no report.
-  std::optional<std::ofstream> report_stream;
-  if (!report_out.empty()) {
-    report_stream = open_output(report_out, "report");
-  }
+        return std::to_string(orch.report().flows) + "/" +
+               std::to_string(config.flows) + " flows";
+      },
+      report_out, "report");
+  orch.set_checkpoint_hook(
+      [&checkpoints, chunks = std::size_t{0}](
+          const Orchestrator& o, std::size_t flows_done) mutable {
+        if (checkpoints.due(++chunks) || flows_done == o.config().flows) {
+          checkpoints.save(
+              [&o](SnapshotWriter& writer) { o.save_checkpoint(writer); });
+        }
+      });
 
   const ServeReport& report = orch.run();
 
@@ -1017,11 +930,7 @@ int cmd_serve(int argc, char** argv) {
       refreshed |= library.update_success(stats.name, stats.rate());
     }
     if (refreshed) {
-      try {
-        library.save(library_path);
-      } catch (const std::exception& e) {
-        fail(e.what());
-      }
+      library.save(library_path);
       std::printf("library   : refreshed success rates in %s\n",
                   library_path.c_str());
     }
@@ -1029,48 +938,26 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
-int cmd_rates(int argc, char** argv) {
+int cmd_rates(Args& args) {
   Country country = Country::kChina;
   std::optional<Strategy> strategy;
-  std::size_t trials = 100;
-  std::uint64_t seed = 1;
-  ImpairmentProfile profile = ImpairmentProfile::kClean;
-  std::size_t jobs = ThreadPool::hardware_jobs();
-
-  for (Args args(argc, argv); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--country") {
-      country = parse_country(args.value());
-    } else if (arg == "--strategy") {
-      strategy = parse_strategy_arg(args.value());
-    } else if (arg == "--published") {
-      strategy = published_strategy_arg(args.number<int>());
-    } else if (arg == "--trials") {
-      trials = args.number();
-    } else if (arg == "--seed") {
-      seed = args.number();
-    } else if (arg == "--profile") {
-      profile = parse_profile_arg(args.value());
-    } else if (arg == "--jobs") {
-      jobs = args.number();
-    } else {
-      args.unknown();
-    }
-  }
+  RateOptions options;
+  options.trials = 100;
+  options.base_seed = 1;
+  options.jobs = ThreadPool::hardware_jobs();
+  args.read({country_flag(country), number_flag("--trials", options.trials),
+             number_flag("--seed", options.base_seed),
+             profile_flag(options.profile),
+             number_flag("--jobs", options.jobs)},
+            strategy_flags(strategy));
 
   std::printf("strategy  : %s\n",
               strategy ? strategy->to_string().c_str() : "(no evasion)");
   std::printf("country   : %s, %zu trials per protocol\n",
-              std::string(to_string(country)).c_str(), trials);
+              std::string(to_string(country)).c_str(), options.trials);
   std::printf("%-8s %10s %8s %17s\n", "protocol", "success", "rate",
               "95% CI");
-  std::uint64_t protocol_seed = seed;
   for (const AppProtocol protocol : all_protocols()) {
-    RateOptions options;
-    options.trials = trials;
-    options.base_seed = protocol_seed;
-    options.profile = profile;
-    options.jobs = jobs;
     const RateCounter rate = measure_rate(country, protocol, strategy,
                                           options);
     const auto interval = rate.wilson();
@@ -1079,12 +966,12 @@ int cmd_rates(int argc, char** argv) {
                 rate.trials(), rate.rate() * 100, interval.lo * 100,
                 interval.hi * 100);
     // Disjoint seed blocks per protocol, matching bench_table2's layout.
-    protocol_seed += 1000;
+    options.base_seed += 1000;
   }
   return 0;
 }
 
-int cmd_run(int argc, char** argv) {
+int cmd_run(Args& args) {
   Country country = Country::kChina;
   AppProtocol protocol = AppProtocol::kHttp;
   std::optional<Strategy> strategy;
@@ -1099,58 +986,23 @@ int cmd_run(int argc, char** argv) {
   std::string pcap_path;
   ImpairmentProfile profile = ImpairmentProfile::kClean;
   std::size_t jobs = ThreadPool::hardware_jobs();
-
-  for (Args args(argc, argv); !args.done();) {
-    const std::string& arg = args.flag();
-    if (arg == "--country") {
-      country = parse_country(args.value());
-    } else if (arg == "--protocol") {
-      protocol = parse_protocol(args.value());
-    } else if (arg == "--strategy") {
-      strategy = parse_strategy_arg(args.value());
-    } else if (arg == "--published") {
-      strategy = published_strategy_arg(args.number<int>());
-    } else if (arg == "--from") {
-      from_path = args.value();
-    } else if (arg == "--name") {
-      from_name = args.value();
-    } else if (arg == "--client-side") {
-      client_side = true;
-    } else if (arg == "--trials") {
-      trials = args.number();
-    } else if (arg == "--seed") {
-      seed = args.number();
-    } else if (arg == "--os") {
-      os = parse_os(args.value());
-    } else if (arg == "--waterfall") {
-      waterfall = true;
-    } else if (arg == "--stages") {
-      stages = true;
-    } else if (arg == "--pcap") {
-      pcap_path = args.value();
-    } else if (arg == "--profile") {
-      profile = parse_profile_arg(args.value());
-    } else if (arg == "--jobs") {
-      jobs = args.number();
-    } else {
-      args.unknown();
-    }
-  }
+  args.read({country_flag(country), protocol_flag(protocol),
+             text_flag("--from", from_path), text_flag("--name", from_name),
+             switch_flag("--client-side", client_side),
+             number_flag("--trials", trials), number_flag("--seed", seed),
+             {"--os", [&os](Args& a) { os = parse_os(a.value()); }},
+             switch_flag("--waterfall", waterfall),
+             switch_flag("--stages", stages), text_flag("--pcap", pcap_path),
+             profile_flag(profile), number_flag("--jobs", jobs)},
+            strategy_flags(strategy));
 
   if (!from_path.empty()) {
-    try {
-      const StrategyLibrary library = StrategyLibrary::load(from_path);
-      const LibraryEntry* entry = library.find(from_name);
-      if (entry == nullptr) {
-        std::fprintf(stderr, "no entry \"%s\" in %s\n", from_name.c_str(),
-                     from_path.c_str());
-        return 1;
-      }
-      strategy = parse_strategy(entry->dsl);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
+    const StrategyLibrary library = StrategyLibrary::load(from_path);
+    const LibraryEntry* entry = library.find(from_name);
+    if (entry == nullptr) {
+      fail("no entry \"" + from_name + "\" in " + from_path);
     }
+    strategy = parse_strategy_arg(entry->dsl);
   }
 
   // Trials are independent simulations seeded from seed + i, each on a
@@ -1232,33 +1084,33 @@ int cmd_run(int argc, char** argv) {
   return 0;
 }
 
+int run_command(int argc, char** argv) {
+  if (argc < 2) {
+    usage();
+    return 1;
+  }
+  static constexpr std::pair<std::string_view, int (*)(Args&)> kCommands[] = {
+      {"list", cmd_list},     {"parse", cmd_parse},   {"run", cmd_run},
+      {"library", cmd_library}, {"evolve", cmd_evolve}, {"rates", cmd_rates},
+      {"sweep", cmd_sweep},   {"serve", cmd_serve},   {"replay", cmd_replay},
+      {"fuzz", cmd_fuzz}};
+  Args args(argc - 2, argv + 2);
+  std::string available;
+  for (const auto& [name, command] : kCommands) {
+    if (name == argv[1]) return command(args);
+    available += ' ';
+    available += name;
+  }
+  fail("unknown command \"" + std::string(argv[1]) + "\" (available:" +
+       available + ")");
+}
+
 }  // namespace
 }  // namespace caya
 
 int main(int argc, char** argv) {
   try {
-    if (argc < 2) caya::usage(1);
-    const std::string command = argv[1];
-    if (command == "list") return caya::cmd_list();
-    if (command == "parse") {
-      if (argc < 3) caya::usage(2);
-      return caya::cmd_parse(argv[2]);
-    }
-    if (command == "run") return caya::cmd_run(argc - 2, argv + 2);
-    if (command == "library") {
-      if (argc < 3) caya::usage(2);
-      return caya::cmd_library(argv[2]);
-    }
-    if (command == "evolve") return caya::cmd_evolve(argc - 2, argv + 2);
-    if (command == "rates") return caya::cmd_rates(argc - 2, argv + 2);
-    if (command == "sweep") return caya::cmd_sweep(argc - 2, argv + 2);
-    if (command == "serve") return caya::cmd_serve(argc - 2, argv + 2);
-    if (command == "replay") {
-      if (argc < 3) caya::usage(2);
-      return caya::cmd_replay(argc - 2, argv + 2);
-    }
-    if (command == "fuzz") return caya::cmd_fuzz(argc - 2, argv + 2);
-    caya::usage(1);
+    return caya::run_command(argc, argv);
   } catch (const std::exception& e) {
     // One structured line, exit 2 — scripts driving long campaigns get a
     // parseable failure instead of a bare terminate.
