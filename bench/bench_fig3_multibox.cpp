@@ -58,12 +58,12 @@ class TtlProbe : public PacketProcessor {
  public:
   TtlProbe(int ttl, std::string token)
       : ttl_(static_cast<std::uint8_t>(ttl)), token_(std::move(token)) {}
-  std::vector<Packet> process_outbound(Packet pkt) override {
+  void process_outbound_into(Packet pkt, std::vector<Packet>& out) override {
     if (contains(std::span(pkt.payload), token_)) pkt.ip.ttl = ttl_;
-    return {std::move(pkt)};
+    out.push_back(std::move(pkt));
   }
-  std::vector<Packet> process_inbound(Packet pkt) override {
-    return {std::move(pkt)};
+  void process_inbound_into(Packet pkt, std::vector<Packet>& out) override {
+    out.push_back(std::move(pkt));
   }
 
  private:

@@ -34,7 +34,8 @@ int main() {
   // The engine is the libnetfilter_queue-equivalent shim: packets pass
   // through it on their way to the wire.
   Engine engine(std::move(strategy), Rng(42));
-  const auto wire_packets = engine.process_outbound(std::move(synack));
+  std::vector<Packet> wire_packets;
+  engine.process_outbound_into(std::move(synack), wire_packets);
 
   std::printf("wire carries    : %zu packets\n", wire_packets.size());
   for (const auto& pkt : wire_packets) {
@@ -47,7 +48,8 @@ int main() {
                                 Ipv4Address::parse("101.6.8.2"), 40000,
                                 tcpflag::kPsh | tcpflag::kAck, 50001, 10001,
                                 to_bytes("HTTP/1.1 200 OK\r\n\r\nhi"));
-  const auto untouched = engine.process_outbound(std::move(data));
+  std::vector<Packet> untouched;
+  engine.process_outbound_into(std::move(data), untouched);
   std::printf("\nnon-SYN+ACK packets pass through: %zu packet, len=%zu\n",
               untouched.size(), untouched[0].payload.size());
   return 0;

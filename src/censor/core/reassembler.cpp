@@ -36,7 +36,7 @@ void Reassembler::assemble(Bytes& out) const {
     if (seg->second.empty()) break;  // zero-length segment: no progress
     out.insert(out.end(), seg->second.begin(), seg->second.end());
     next += static_cast<std::uint32_t>(seg->second.size());
-    if (out.size() > byte_cap_) break;  // bounded buffer
+    if (out.size() > kByteCap) break;  // bounded buffer
   }
 }
 

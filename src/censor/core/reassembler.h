@@ -6,8 +6,9 @@
 // Turkmenistan) inspect packets in isolation and fail open on any gap.
 // Whether a given flow gets a Reassembler at all is a per-box *probability*
 // (the paper's per-box reassembly capability, Table 2 / §6) — the censor
-// draws it once per flow via draw_capable() so the RNG consumption order is
-// part of the box's pinned behaviour.
+// draws it once per flow, at the SYN, from its own RNG stream
+// (GfwBoxParams::p_reassembly), so the RNG consumption order is part of the
+// box's pinned behaviour.
 //
 // Segment buffers are leased from the per-thread BufferArena and returned
 // on clear()/rebase()/destruction, so steady-state reassembly across a
@@ -20,32 +21,20 @@
 #include <span>
 
 #include "util/bytes.h"
-#include "util/rng.h"
 
 namespace caya {
 
 class Reassembler {
  public:
-  struct Params {
-    /// P(a given flow can be reassembled) — 1.0 for HTTP/HTTPS/DNS, ~0.5
-    /// for FTP ("frequently incapable"), 0.0 for SMTP.
-    double p_capable = 1.0;
-    /// Bounded inspection buffer: assembly stops once the prefix exceeds
-    /// this many bytes.
-    std::size_t byte_cap = 65536;
-  };
+  /// Bounded inspection buffer: assembly stops once the prefix exceeds
+  /// this many bytes.
+  static constexpr std::size_t kByteCap = 65536;
 
-  /// The once-per-flow capability draw, in the censor's RNG stream.
-  [[nodiscard]] static bool draw_capable(Rng& rng, const Params& params) {
-    return rng.chance(params.p_capable);
-  }
-
-  explicit Reassembler(std::size_t byte_cap = 65536) : byte_cap_(byte_cap) {}
+  Reassembler() = default;
   ~Reassembler() { clear(); }
 
   Reassembler(Reassembler&& other) noexcept
-      : byte_cap_(other.byte_cap_),
-        base_(other.base_),
+      : base_(other.base_),
         max_segments_(other.max_segments_),
         max_bytes_(other.max_bytes_),
         buffered_bytes_(other.buffered_bytes_),
@@ -56,7 +45,6 @@ class Reassembler {
   Reassembler& operator=(Reassembler&& other) noexcept {
     if (this != &other) {
       clear();
-      byte_cap_ = other.byte_cap_;
       base_ = other.base_;
       max_segments_ = other.max_segments_;
       max_bytes_ = other.max_bytes_;
@@ -115,13 +103,12 @@ class Reassembler {
   [[nodiscard]] std::size_t max_bytes() const noexcept { return max_bytes_; }
 
   /// Default per-flow budgets: a real flow's inspection window is bounded
-  /// by byte_cap (64 KiB), so 1024 segments / 256 KiB of buffer per flow is
+  /// by kByteCap (64 KiB), so 1024 segments / 256 KiB of buffer per flow is
   /// already pathological input.
   static constexpr std::size_t kDefaultMaxSegments = 1024;
   static constexpr std::size_t kDefaultMaxBytes = 262144;
 
  private:
-  std::size_t byte_cap_;
   std::uint32_t base_ = 0;
   std::size_t max_segments_ = kDefaultMaxSegments;
   std::size_t max_bytes_ = kDefaultMaxBytes;

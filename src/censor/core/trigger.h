@@ -2,13 +2,12 @@
 //
 // A TriggerStage is the censor's answer to "is this byte stream forbidden?":
 // a set of port-scoped rules over the dpi.h matchers (protocol-calibrated
-// GFW matching, HTTP Host headers, TLS SNI, ...). The same stage serves both
-// inspection modes:
-//   * kStream  — fed reassembled prefixes (reassembling boxes);
-//   * kPacket  — fed single-packet payloads in isolation (boxes without
-//                reassembly, which therefore fail open on any segmentation).
-// The mode is per *flow*, not per box, because reassembly capability is a
-// per-flow draw (see Reassembler::draw_capable).
+// GFW matching, HTTP Host headers, TLS SNI, ...). The same stage serves
+// both ways a censor inspects: the caller feeds it reassembled prefixes
+// (reassembling boxes) or single-packet payloads in isolation (boxes
+// without reassembly, which therefore fail open on any segmentation). That
+// choice is per *flow*, not per box, because reassembly capability is a
+// per-flow draw (GfwBoxParams::p_reassembly).
 #pragma once
 
 #include <cstdint>
@@ -23,8 +22,6 @@ namespace caya {
 
 class TriggerStage {
  public:
-  enum class Mode { kPacket, kStream };
-
   /// One port-scoped rule. Exactly one of `protocol` (dpi.h's calibrated
   /// protocol_match) or `matcher` (a single dpi.h matcher) is set.
   struct Rule {
@@ -36,11 +33,6 @@ class TriggerStage {
 
   TriggerStage(ForbiddenContent content, std::vector<Rule> rules)
       : content_(std::move(content)), rules_(std::move(rules)) {}
-
-  /// The mode a flow inspects in, given its reassembly-capability draw.
-  [[nodiscard]] static Mode mode_for(bool can_reassemble) noexcept {
-    return can_reassemble ? Mode::kStream : Mode::kPacket;
-  }
 
   /// True when any rule scoped to `server_port` matches `data`.
   [[nodiscard]] bool match(std::uint16_t server_port,

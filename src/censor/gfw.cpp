@@ -233,8 +233,7 @@ void GfwBox::on_client_packet(const Packet& pkt, Injector& inject) {
     tcb.client_isn = pkt.tcp.seq;
     tcb.expected_client_seq = pkt.tcp.seq + 1;
     tcb.reassembly.rebase(pkt.tcp.seq + 1);
-    tcb.can_reassemble =
-        Reassembler::draw_capable(rng_, {.p_capable = params_.p_reassembly});
+    tcb.can_reassemble = rng_.chance(params_.p_reassembly);
     tcb.missed = rng_.chance(params_.p_miss);
     tcb.residual_kill =
         residual_active(pkt.ip.dst, pkt.tcp.dport, inject.now());

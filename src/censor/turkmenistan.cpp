@@ -6,6 +6,9 @@
 
 namespace caya {
 
+/// RST+ACK copies fired toward the client per censorship event.
+constexpr int kRstAcksToClient = 3;
+
 TurkmenistanCensor::TurkmenistanCensor(ForbiddenContent content, Rng rng,
                                        TurkmenistanParams params)
     : params_(params),
@@ -91,13 +94,12 @@ void TurkmenistanCensor::censor_flow(FlowState& flow, const FlowKey& key,
   const auto len = static_cast<std::uint32_t>(pkt.payload.size());
   if (dir == Direction::kClientToServer) {
     verdict::bidirectional_rst_ack(inject, key, pkt.tcp.seq, pkt.tcp.ack,
-                                   len, params_.rst_acks_to_client);
+                                   len, kRstAcksToClient);
   } else {
     // Mirror the anchor points for a server-side trigger: the client's next
     // sequence is the packet's ack, the server position its seq end.
     verdict::bidirectional_rst_ack(inject, key, pkt.tcp.ack,
-                                   pkt.tcp.seq + len, 0,
-                                   params_.rst_acks_to_client);
+                                   pkt.tcp.seq + len, 0, kRstAcksToClient);
   }
   flow.dead = true;
   ++censored_count_;

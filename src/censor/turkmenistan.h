@@ -32,8 +32,6 @@ struct TurkmenistanParams {
   /// Baseline per-flow miss rate (the DPI farm is overloaded; Nourin et
   /// al. report intermittent non-enforcement).
   double p_miss = 0.02;
-  /// RST+ACK copies fired toward the client per censorship event.
-  int rst_acks_to_client = 3;
 };
 
 class TurkmenistanCensor : public Middlebox {

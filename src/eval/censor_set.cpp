@@ -1,7 +1,5 @@
 #include "eval/censor_set.h"
 
-#include "eval/env_pool.h"
-
 #include "censor/airtel.h"
 #include "censor/iran.h"
 #include "censor/kazakhstan.h"
@@ -70,8 +68,6 @@ void CensorSet::reset(Rng& stream) {
 }
 
 CensorSet::~CensorSet() = default;
-CensorSet::CensorSet(CensorSet&&) noexcept = default;
-CensorSet& CensorSet::operator=(CensorSet&&) noexcept = default;
 
 std::size_t CensorSet::censored_total() const {
   std::size_t total = 0;
@@ -109,11 +105,7 @@ CensorSet& pooled_censor_set(Country country, std::uint64_t seed) {
   static thread_local std::vector<std::unique_ptr<CensorSet>> cache;
   for (auto& set : cache) {
     if (set->country() == country) {
-      if (EnvironmentPool::enabled()) {
-        set->reset(seed);
-      } else {
-        *set = CensorSet(country, seed);  // gate off: rebuild from scratch
-      }
+      set->reset(seed);
       return *set;
     }
   }

@@ -40,8 +40,6 @@ class CensorSet {
             const FaultSchedule& faults);
 
   ~CensorSet();
-  CensorSet(CensorSet&&) noexcept;
-  CensorSet& operator=(CensorSet&&) noexcept;
   CensorSet(const CensorSet&) = delete;
   CensorSet& operator=(const CensorSet&) = delete;
 
@@ -93,11 +91,9 @@ class CensorSet {
 
 /// Thread-local recycled CensorSet: returns a warm set for `country`,
 /// reinitialized to `seed` — byte-identical to constructing a fresh
-/// CensorSet(country, seed) but without rebuilding the boxes. Honors the
-/// EnvironmentPool runtime gate: when pooling is disabled the cached set is
-/// rebuilt from scratch on every call, so A/B equivalence runs compare
-/// pooled-vs-fresh behaviour through the same accessor. The reference stays
-/// valid until the next call for the same country on this thread.
+/// CensorSet(country, seed) but without rebuilding the boxes. The
+/// reference stays valid until the next call for the same country on this
+/// thread.
 [[nodiscard]] CensorSet& pooled_censor_set(Country country,
                                            std::uint64_t seed);
 

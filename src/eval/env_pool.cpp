@@ -1,7 +1,6 @@
 #include "eval/env_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "packet/payload.h"
@@ -55,16 +54,6 @@ void hash_impairments(std::uint64_t& h, const Impairments& lane) {
 std::atomic<std::uint64_t> g_constructed{0};
 std::atomic<std::uint64_t> g_reused{0};
 
-bool pool_enabled_from_env() {
-  const char* disable = std::getenv("CAYA_NO_ENV_POOL");
-  return disable == nullptr || disable[0] == '\0';
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> enabled{pool_enabled_from_env()};
-  return enabled;
-}
-
 }  // namespace
 
 std::uint64_t env_config_digest(const Environment::Config& config) {
@@ -78,10 +67,6 @@ std::uint64_t env_config_digest(const Environment::Config& config) {
   hash_u64(h, static_cast<std::uint64_t>(config.gfw_regime));
   hash_u64(h, static_cast<std::uint64_t>(config.carrier));
 
-  hash_u64(h, static_cast<std::uint64_t>(config.net.client_to_censor_hops));
-  hash_u64(h, static_cast<std::uint64_t>(config.net.censor_to_server_hops));
-  hash_u64(h, static_cast<std::uint64_t>(config.net.per_hop_delay));
-  hash_double(h, config.net.loss);
   hash_u64(h, config.net.trace_stages ? 1 : 0);
   hash_impairments(h, config.net.link.client_censor_up);
   hash_impairments(h, config.net.link.client_censor_down);
@@ -119,10 +104,6 @@ EnvironmentPool& EnvironmentPool::local() {
 
 EnvironmentPool::Lease EnvironmentPool::acquire(
     const Environment::Config& config) {
-  if (!enabled()) {
-    g_constructed.fetch_add(1, std::memory_order_relaxed);
-    return Lease(nullptr, 0, std::make_unique<Environment>(config));
-  }
   const std::uint64_t key = env_config_digest(config);
   for (Shelf& shelf : shelves_) {
     if (shelf.key == key && !shelf.envs.empty()) {
@@ -149,14 +130,6 @@ void EnvironmentPool::put(std::uint64_t key,
   shelf.key = key;
   shelf.envs.push_back(std::move(env));
   shelves_.push_back(std::move(shelf));
-}
-
-void EnvironmentPool::set_enabled(bool enabled) noexcept {
-  enabled_flag().store(enabled, std::memory_order_relaxed);
-}
-
-bool EnvironmentPool::enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
 }
 
 std::uint64_t EnvironmentPool::constructed() noexcept {

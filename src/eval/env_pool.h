@@ -18,10 +18,6 @@
 //   * Poison safety — a Lease returns its environment to the shelf only via
 //     keep(); if the trial throws, the Lease destructor discards the
 //     substrate instead of recycling state of unknown integrity.
-//
-// The pool is on by default and can be disabled at runtime (the
-// CAYA_NO_ENV_POOL environment variable, or set_enabled(false)) for A/B
-// equivalence checks; run_trial() falls back to fresh construction.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +57,8 @@ class EnvironmentPool {
     [[nodiscard]] Environment& operator*() noexcept { return *env_; }
     [[nodiscard]] Environment* operator->() noexcept { return env_.get(); }
 
-    /// Returns the environment to the pool it came from. No-op when the
-    /// pool is disabled or the lease was constructed detached.
+    /// Returns the environment to the pool it came from. No-op on a
+    /// default-constructed or moved-from lease.
     void keep();
 
    private:
@@ -76,17 +72,11 @@ class EnvironmentPool {
   [[nodiscard]] static EnvironmentPool& local();
 
   /// Hands out a warm substrate reset to `config` (reuse), or constructs a
-  /// fresh Environment when the shelf for this config shape is empty or the
-  /// pool is disabled.
+  /// fresh Environment when the shelf for this config shape is empty.
   [[nodiscard]] Lease acquire(const Environment::Config& config);
 
   /// Drops every shelved environment on this thread's pool.
   void clear() noexcept { shelves_.clear(); }
-
-  /// Runtime gate. Initialized from the CAYA_NO_ENV_POOL environment
-  /// variable (set and non-empty => disabled); process-global.
-  static void set_enabled(bool enabled) noexcept;
-  [[nodiscard]] static bool enabled() noexcept;
 
   /// Process-global substrate counters (atomic): how many Environments were
   /// constructed from scratch vs. recycled via reset(). The

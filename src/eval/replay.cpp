@@ -41,7 +41,6 @@ ReplayResult replay_through_censor(const std::vector<PcapRecord>& records,
     auto decoded = Packet::try_parse(records[i].data);
     result.decode.note(decoded.error);
     if (!decoded.ok()) {
-      ++result.parse_failures;
       std::string detail = std::string(to_string(decoded.error)) +
                            " at offset " +
                            std::to_string(decoded.error_offset);

@@ -20,7 +20,6 @@ struct ReplayEvent {
 
 struct ReplayResult {
   std::size_t packets = 0;
-  std::size_t parse_failures = 0;  // == decode.failures(); kept for callers
   std::size_t censor_events = 0;
   std::size_t injected_packets = 0;  // teardowns/block pages the censor
                                      // would have injected

@@ -192,8 +192,8 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
 TrialResult run_trial(Environment::Config env_config,
                       const ConnectionOptions& options) {
   // Draw a warm substrate from the calling worker's pool (or construct one
-  // when the pool is cold/disabled). The lease shelves the environment for
-  // reuse only on clean completion: if run_connection throws, the lease
+  // when the pool is cold). The lease shelves the environment for reuse
+  // only on clean completion: if run_connection throws, the lease
   // destructor discards the substrate so retries never see poisoned state.
   EnvironmentPool::Lease lease =
       EnvironmentPool::local().acquire(env_config);
@@ -246,7 +246,7 @@ SupervisedOutcome run_supervised_trial(const Environment::Config& env_config,
     outcome.attempts = attempt + 1;
     Environment::Config attempt_config = env_config;
     attempt_config.seed =
-        env_config.seed + attempt * policy.retry_seed_stride;
+        env_config.seed + attempt * kRetrySeedStride;
 
     if (policy.injects_fault(trial_index, attempt)) {
       outcome.error = TrialErrorKind::kInjectedFault;

@@ -144,6 +144,12 @@ class Environment {
 
 // ---- Supervised execution --------------------------------------------------
 
+/// Deterministic "backoff": attempt k re-runs the simulation under seed
+/// (base seed + k * stride). In a simulator there is no wall clock to back
+/// off against; perturbing the seed is the deterministic equivalent of
+/// retrying later against different transient conditions.
+inline constexpr std::uint64_t kRetrySeedStride = 0x9E3779B97F4A7C15ull;
+
 /// How a batch runner reacts to failing trials. All decisions are
 /// deterministic functions of (trial index, attempt), so a supervised batch
 /// is byte-identical across --jobs values and across resumes.
@@ -151,11 +157,6 @@ struct SupervisionPolicy {
   /// Extra attempts granted to retryable error classes before the trial is
   /// recorded as errored.
   std::size_t max_retries = 2;
-  /// Deterministic "backoff": attempt k re-runs the simulation under seed
-  /// (base seed + k * stride). In a simulator there is no wall clock to
-  /// back off against; perturbing the seed is the deterministic equivalent
-  /// of retrying later against different transient conditions.
-  std::uint64_t retry_seed_stride = 0x9E3779B97F4A7C15ull;
   /// A strategy whose batch shows this many *consecutive* errored trials
   /// (timeouts excluded — those are legitimate results) is quarantined:
   /// the batch is reported poisoned and the GA assigns sentinel fitness

@@ -29,17 +29,6 @@ class Engine : public PacketProcessor {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  [[nodiscard]] std::vector<Packet> process_outbound(Packet pkt) override {
-    auto out = strategy_->apply_outbound(std::move(pkt), rng_);
-    packets_out_ += out.size();
-    ++packets_in_;
-    return out;
-  }
-
-  [[nodiscard]] std::vector<Packet> process_inbound(Packet pkt) override {
-    return strategy_->apply_inbound(std::move(pkt), rng_);
-  }
-
   void process_outbound_into(Packet pkt, std::vector<Packet>& out) override {
     const std::size_t before = out.size();
     strategy_->apply_outbound_into(std::move(pkt), rng_, out);

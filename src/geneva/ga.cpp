@@ -10,6 +10,14 @@
 
 namespace caya {
 
+// Breeding: the fittest tenth survives unchanged, and every other child is
+// a tournament winner, crossed with a second winner at kCrossoverRate and
+// then mutated at kMutationRate.
+constexpr double kEliteFraction = 0.1;
+constexpr double kCrossoverRate = 0.4;
+constexpr double kMutationRate = 0.9;
+constexpr std::size_t kTournamentSize = 3;
+
 GeneticAlgorithm::GeneticAlgorithm(GeneConfig genes, GaConfig config,
                                    FitnessFn fitness, Rng rng, Logger logger)
     : genes_(std::move(genes)),
@@ -111,7 +119,7 @@ GeneticAlgorithm::EvalSummary GeneticAlgorithm::evaluate_all() {
 
 const Individual& GeneticAlgorithm::tournament_pick() {
   const Individual* best = nullptr;
-  for (std::size_t i = 0; i < config_.tournament_size; ++i) {
+  for (std::size_t i = 0; i < kTournamentSize; ++i) {
     const Individual& candidate = rng_.pick(population_);
     if (best == nullptr || candidate.fitness > best->fitness) {
       best = &candidate;
@@ -125,7 +133,7 @@ void GeneticAlgorithm::step() {
   std::vector<Individual> next;
   next.reserve(config_.population_size);
   const auto elite_count = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config_.elite_fraction *
+      1, static_cast<std::size_t>(kEliteFraction *
                                   static_cast<double>(population_.size())));
   for (std::size_t i = 0; i < elite_count && i < population_.size(); ++i) {
     next.push_back(population_[i]);  // elites keep their evaluation
@@ -134,11 +142,11 @@ void GeneticAlgorithm::step() {
   while (next.size() < config_.population_size) {
     Individual child;
     child.strategy = tournament_pick().strategy;
-    if (rng_.chance(config_.crossover_rate)) {
+    if (rng_.chance(kCrossoverRate)) {
       Strategy mate = tournament_pick().strategy;
       crossover(child.strategy, mate, rng_);
     }
-    if (rng_.chance(config_.mutation_rate)) {
+    if (rng_.chance(kMutationRate)) {
       mutate(child.strategy, genes_, rng_);
     }
     next.push_back(std::move(child));
@@ -198,10 +206,12 @@ std::string GeneticAlgorithm::config_digest() const {
   SnapshotWriter w;
   w.put_u64("population_size", config_.population_size);
   w.put_u64("generations", config_.generations);
-  w.put_double("elite_fraction", config_.elite_fraction);
-  w.put_double("crossover_rate", config_.crossover_rate);
-  w.put_double("mutation_rate", config_.mutation_rate);
-  w.put_u64("tournament_size", config_.tournament_size);
+  // The breeding constants stay in the digest, under their old keys, so
+  // checkpoints saved by earlier builds still match.
+  w.put_double("elite_fraction", kEliteFraction);
+  w.put_double("crossover_rate", kCrossoverRate);
+  w.put_double("mutation_rate", kMutationRate);
+  w.put_u64("tournament_size", kTournamentSize);
   w.put_double("complexity_weight", config_.complexity_weight);
   w.put_u64("convergence_patience", config_.convergence_patience);
   // jobs deliberately omitted: sharding never changes evolution results.

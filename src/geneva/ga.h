@@ -26,10 +26,6 @@ using FitnessFn = std::function<double(const Strategy&)>;
 struct GaConfig {
   std::size_t population_size = 300;
   std::size_t generations = 50;
-  double elite_fraction = 0.1;
-  double crossover_rate = 0.4;
-  double mutation_rate = 0.9;
-  std::size_t tournament_size = 3;
   /// Penalty per action-tree node — pushes toward minimal strategies.
   double complexity_weight = 0.5;
   /// Stop when the best fitness has not improved for this many generations.
@@ -134,8 +130,9 @@ class GeneticAlgorithm {
   EvalSummary evaluate_all();
   [[nodiscard]] const Individual& tournament_pick();
   void step();
-  /// Digest of every GaConfig field that changes evolution results (jobs is
-  /// excluded) — stored in checkpoints, verified on restore.
+  /// Digest of every GaConfig field and breeding constant that changes
+  /// evolution results (jobs is excluded) — stored in checkpoints, verified
+  /// on restore.
   [[nodiscard]] std::string config_digest() const;
 
   GeneConfig genes_;

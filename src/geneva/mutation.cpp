@@ -69,7 +69,7 @@ std::string random_field_value(Proto proto, std::string_view field,
 
 ActionPtr random_action(const GeneConfig& config, Rng& rng,
                         std::size_t depth) {
-  const bool must_leaf = depth >= config.max_depth;
+  const bool must_leaf = depth >= kMaxDepth;
   const auto roll = rng.uniform(0, 99);
 
   if (!must_leaf && roll < 30) {
@@ -82,15 +82,16 @@ ActionPtr random_action(const GeneConfig& config, Rng& rng,
                                              std::move(second));
   }
   if (!must_leaf && roll < 70) {
-    const auto& [proto, field] = config.tamper_fields[rng.index(
-        config.tamper_fields.size())];
+    const auto& [proto, field] =
+        kTamperFields[rng.index(kTamperFields.size())];
     const bool corrupt = rng.chance(0.4);
     std::string value =
         corrupt ? "" : random_field_value(proto, field, rng);
     ActionPtr child =
         rng.chance(0.4) ? random_action(config, rng, depth + 1) : nullptr;
     return std::make_unique<TamperAction>(
-        proto, field, corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
+        proto, std::string(field),
+        corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
         std::move(value), std::move(child));
   }
   if (!must_leaf && roll < 78) {
@@ -114,11 +115,6 @@ Strategy random_strategy(const GeneConfig& config, Rng& rng) {
   const Trigger trigger =
       config.allowed_triggers[rng.index(config.allowed_triggers.size())];
   strategy.outbound.emplace_back(trigger, random_action(config, rng));
-  if (config.allow_inbound && rng.chance(0.2)) {
-    const Trigger in_trigger =
-        config.allowed_triggers[rng.index(config.allowed_triggers.size())];
-    strategy.inbound.emplace_back(in_trigger, random_action(config, rng));
-  }
   return strategy;
 }
 
@@ -147,9 +143,9 @@ void mutate(Strategy& strategy, const GeneConfig& config, Rng& rng) {
     if (!tampers.empty()) {
       TamperAction* tamper = rng.pick(tampers);
       if (rng.chance(0.5)) {
-        const auto& [proto, field] = config.tamper_fields[rng.index(
-            config.tamper_fields.size())];
-        tamper->set_field(proto, field);
+        const auto& [proto, field] =
+            kTamperFields[rng.index(kTamperFields.size())];
+        tamper->set_field(proto, std::string(field));
         if (tamper->mode() == TamperMode::kReplace) {
           tamper->set_mode(TamperMode::kReplace,
                            random_field_value(proto, field, rng));
@@ -163,10 +159,10 @@ void mutate(Strategy& strategy, const GeneConfig& config, Rng& rng) {
                                          rng));
       }
     } else {
-      const auto& [proto, field] = config.tamper_fields[rng.index(
-          config.tamper_fields.size())];
+      const auto& [proto, field] =
+          kTamperFields[rng.index(kTamperFields.size())];
       rule.root = std::make_unique<TamperAction>(
-          proto, field, TamperMode::kReplace,
+          proto, std::string(field), TamperMode::kReplace,
           random_field_value(proto, field, rng), std::move(rule.root));
     }
   } else if (roll < 90) {
@@ -184,7 +180,7 @@ void mutate(Strategy& strategy, const GeneConfig& config, Rng& rng) {
   }
 
   // Enforce the size bound by pruning the deepest occupied slot.
-  while (rule.root && rule.root->size() > config.max_tree_size) {
+  while (rule.root && rule.root->size() > kMaxTreeSize) {
     auto slots = all_slots(rule);
     ActionPtr* victim = nullptr;
     for (auto it = slots.rbegin(); it != slots.rend(); ++it) {

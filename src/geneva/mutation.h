@@ -3,7 +3,9 @@
 // the paper's §2.2.
 #pragma once
 
+#include <array>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,21 @@
 
 namespace caya {
 
+/// Fields tamper may touch: the TCP fields the paper's strategies use.
+inline constexpr std::array<std::pair<Proto, std::string_view>, 7>
+    kTamperFields = {{{Proto::kTcp, "flags"},
+                      {Proto::kTcp, "seq"},
+                      {Proto::kTcp, "ack"},
+                      {Proto::kTcp, "window"},
+                      {Proto::kTcp, "load"},
+                      {Proto::kTcp, "chksum"},
+                      {Proto::kTcp, "options-wscale"}}};
+/// Bounds on an evolved rule's action tree: node count and nesting depth.
+/// Every evolved strategy has exactly one outbound rule and no inbound
+/// rule (server-side evolution is outbound-only).
+inline constexpr std::size_t kMaxTreeSize = 12;
+inline constexpr std::size_t kMaxDepth = 5;
+
 /// What the search is allowed to construct. The paper restricts server-side
 /// evolution to triggering on SYN+ACK for DNS/HTTP/HTTPS/SMTP (the only
 /// packet a server sends before censorship) — that restriction lives here.
@@ -19,18 +36,6 @@ struct GeneConfig {
   std::vector<Trigger> allowed_triggers = {
       {Proto::kTcp, "flags", "SA"},
   };
-  /// Fields tamper may touch. Defaults to the TCP fields the paper's
-  /// strategies use.
-  std::vector<std::pair<Proto, std::string>> tamper_fields = {
-      {Proto::kTcp, "flags"},   {Proto::kTcp, "seq"},
-      {Proto::kTcp, "ack"},     {Proto::kTcp, "window"},
-      {Proto::kTcp, "load"},    {Proto::kTcp, "chksum"},
-      {Proto::kTcp, "options-wscale"},
-  };
-  std::size_t max_tree_size = 12;
-  std::size_t max_depth = 5;
-  std::size_t max_rules_per_direction = 1;
-  bool allow_inbound = false;  // server-side evolution is outbound-only
 };
 
 /// A random action subtree of bounded depth.

@@ -62,13 +62,16 @@ void mix_packet(std::uint64_t& hash, const Packet& pkt) {
 std::uint64_t strategy_fingerprint(const Strategy& strategy) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   Rng rng(0xC0FFEE);  // fixed: corrupt draws are reproducible
+  std::vector<Packet> out;
   for (const Packet& probe : canonical_probes()) {
     mix(hash, 0xfe);  // probe separator
-    const auto out = strategy.apply_outbound(probe, rng);
+    out.clear();
+    strategy.apply_outbound_into(probe, rng, out);
     for (const Packet& pkt : out) mix_packet(hash, pkt);
-    const auto in = strategy.apply_inbound(probe, rng);
+    out.clear();
+    strategy.apply_inbound_into(probe, rng, out);
     mix(hash, 0xfd);
-    for (const Packet& pkt : in) mix_packet(hash, pkt);
+    for (const Packet& pkt : out) mix_packet(hash, pkt);
   }
   return hash;
 }

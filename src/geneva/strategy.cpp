@@ -13,13 +13,6 @@ void apply_rules_into(const std::vector<TriggeredAction>& rules, Packet pkt,
   }
   out.push_back(std::move(pkt));
 }
-
-std::vector<Packet> apply_rules(const std::vector<TriggeredAction>& rules,
-                                Packet pkt, Rng& rng) {
-  std::vector<Packet> out;
-  apply_rules_into(rules, std::move(pkt), rng, out);
-  return out;
-}
 }  // namespace
 
 std::string TriggeredAction::to_string() const {
@@ -48,14 +41,6 @@ std::size_t Strategy::size() const {
   for (const auto& rule : outbound) n += rule.size();
   for (const auto& rule : inbound) n += rule.size();
   return n;
-}
-
-std::vector<Packet> Strategy::apply_outbound(Packet pkt, Rng& rng) const {
-  return apply_rules(outbound, std::move(pkt), rng);
-}
-
-std::vector<Packet> Strategy::apply_inbound(Packet pkt, Rng& rng) const {
-  return apply_rules(inbound, std::move(pkt), rng);
 }
 
 void Strategy::apply_outbound_into(Packet pkt, Rng& rng,

@@ -48,13 +48,9 @@ struct Strategy {
   /// Total node count (Geneva's complexity measure).
   [[nodiscard]] std::size_t size() const;
 
-  /// Applies the direction's rules to one packet. The first matching rule
-  /// runs; non-matching packets pass through unchanged.
-  [[nodiscard]] std::vector<Packet> apply_outbound(Packet pkt, Rng& rng) const;
-  [[nodiscard]] std::vector<Packet> apply_inbound(Packet pkt, Rng& rng) const;
-
-  /// Appending variants (hot path): results are pushed onto `out`, which the
-  /// caller recycles across packets.
+  /// Applies the direction's rules to one packet, appending the results to
+  /// `out` (which the caller may recycle across packets). The first
+  /// matching rule runs; non-matching packets pass through unchanged.
   void apply_outbound_into(Packet pkt, Rng& rng,
                            std::vector<Packet>& out) const;
   void apply_inbound_into(Packet pkt, Rng& rng,

@@ -34,22 +34,11 @@ using TransmitFn = std::function<void(Packet)>;
 class PacketProcessor {
  public:
   virtual ~PacketProcessor() = default;
-  /// Applied to packets the host is about to transmit.
-  [[nodiscard]] virtual std::vector<Packet> process_outbound(Packet pkt) = 0;
+  /// Applied to packets the host is about to transmit. Results are appended
+  /// to `out`, which the network recycles across packets.
+  virtual void process_outbound_into(Packet pkt, std::vector<Packet>& out) = 0;
   /// Applied to packets arriving from the wire before the host sees them.
-  [[nodiscard]] virtual std::vector<Packet> process_inbound(Packet pkt) = 0;
-
-  /// Appending variants for the hot path: the network recycles `out` across
-  /// packets, so engines that implement these directly avoid a fresh vector
-  /// per processed packet. Defaults forward to the returning forms.
-  virtual void process_outbound_into(Packet pkt, std::vector<Packet>& out) {
-    auto produced = process_outbound(std::move(pkt));
-    for (auto& p : produced) out.push_back(std::move(p));
-  }
-  virtual void process_inbound_into(Packet pkt, std::vector<Packet>& out) {
-    auto produced = process_inbound(std::move(pkt));
-    for (auto& p : produced) out.push_back(std::move(p));
-  }
+  virtual void process_inbound_into(Packet pkt, std::vector<Packet>& out) = 0;
 };
 
 }  // namespace caya

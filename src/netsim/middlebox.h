@@ -125,7 +125,9 @@ class EngineMiddlebox : public Middlebox {
   [[nodiscard]] std::optional<std::vector<Packet>> rewrite(
       const Packet& pkt, Direction dir) override {
     if (dir != direction_) return std::nullopt;
-    return engine_.process_outbound(pkt);
+    std::vector<Packet> out;
+    engine_.process_outbound_into(pkt, out);
+    return out;
   }
 
  private:

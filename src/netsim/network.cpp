@@ -9,32 +9,26 @@
 namespace caya {
 namespace {
 
-// Two independent loss processes survive or drop a traversal together.
-double combine_loss(double a, double b) {
-  return 1.0 - (1.0 - a) * (1.0 - b);
-}
+constexpr int kTotalHops =
+    Network::kClientToCensorHops + Network::kCensorToServerHops;
 
-// Folds the legacy Config::loss knob into the link model: one draw per
-// endpoint send, applied on the sender's own segment (the same distribution
-// the old single-draw-per-transmit code produced), drawn from the dedicated
-// loss stream so it never perturbs delivery ordering or other impairments.
-LinkModel::Config effective_link(const Network::Config& config) {
-  LinkModel::Config link = config.link;
-  link.client_censor_up.loss =
-      combine_loss(link.client_censor_up.loss, config.loss);
-  link.censor_server_down.loss =
-      combine_loss(link.censor_server_down.loss, config.loss);
-  return link;
+/// Hops from the sending end of the path to the censor, and from the
+/// censor to the receiving end.
+constexpr int hops_to_censor(Direction dir) noexcept {
+  return dir == Direction::kClientToServer ? Network::kClientToCensorHops
+                                           : Network::kCensorToServerHops;
+}
+constexpr int hops_from_censor(Direction dir) noexcept {
+  return kTotalHops - hops_to_censor(dir);
 }
 
 }  // namespace
 
-Network::Network(EventLoop& loop, Config config, Rng rng, Logger logger)
+Network::Network(EventLoop& loop, Config config, Rng rng)
     : loop_(loop),
-      config_(config),
+      config_(std::move(config)),
       rng_(rng),
-      logger_(std::move(logger)),
-      link_(effective_link(config), rng_.fork()) {
+      link_(config_.link, rng_.fork()) {
   loop_.set_packet_sink(this);
 }
 
@@ -42,7 +36,7 @@ void Network::reset(Rng rng) {
   // Replays the constructor's stream handling exactly: store the rng, then
   // fork once for the link model.
   rng_ = rng;
-  link_.reset(effective_link(config_), rng_.fork());
+  link_.reset(config_.link, rng_.fork());
   trace_.clear();
   trace_.set_enabled(true);  // a fresh Trace records by default
   accounting_ = PacketAccounting{};
@@ -146,12 +140,9 @@ void Network::inject(Packet pkt, Direction toward) {
   bool duplicate = false;
   if (!impair(pkt, segment, toward, extra_delay, duplicate)) return;
   if (duplicate) ++accounting_.created;
-  const int hops = toward == Direction::kClientToServer
-                       ? config_.censor_to_server_hops
-                       : config_.client_to_censor_hops;
-  const Time arrival = loop_.now() +
-                       static_cast<Time>(hops) * config_.per_hop_delay +
-                       extra_delay;
+  const Time arrival =
+      loop_.now() + static_cast<Time>(hops_from_censor(toward)) * kPerHopDelay +
+      extra_delay;
   if (duplicate) {
     loop_.schedule_packet_at(arrival, pkt, make_tag(kTagDeliver, toward));
     trace_.record(loop_.now(), TracePoint::kDuplicated, toward, pkt,
@@ -272,11 +263,9 @@ void Network::transmit(Packet pkt, Direction dir, bool from_censor) {
   if (!impair(pkt, first_segment, dir, extra_delay, duplicate)) return;
   if (duplicate) ++accounting_.created;
 
-  const int hops_to_censor = dir == Direction::kClientToServer
-                                 ? config_.client_to_censor_hops
-                                 : config_.censor_to_server_hops;
+  const int first_hops = hops_to_censor(dir);
 
-  if (!from_censor && pkt.ip.ttl < hops_to_censor) {
+  if (!from_censor && pkt.ip.ttl < first_hops) {
     // TTL expires before the censor's hop: nobody sees it.
     accounting_.dropped += duplicate ? 2 : 1;
     trace_.record(loop_.now(), TracePoint::kLost, dir, pkt, "ttl expired");
@@ -284,8 +273,7 @@ void Network::transmit(Packet pkt, Direction dir, bool from_censor) {
   }
 
   const Time censor_arrival =
-      loop_.now() +
-      static_cast<Time>(hops_to_censor) * config_.per_hop_delay + extra_delay;
+      loop_.now() + static_cast<Time>(first_hops) * kPerHopDelay + extra_delay;
 
   if (duplicate) {
     trace_.record(loop_.now(), TracePoint::kDuplicated, dir, pkt,
@@ -301,10 +289,6 @@ void Network::transmit(Packet pkt, Direction dir, bool from_censor) {
 }
 
 void Network::censor_leg(Packet arriving, Direction dir) {
-  const int hops_to_censor = dir == Direction::kClientToServer
-                                 ? config_.client_to_censor_hops
-                                 : config_.censor_to_server_hops;
-  const int hops_total = total_hops();
   // Second segment: censor hop to the receiver (traversed by each survivor
   // of the middleboxes, with its own lane's impairments).
   const LinkSegment second_segment = dir == Direction::kClientToServer
@@ -314,14 +298,14 @@ void Network::censor_leg(Packet arriving, Direction dir) {
   std::vector<Packet> survivors = std::move(survivors_scratch_);
   run_middleboxes(std::move(arriving), dir, survivors);
   const Time remaining =
-      static_cast<Time>(hops_total - hops_to_censor) * config_.per_hop_delay;
+      static_cast<Time>(hops_from_censor(dir)) * kPerHopDelay;
   for (auto& p : survivors) {
-    if (p.ip.ttl < hops_total) {
+    if (p.ip.ttl < kTotalHops) {
       ++accounting_.dropped;
       trace_.record(loop_.now(), TracePoint::kLost, dir, p, "ttl expired");
       continue;
     }
-    p.ip.ttl = static_cast<std::uint8_t>(p.ip.ttl - hops_total);
+    p.ip.ttl = static_cast<std::uint8_t>(p.ip.ttl - kTotalHops);
     Time leg_delay = 0;
     bool leg_duplicate = false;
     if (!impair(p, second_segment, dir, leg_delay, leg_duplicate)) continue;

@@ -2,7 +2,7 @@
 //
 // Topology matches the paper's experiments: a client inside the censoring
 // regime, a server outside it, and one or more (colocated) censor middleboxes
-// `client_to_censor_hops` into the path. Packets decrement TTL per hop, so
+// `kClientToCensorHops` into the path. Packets decrement TTL per hop, so
 // TTL-limited probes (§3's insertion packets, §6's censor-location probes)
 // behave as they do on the real Internet.
 #pragma once
@@ -15,21 +15,19 @@
 #include "netsim/link_model.h"
 #include "netsim/middlebox.h"
 #include "netsim/trace.h"
-#include "util/log.h"
 #include "util/rng.h"
 
 namespace caya {
 
 class Network : public Injector, public PacketEventSink {
  public:
+  /// Path geometry: hops before the censor sees a packet, hops from the
+  /// censor to the server, and the one-way delay each hop adds.
+  static constexpr int kClientToCensorHops = 3;
+  static constexpr int kCensorToServerHops = 7;
+  static constexpr Time kPerHopDelay = duration::ms(2);
+
   struct Config {
-    int client_to_censor_hops = 3;   // hops before the censor sees a packet
-    int censor_to_server_hops = 7;   // hops from censor to server
-    Time per_hop_delay = duration::ms(2);
-    /// Legacy independent per-traversal loss: one draw per endpoint send,
-    /// applied on the sender's own segment. Folded into `link` (and drawn
-    /// from the loss stream, never shared with other impairments).
-    double loss = 0.0;
     /// Per-segment, per-direction impairments (see link_model.h).
     LinkModel::Config link;
     /// Record censor-pipeline stage attributions (Injector::trace_stage) as
@@ -38,7 +36,7 @@ class Network : public Injector, public PacketEventSink {
     bool trace_stages = false;
   };
 
-  Network(EventLoop& loop, Config config, Rng rng, Logger logger = {});
+  Network(EventLoop& loop, Config config, Rng rng);
 
   /// Trial-substrate reset: replays construction against the existing
   /// storage. `rng` must come from the same stream position construction
@@ -48,13 +46,6 @@ class Network : public Injector, public PacketEventSink {
   /// the conservation ledger are cleared; attached middleboxes and the
   /// packet-sink registration survive.
   void reset(Rng rng);
-
-  [[nodiscard]] int total_hops() const noexcept {
-    return config_.client_to_censor_hops + config_.censor_to_server_hops;
-  }
-  [[nodiscard]] int censor_hop() const noexcept {
-    return config_.client_to_censor_hops;
-  }
 
   void set_client(Endpoint* client) noexcept { client_ = client; }
   void set_server(Endpoint* server) noexcept { server_ = server; }
@@ -149,7 +140,6 @@ class Network : public Injector, public PacketEventSink {
   EventLoop& loop_;
   Config config_;
   Rng rng_;
-  Logger logger_;
   LinkModel link_;
   Trace trace_;
   Endpoint* client_ = nullptr;

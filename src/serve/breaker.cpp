@@ -26,8 +26,7 @@ bool CircuitBreaker::advance(std::size_t flow) {
 
 bool CircuitBreaker::admits() const noexcept {
   if (state_ == BreakerState::kClosed) return true;
-  return state_ == BreakerState::kHalfOpen &&
-         probes_used_ < config_.probe_flows;
+  return state_ == BreakerState::kHalfOpen && probes_used_ < kProbeFlows;
 }
 
 bool CircuitBreaker::would_admit(std::size_t flow) const noexcept {
@@ -44,15 +43,12 @@ void CircuitBreaker::trip(std::size_t flow, std::string reason) {
   // Exponential backoff in flows, capped, plus forked-RNG jitter. The jitter
   // stream is consumed only on trips, which happen in the sequential state
   // machine — so the schedule is deterministic for a fixed seed.
-  double window = static_cast<double>(config_.backoff_base) *
-                  std::pow(config_.backoff_factor,
+  double window = static_cast<double>(kBackoffBase) *
+                  std::pow(kBackoffFactor,
                            static_cast<double>(consecutive_trips_ - 1));
-  window = std::min(window, static_cast<double>(config_.backoff_cap));
-  const std::size_t jitter =
-      config_.backoff_jitter == 0
-          ? 0
-          : static_cast<std::size_t>(
-                rng_.uniform(0, config_.backoff_jitter));
+  window = std::min(window, static_cast<double>(kBackoffCap));
+  const auto jitter =
+      static_cast<std::size_t>(rng_.uniform(0, kBackoffJitter));
   reopen_at_ = flow + static_cast<std::size_t>(window) + jitter;
   state_ = BreakerState::kOpen;
   // A future half-open re-close must judge the strategy on fresh evidence,
@@ -77,17 +73,15 @@ CircuitBreaker::Transition CircuitBreaker::record(std::size_t flow,
   // Decide as soon as the verdict is forced: enough passes re-closes early,
   // too many failures re-opens without burning the rest of the quota.
   const std::size_t failures = probes_used_ - probe_passes_seen_;
-  const std::size_t max_failures =
-      config_.probe_flows - std::min(config_.probe_passes,
-                                     config_.probe_flows);
-  if (probe_passes_seen_ >= config_.probe_passes) {
+  constexpr std::size_t kMaxFailures = kProbeFlows - kProbePasses;
+  if (probe_passes_seen_ >= kProbePasses) {
     state_ = BreakerState::kClosed;
     consecutive_trips_ = 0;
     ++recloses_;
     health_.reset();
     return Transition::kReclosed;
   }
-  if (failures > max_failures) {
+  if (failures > kMaxFailures) {
     trip(flow, "probe-failure");
     return Transition::kReopened;
   }

@@ -27,24 +27,22 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 [[nodiscard]] std::string_view to_string(BreakerState state) noexcept;
 
-struct BreakerConfig {
-  /// Flows the breaker stays open after its first trip.
-  std::size_t backoff_base = 16;
-  /// Open-window growth per consecutive trip (reset by a re-close).
-  double backoff_factor = 2.0;
-  /// Upper bound on the open window (before jitter).
-  std::size_t backoff_cap = 256;
-  /// Uniform extra flows in [0, backoff_jitter], drawn per trip.
-  std::size_t backoff_jitter = 4;
-  /// Half-open probe quota and the passes required to re-close.
-  std::size_t probe_flows = 6;
-  std::size_t probe_passes = 4;
-};
-
 class CircuitBreaker {
  public:
-  CircuitBreaker(BreakerConfig config, HealthConfig health, Rng jitter_rng)
-      : config_(config), health_(health), rng_(jitter_rng) {}
+  /// Flows the breaker stays open after its first trip.
+  static constexpr std::size_t kBackoffBase = 16;
+  /// Open-window growth per consecutive trip (reset by a re-close).
+  static constexpr double kBackoffFactor = 2.0;
+  /// Upper bound on the open window (before jitter).
+  static constexpr std::size_t kBackoffCap = 256;
+  /// Uniform extra flows in [0, kBackoffJitter], drawn per trip.
+  static constexpr std::size_t kBackoffJitter = 4;
+  /// Half-open probe quota and the passes required to re-close.
+  static constexpr std::size_t kProbeFlows = 6;
+  static constexpr std::size_t kProbePasses = 4;
+  static_assert(kProbePasses <= kProbeFlows);
+
+  explicit CircuitBreaker(Rng jitter_rng) : rng_(jitter_rng) {}
 
   /// Advances breaker time to `flow`; an open breaker whose backoff window
   /// has elapsed moves to half-open. Returns true on that transition.
@@ -85,7 +83,6 @@ class CircuitBreaker {
  private:
   void trip(std::size_t flow, std::string reason);
 
-  BreakerConfig config_;
   HealthMonitor health_;
   Rng rng_{0};
   BreakerState state_ = BreakerState::kClosed;

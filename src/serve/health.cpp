@@ -12,22 +12,22 @@ void HealthMonitor::record(bool success) {
   // The EWMA starts from the optimistic 1.0 rather than snapping to the
   // first sample: a cold start whose first flow happens to fail must not
   // pin the average near zero and floor-trip the moment warmup ends.
-  ewma_ += config_.ewma_alpha * (x - ewma_);
+  ewma_ += kEwmaAlpha * (x - ewma_);
 
   // Page–Hinkley, falling-mean variant: m_t accumulates (x_t - mean_t + d);
   // persistent below-mean outcomes drive m_t down while max(m) remembers the
   // healthy plateau. Alarm when the gap exceeds lambda.
   mean_sum_ += x;
   const double mean = mean_sum_ / static_cast<double>(count_);
-  ph_m_ += x - mean + config_.ph_delta;
+  ph_m_ += x - mean + kPhDelta;
   ph_max_ = std::max(ph_max_, ph_m_);
-  if (count_ > config_.warmup && ph_max_ - ph_m_ > config_.ph_lambda) {
+  if (count_ > kWarmup && ph_max_ - ph_m_ > kPhLambda) {
     drifted_ = true;
   }
 }
 
 bool HealthMonitor::below_floor() const noexcept {
-  return count_ > config_.warmup && ewma_ < config_.ewma_floor;
+  return count_ > kWarmup && ewma_ < kEwmaFloor;
 }
 
 std::string HealthMonitor::reason() const {

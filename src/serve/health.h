@@ -26,39 +26,35 @@ namespace caya {
 class SnapshotReader;
 class SnapshotWriter;
 
-struct HealthConfig {
+class HealthMonitor {
+ public:
   /// EWMA smoothing factor: weight of the newest outcome.
-  double ewma_alpha = 0.1;
+  static constexpr double kEwmaAlpha = 0.1;
   /// Outcomes before either detector may fire (the EWMA needs to settle and
   /// the Page–Hinkley mean needs a baseline).
-  std::size_t warmup = 12;
+  static constexpr std::size_t kWarmup = 12;
   /// Trip when the EWMA falls below this after warmup. The paper's working
   /// strategies sit near ~0.55 on China/HTTP; an EWMA with alpha 0.1
   /// fluctuates around that with sigma ~0.12, so 0.15 is a >3-sigma "plainly
   /// broken" floor that a fully collapsed strategy (≈0 success) still
   /// crosses within ~13 flows of the collapse.
-  double ewma_floor = 0.15;
+  static constexpr double kEwmaFloor = 0.15;
   /// Page–Hinkley tolerance: drops smaller than this (per outcome, against
   /// the running mean) are treated as noise.
-  double ph_delta = 0.1;
+  static constexpr double kPhDelta = 0.1;
   /// Page–Hinkley alarm threshold on the cumulative shortfall. Against a
   /// healthy ~0.55 strategy the walk drifts up by delta per flow, so a
   /// false alarm needs a ~8/0.5-sigma excursion (p < 2e-3 per campaign);
   /// after a collapse to ~0 each failure contributes ~-0.45 and the alarm
   /// fires within ~18 flows.
-  double ph_lambda = 8.0;
-};
-
-class HealthMonitor {
- public:
-  explicit HealthMonitor(HealthConfig config = {}) : config_(config) {}
+  static constexpr double kPhLambda = 8.0;
 
   /// Feeds one flow outcome (true = the client got the content uncensored).
   void record(bool success);
 
   /// Cumulative-shortfall alarm (sticky until reset()).
   [[nodiscard]] bool drift_detected() const noexcept { return drifted_; }
-  /// EWMA below the configured floor, after warmup.
+  /// EWMA below the floor, after warmup.
   [[nodiscard]] bool below_floor() const noexcept;
   /// Either detector — the breaker's trip condition.
   [[nodiscard]] bool unhealthy() const noexcept {
@@ -79,7 +75,6 @@ class HealthMonitor {
   void restore(const SnapshotReader& reader, const std::string& key);
 
  private:
-  HealthConfig config_;
   double ewma_ = 1.0;      // optimistic start; warmup gates decisions anyway
   std::size_t count_ = 0;
   double mean_sum_ = 0.0;  // running sum of outcomes (for the PH mean)

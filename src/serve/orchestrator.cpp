@@ -62,7 +62,7 @@ Orchestrator::Orchestrator(ServeConfig config, std::vector<ServeTier> tiers)
   Rng master(config_.breaker_seed);
   breakers_.reserve(tiers_.size() - 1);
   for (std::size_t t = 0; t + 1 < tiers_.size(); ++t) {
-    breakers_.emplace_back(config_.breaker, config_.health, master.fork());
+    breakers_.emplace_back(master.fork());
   }
   report_.tiers.resize(tiers_.size());
   for (std::size_t t = 0; t < tiers_.size(); ++t) {
@@ -85,19 +85,21 @@ std::string Orchestrator::config_digest() const {
   w.put("regime_before", to_string(config_.regime_before));
   w.put("regime_after", to_string(config_.regime_after));
   w.put("os", config_.client_os.name);
-  w.put_double("ewma_alpha", config_.health.ewma_alpha);
-  w.put_u64("warmup", config_.health.warmup);
-  w.put_double("ewma_floor", config_.health.ewma_floor);
-  w.put_double("ph_delta", config_.health.ph_delta);
-  w.put_double("ph_lambda", config_.health.ph_lambda);
-  w.put_u64("backoff_base", config_.breaker.backoff_base);
-  w.put_double("backoff_factor", config_.breaker.backoff_factor);
-  w.put_u64("backoff_cap", config_.breaker.backoff_cap);
-  w.put_u64("backoff_jitter", config_.breaker.backoff_jitter);
-  w.put_u64("probe_flows", config_.breaker.probe_flows);
-  w.put_u64("probe_passes", config_.breaker.probe_passes);
+  // The health and breaker constants stay in the digest, under their old
+  // keys, so checkpoints saved by earlier builds still match.
+  w.put_double("ewma_alpha", HealthMonitor::kEwmaAlpha);
+  w.put_u64("warmup", HealthMonitor::kWarmup);
+  w.put_double("ewma_floor", HealthMonitor::kEwmaFloor);
+  w.put_double("ph_delta", HealthMonitor::kPhDelta);
+  w.put_double("ph_lambda", HealthMonitor::kPhLambda);
+  w.put_u64("backoff_base", CircuitBreaker::kBackoffBase);
+  w.put_double("backoff_factor", CircuitBreaker::kBackoffFactor);
+  w.put_u64("backoff_cap", CircuitBreaker::kBackoffCap);
+  w.put_u64("backoff_jitter", CircuitBreaker::kBackoffJitter);
+  w.put_u64("probe_flows", CircuitBreaker::kProbeFlows);
+  w.put_u64("probe_passes", CircuitBreaker::kProbePasses);
   w.put_u64("max_retries", config_.supervision.max_retries);
-  w.put_u64("retry_stride", config_.supervision.retry_seed_stride);
+  w.put_u64("retry_stride", kRetrySeedStride);
   w.put_u64("quarantine_after", config_.supervision.quarantine_after);
   w.put_u64("soft_fault", config_.supervision.inject_soft_fault_every);
   w.put_u64("hard_fault", config_.supervision.inject_hard_fault_every);

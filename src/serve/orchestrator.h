@@ -74,8 +74,6 @@ struct ServeConfig {
   GfwRegime regime_before = GfwRegime::kEra2019;
   GfwRegime regime_after = GfwRegime::kEraHttpsResync;
   OsProfile client_os = OsProfile::linux_default();
-  HealthConfig health;
-  BreakerConfig breaker;
   SupervisionPolicy supervision;
 
   static constexpr std::size_t kNoRegimeFlip =

@@ -24,14 +24,11 @@ struct OsProfile {
   OsFamily family = OsFamily::kUbuntu;
 
   /// Windows/macOS stacks accept data carried on a SYN+ACK into the receive
-  /// stream; Linux-lineage stacks discard it (while still ACKing).
+  /// stream; Linux-lineage stacks discard it (while still ACKing). The
+  /// behaviours every profiled stack shares (checksum verification, RFC 793
+  /// simultaneous open, ignoring a RST without ACK in SYN-SENT) are not
+  /// per-profile: TcpEndpoint always has them.
   bool accepts_synack_payload = false;
-  /// All profiled stacks verify TCP checksums and drop failures.
-  bool verifies_checksum = true;
-  /// All profiled stacks support RFC 793 simultaneous open.
-  bool supports_simultaneous_open = true;
-  /// All profiled stacks ignore a RST without ACK while in SYN-SENT.
-  bool ignores_presync_rst_without_ack = true;
 
   /// The default profile used when a test doesn't care about OS: Linux.
   [[nodiscard]] static OsProfile linux_default();

@@ -7,6 +7,10 @@
 
 namespace caya {
 
+/// Maximum segment size: offered in SYN/SYN+ACK and the cap on every data
+/// segment and retransmission.
+constexpr std::uint16_t kMss = 1460;
+
 std::string_view to_string(TcpState state) noexcept {
   switch (state) {
     case TcpState::kClosed:
@@ -74,7 +78,7 @@ void TcpEndpoint::abort() {
 
 void TcpEndpoint::deliver(const Packet& pkt) {
   if (!packet_matches_flow(pkt)) return;
-  if (config_.os.verifies_checksum && !pkt.tcp_checksum_valid()) return;
+  if (!pkt.tcp_checksum_valid()) return;  // every profiled stack verifies
 
   switch (state_) {
     case TcpState::kClosed:
@@ -132,10 +136,7 @@ void TcpEndpoint::handle_syn_sent(const Packet& pkt) {
     // RFC 793 resets are only acceptable in SYN-SENT when they acknowledge
     // our SYN; in practice every modern stack additionally ignores a RST
     // without ACK here (the paper leans on this for Strategy 1).
-    if (!has_ack && config_.os.ignores_presync_rst_without_ack) return;
-    if (has_ack && pkt.tcp.ack == snd_nxt_) {
-      fail_connection();
-    }
+    if (has_ack && pkt.tcp.ack == snd_nxt_) fail_connection();
     return;
   }
 
@@ -173,7 +174,6 @@ void TcpEndpoint::handle_syn_sent(const Packet& pkt) {
     }
     // Bare SYN: RFC 793 simultaneous open. Our SYN+ACK retains the ISN; the
     // sequence number does not advance until the handshake completes.
-    if (!config_.os.supports_simultaneous_open) return;
     state_ = TcpState::kSynReceived;
     send_segment(tcpflag::kSyn | tcpflag::kAck, iss_, rcv_nxt_);
     arm_retransmit_timer();
@@ -377,7 +377,7 @@ void TcpEndpoint::try_send() {
     if (in_flight_now >= window) break;
     const std::uint32_t allowed = window - in_flight_now;
     const std::uint32_t chunk =
-        std::min({unsent, allowed, static_cast<std::uint32_t>(config_.mss)});
+        std::min({unsent, allowed, static_cast<std::uint32_t>(kMss)});
     if (chunk == 0) break;
     Bytes payload(send_buffer_.begin() + offset,
                   send_buffer_.begin() + offset + chunk);
@@ -438,8 +438,8 @@ void TcpEndpoint::send_segment(std::uint8_t flags, std::uint32_t seq,
   pkt.tcp.window = config_.advertised_window;
   if (advertise_options) {
     pkt.tcp.set_option(TcpOption::kMss,
-                       {static_cast<std::uint8_t>(config_.mss >> 8),
-                        static_cast<std::uint8_t>(config_.mss & 0xff)});
+                       {static_cast<std::uint8_t>(kMss >> 8),
+                        static_cast<std::uint8_t>(kMss & 0xff)});
     if (config_.window_scale) {
       pkt.tcp.set_option(TcpOption::kWindowScale, {*config_.window_scale});
     }
@@ -505,7 +505,7 @@ void TcpEndpoint::retransmit_pending() {
     const std::uint32_t unacked =
         static_cast<std::uint32_t>(send_buffer_.size()) - offset;
     const std::uint32_t chunk =
-        std::min(unacked, static_cast<std::uint32_t>(config_.mss));
+        std::min(unacked, static_cast<std::uint32_t>(kMss));
     Bytes payload(send_buffer_.begin() + offset,
                   send_buffer_.begin() + offset + chunk);
     send_segment(tcpflag::kPsh | tcpflag::kAck, snd_una_, rcv_nxt_,

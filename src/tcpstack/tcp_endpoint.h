@@ -55,7 +55,6 @@ class TcpEndpoint : public Endpoint {
     std::uint16_t remote_port = 0;  // passive open
     std::uint32_t isn = 1000;
     OsProfile os = OsProfile::linux_default();
-    std::uint16_t mss = 1460;
     std::uint8_t ttl = 64;
     std::uint16_t advertised_window = 65535;
     std::optional<std::uint8_t> window_scale = 7;  // offered in SYN/SYN+ACK

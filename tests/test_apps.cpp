@@ -181,7 +181,8 @@ TEST(Apps, AllProtocolsSurviveLossyLink) {
   // Retransmission keeps every dialogue alive at 20% loss.
   EventLoop loop;
   Network::Config net_config;
-  net_config.loss = 0.2;
+  net_config.link.client_censor_up.loss = 0.2;
+  net_config.link.censor_server_down.loss = 0.2;
   Network net(loop, net_config, Rng(33));
   ClientAppConfig config;
   config.client_addr = kClient;

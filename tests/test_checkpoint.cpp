@@ -333,7 +333,7 @@ TEST(GaCheckpoint, RestoreRefusesDifferentConfig) {
       SnapshotReader::parse(w.encode(GeneticAlgorithm::snapshot_kind()));
 
   GaConfig other_config = small_config(1);
-  other_config.mutation_rate = 0.5;  // changes evolution results
+  other_config.complexity_weight = 1.0;  // changes evolution results
   GeneticAlgorithm other(GeneConfig{}, other_config, synthetic_fitness(),
                          Rng(99));
   EXPECT_THROW(other.restore_checkpoint(reader), SnapshotError);

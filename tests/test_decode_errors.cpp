@@ -17,11 +17,9 @@
 #include "netsim/pcap.h"
 #include "packet/dns.h"
 #include "packet/ipv4.h"
-#include "packet/ipv6.h"
 #include "packet/packet.h"
 #include "packet/tcp.h"
 #include "packet/tcp_flags.h"
-#include "packet/udp.h"
 #include "util/rng.h"
 
 namespace caya {
@@ -70,8 +68,6 @@ DecodeError decode_with(const std::string& codec,
                         std::span<const std::uint8_t> data) {
   if (codec == "ipv4") return Ipv4Header::try_parse(data).error;
   if (codec == "tcp") return TcpHeader::try_parse(data).error;
-  if (codec == "udp") return UdpHeader::try_parse(data).error;
-  if (codec == "ipv6") return Ipv6Header::try_parse(data).error;
   if (codec == "dns-qname") return try_parse_dns_qname(data).error;
   if (codec == "dns-response") return try_parse_dns_response(data).error;
   if (codec == "packet") return Packet::try_parse(data).error;
@@ -120,10 +116,6 @@ TEST(DecodeErrors, RandomizedEquivalenceWithLegacyParse) {
           [&] { (void)Ipv4Header::parse(wire, consumed); });
     check(TcpHeader::try_parse(wire),
           [&] { (void)TcpHeader::parse(wire, consumed); });
-    check(UdpHeader::try_parse(wire),
-          [&] { (void)UdpHeader::parse(wire, consumed); });
-    check(Ipv6Header::try_parse(wire),
-          [&] { (void)Ipv6Header::parse(wire, consumed); });
     check(Packet::try_parse(wire), [&] { (void)Packet::parse(wire); });
 
     // The DNS legacy parsers signal failure via nullopt, not throwing.

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "eval/parallel.h"
 #include "eval/rates.h"
 #include "eval/strategies.h"
@@ -16,18 +18,6 @@
 
 namespace caya {
 namespace {
-
-/// Restores the process-global pool gate when a test exits on any path.
-class PoolGate {
- public:
-  explicit PoolGate(bool enabled) : was_(EnvironmentPool::enabled()) {
-    EnvironmentPool::set_enabled(enabled);
-  }
-  ~PoolGate() { EnvironmentPool::set_enabled(was_); }
-
- private:
-  bool was_;
-};
 
 ConnectionOptions traced_options(int strategy_id) {
   ConnectionOptions options;
@@ -174,7 +164,6 @@ TEST(EnvPool, DigestIgnoresSeedOnly) {
 }
 
 TEST(EnvPool, ZeroConstructionsAfterWarmupInThousandTrialRate) {
-  PoolGate gate(true);
   RateOptions options;
   options.trials = 30;
   options.jobs = 1;
@@ -198,18 +187,10 @@ TEST(EnvPool, PooledAndFreshTrialsAreByteIdentical) {
     Environment::Config config;
     config.country = Country::kChina;
     config.seed = seed;
-    TrialResult pooled;
-    TrialResult pooled_warm;
-    TrialResult fresh;
-    {
-      PoolGate gate(true);
-      pooled = run_trial(config, options);
-      pooled_warm = run_trial(config, options);  // guaranteed shelf hit
-    }
-    {
-      PoolGate gate(false);
-      fresh = run_trial(config, options);
-    }
+    const TrialResult pooled = run_trial(config, options);
+    const TrialResult pooled_warm =
+        run_trial(config, options);  // guaranteed shelf hit
+    const TrialResult fresh = Environment(config).run_connection(options);
     expect_identical(pooled, fresh, "pooled vs fresh seed " +
                                         std::to_string(seed));
     expect_identical(pooled_warm, fresh, "warm-hit vs fresh seed " +
@@ -220,18 +201,23 @@ TEST(EnvPool, PooledAndFreshTrialsAreByteIdentical) {
 TEST(EnvPool, MeasureRateInvariantToPoolAndJobs) {
   RateOptions options;
   options.trials = 80;
-  std::vector<std::size_t> successes;
-  for (const bool pooled : {true, false}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      PoolGate gate(pooled);
-      options.jobs = jobs;
-      successes.push_back(measure_rate(Country::kChina, AppProtocol::kHttp,
-                                       parsed_strategy(1), options)
-                              .successes());
-    }
+  // Reference: every trial on a directly constructed Environment.
+  ConnectionOptions conn;
+  conn.server_strategy = parsed_strategy(1);
+  std::size_t fresh_successes = 0;
+  for (std::size_t i = 0; i < options.trials; ++i) {
+    Environment::Config config;  // China/HTTP
+    apply_profile(ImpairmentProfile::kClean, config);
+    config.seed = options.base_seed + i;
+    if (Environment(config).run_connection(conn).success) ++fresh_successes;
   }
-  for (std::size_t i = 1; i < successes.size(); ++i) {
-    EXPECT_EQ(successes[0], successes[i]) << "combination " << i;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    options.jobs = jobs;
+    EXPECT_EQ(measure_rate(Country::kChina, AppProtocol::kHttp,
+                           parsed_strategy(1), options)
+                  .successes(),
+              fresh_successes)
+        << "jobs " << jobs;
   }
 }
 
@@ -258,20 +244,16 @@ TEST(EnvPool, MapBatchedMatchesMapAtAnyJobs) {
 
 TEST(EnvPool, OracleEqualWithAndWithoutPooling) {
   // The fuzz oracle recycles CensorSets through the same reset contract;
-  // its verdicts must not depend on the pool gate.
+  // its verdicts must match a fresh thread's, whose recycled-set cache is
+  // still empty, so its oracle run builds the CensorSet from scratch.
   Rng rng(7);
   const HostileStream stream = generate_hostile_stream(Country::kIran, rng);
-  OracleOutcome pooled;
+  (void)run_oracle(Country::kIran, 42, stream.records);  // warm
+  const OracleOutcome pooled = run_oracle(Country::kIran, 42, stream.records);
   OracleOutcome fresh;
-  {
-    PoolGate gate(true);
-    (void)run_oracle(Country::kIran, 42, stream.records);  // warm
-    pooled = run_oracle(Country::kIran, 42, stream.records);
-  }
-  {
-    PoolGate gate(false);
+  std::thread([&] {
     fresh = run_oracle(Country::kIran, 42, stream.records);
-  }
+  }).join();
   EXPECT_EQ(pooled.records, fresh.records);
   EXPECT_EQ(pooled.censor_events, fresh.censor_events);
   EXPECT_EQ(pooled.injected, fresh.injected);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "packet/dns.h"
+
 namespace caya {
 namespace {
 
@@ -126,6 +128,72 @@ TEST(Field, EveryFieldCanBeCorrupted) {
       EXPECT_NO_THROW(corrupt_field(pkt, proto, name, rng)) << name;
     }
   }
+}
+
+// ---------------- DNS tamper fields ----------------
+
+Packet dns_packet() {
+  return make_tcp_packet(Ipv4Address::parse("10.0.0.1"), 40000,
+                         Ipv4Address::parse("8.8.8.8"), 53,
+                         tcpflag::kPsh | tcpflag::kAck, 1001, 5001,
+                         build_dns_query({.id = 0x1234,
+                                          .qname = "www.wikipedia.org"}));
+}
+
+TEST(DnsFields, ReadIdAndQname) {
+  const Packet pkt = dns_packet();
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "id"), "4660");
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "www.wikipedia.org");
+}
+
+TEST(DnsFields, ReplaceQnameRebuildsQuery) {
+  Packet pkt = dns_packet();
+  set_field(pkt, Proto::kDns, "qname", "benign.example");
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "benign.example");
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "id"), "4660");  // id preserved
+  EXPECT_EQ(parse_dns_qname(std::span(pkt.payload)), "benign.example");
+}
+
+TEST(DnsFields, ReplaceId) {
+  Packet pkt = dns_packet();
+  set_field(pkt, Proto::kDns, "id", "255");
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "id"), "255");
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "www.wikipedia.org");
+}
+
+TEST(DnsFields, NonDnsPayloadIsLeftAlone) {
+  Packet pkt = dns_packet();
+  pkt.payload = to_bytes("GET / HTTP/1.1\r\n\r\n");
+  const Bytes before = pkt.payload.bytes();
+  set_field(pkt, Proto::kDns, "qname", "x.example");
+  EXPECT_EQ(pkt.payload, before);
+  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "");
+}
+
+TEST(DnsFields, CorruptQnameChangesIt) {
+  Packet pkt = dns_packet();
+  Rng rng(1);
+  corrupt_field(pkt, Proto::kDns, "qname", rng);
+  EXPECT_NE(get_field(pkt, Proto::kDns, "qname"), "www.wikipedia.org");
+  EXPECT_FALSE(get_field(pkt, Proto::kDns, "qname").empty());
+}
+
+TEST(DnsFields, ProtoStringsRoundTrip) {
+  EXPECT_EQ(proto_from_string("DNS"), Proto::kDns);
+  EXPECT_EQ(to_string(Proto::kDns), "DNS");
+  EXPECT_TRUE(field_exists(Proto::kDns, "qname"));
+  EXPECT_FALSE(field_exists(Proto::kDns, "flags"));
+}
+
+TEST(DnsFields, TamperDslRoundTrip) {
+  // The appendix extension end-to-end: a DNS tamper in the DSL.
+  const Packet pkt = dns_packet();
+  Rng rng(1);
+  // Built inline to avoid a geneva dependency in this packet-level test:
+  // tamper is exercised via set_field, which is what TamperAction calls.
+  Packet copy = pkt;
+  set_field(copy, Proto::kDns, "qname", "replaced.example");
+  EXPECT_EQ(get_field(copy, Proto::kDns, "qname"), "replaced.example");
 }
 
 }  // namespace

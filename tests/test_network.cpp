@@ -153,10 +153,13 @@ TEST(Network, MultipleColocatedBoxesAllSeePackets) {
 
 class DuplicatingProcessor : public PacketProcessor {
  public:
-  std::vector<Packet> process_outbound(Packet pkt) override {
-    return {pkt, pkt};
+  void process_outbound_into(Packet pkt, std::vector<Packet>& out) override {
+    out.push_back(pkt);
+    out.push_back(std::move(pkt));
   }
-  std::vector<Packet> process_inbound(Packet pkt) override { return {pkt}; }
+  void process_inbound_into(Packet pkt, std::vector<Packet>& out) override {
+    out.push_back(std::move(pkt));
+  }
 };
 
 TEST(Network, OutboundProcessorCanDuplicate) {
@@ -172,8 +175,8 @@ TEST(Network, OutboundProcessorCanDuplicate) {
 
 class DroppingProcessor : public PacketProcessor {
  public:
-  std::vector<Packet> process_outbound(Packet) override { return {}; }
-  std::vector<Packet> process_inbound(Packet) override { return {}; }
+  void process_outbound_into(Packet, std::vector<Packet>&) override {}
+  void process_inbound_into(Packet, std::vector<Packet>&) override {}
 };
 
 TEST(Network, InboundProcessorCanDrop) {
@@ -190,7 +193,7 @@ TEST(Network, InboundProcessorCanDrop) {
 TEST(Network, LossDropsSomePackets) {
   EventLoop loop;
   Network::Config config;
-  config.loss = 0.5;
+  config.link.client_censor_up.loss = 0.5;
   Network net(loop, config, Rng(42));
   RecordingEndpoint server;
   net.set_server(&server);
@@ -270,20 +273,6 @@ TEST(Network, ReorderJitterDelaysDelivery) {
   // 20 ms of path delay plus the forced 30 ms jitter.
   EXPECT_EQ(loop.now(), duration::ms(50));
   EXPECT_EQ(net.trace().at(TracePoint::kReordered).size(), 1u);
-}
-
-TEST(Network, LegacyLossStillApplies) {
-  // Config::loss is folded into the link model but keeps its meaning: a
-  // per-send drop probability.
-  EventLoop loop;
-  Network::Config config;
-  config.loss = 1.0;
-  Network net(loop, config, Rng(1));
-  RecordingEndpoint server;
-  net.set_server(&server);
-  net.send_from_client(client_packet());
-  loop.run();
-  EXPECT_TRUE(server.received.empty());
 }
 
 TEST(Network, TraceRecordsLifecycle) {

@@ -83,7 +83,7 @@ TEST(HealthMonitor, SaveRestoreRoundTripsExactly) {
 // ---- CircuitBreaker --------------------------------------------------------
 
 CircuitBreaker make_breaker(std::uint64_t seed = 7) {
-  return CircuitBreaker(BreakerConfig{}, HealthConfig{}, Rng(seed));
+  return CircuitBreaker(Rng(seed));
 }
 
 /// Drives a closed breaker to its trip with persistent failures; returns the
@@ -117,7 +117,8 @@ TEST(CircuitBreaker, TripsOpenThenHalfOpensAfterBackoff) {
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_FALSE(breaker.admits());
   EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_GE(breaker.reopen_at(), tripped_at - 1 + BreakerConfig{}.backoff_base);
+  EXPECT_GE(breaker.reopen_at(),
+            tripped_at - 1 + CircuitBreaker::kBackoffBase);
 
   // Before the window: stays open. At the window: half-open, admits probes.
   EXPECT_FALSE(breaker.advance(breaker.reopen_at() - 1));
@@ -144,7 +145,7 @@ TEST(CircuitBreaker, ProbeSuccessesReclose) {
   EXPECT_EQ(breaker.recloses(), 1u);
   // Early verdict: re-closes as soon as probe_passes accumulate, without
   // burning the whole quota.
-  EXPECT_EQ(probes, BreakerConfig{}.probe_passes);
+  EXPECT_EQ(probes, CircuitBreaker::kProbePasses);
 }
 
 TEST(CircuitBreaker, ProbeFailuresReopenWithLongerBackoff) {
@@ -162,7 +163,7 @@ TEST(CircuitBreaker, ProbeFailuresReopenWithLongerBackoff) {
   // Exponential: the second window is at least the doubled base, beyond
   // what jitter alone could explain.
   EXPECT_GT(second_window, first_window);
-  EXPECT_GE(second_window, 2 * BreakerConfig{}.backoff_base);
+  EXPECT_GE(second_window, 2 * CircuitBreaker::kBackoffBase);
 }
 
 TEST(CircuitBreaker, BackoffScheduleIsDeterministicPerSeed) {

@@ -28,14 +28,6 @@ TEST(OsProfiles, OnlyWindowsAndMacAcceptSynAckPayload) {
   }
 }
 
-TEST(OsProfiles, UniversalBehaviours) {
-  for (const auto& os : all_os_profiles()) {
-    EXPECT_TRUE(os.verifies_checksum) << os.name;
-    EXPECT_TRUE(os.supports_simultaneous_open) << os.name;
-    EXPECT_TRUE(os.ignores_presync_rst_without_ack) << os.name;
-  }
-}
-
 // §7 as a property over all OS profiles: strategies 1 and 8 work
 // everywhere; strategy 5 fails exactly on the SYN+ACK-payload stacks.
 class OsCompat : public ::testing::TestWithParam<std::size_t> {};

@@ -28,7 +28,7 @@ TEST(Replay, CensoredTrialReplaysAsCensored) {
   const ReplayResult result =
       replay_through_censor(from_pcap(pcap), Country::kChina, 11);
   EXPECT_GE(result.packets, 4u);
-  EXPECT_EQ(result.parse_failures, 0u);
+  EXPECT_EQ(result.decode.failures(), 0u);
   EXPECT_GT(result.censor_events, 0u);
   EXPECT_GT(result.injected_packets, 0u);
   ASSERT_FALSE(result.events.empty());
@@ -52,7 +52,7 @@ TEST(Replay, EvadedTrialReplaysClean) {
         from_pcap(to_pcap(live.trace)), Country::kChina, seed * 7 + 1);
     // The replay censor draws fresh randomness, so ~half of evaded runs
     // may be caught; but at least the capture must parse fully.
-    EXPECT_EQ(replayed.parse_failures, 0u);
+    EXPECT_EQ(replayed.decode.failures(), 0u);
     return;
   }
   FAIL() << "no successful run found to replay";
@@ -74,11 +74,9 @@ TEST(Replay, GarbageRecordsAreCountedNotFatal) {
   const ReplayResult result =
       replay_through_censor(records, Country::kChina, 1, &trace);
   EXPECT_EQ(result.packets, 1u);
-  EXPECT_EQ(result.parse_failures, 1u);
-  EXPECT_EQ(result.censor_events, 0u);
-  // The taxonomy ledger agrees with the legacy counter and the event log
-  // names the decode error.
   EXPECT_EQ(result.decode.failures(), 1u);
+  EXPECT_EQ(result.censor_events, 0u);
+  // The event log names the decode error.
   EXPECT_EQ(result.decode.successes(), 0u);
   ASSERT_EQ(result.events.size(), 1u);
   EXPECT_NE(result.events[0].description.find("decode-error"),
@@ -113,7 +111,7 @@ TEST(Replay, LenientFileLoadSkipsDamagedTail) {
       replay_pcap_file(path, Country::kChina, 11, /*lenient=*/true);
   EXPECT_EQ(result.skipped_records, 1u);
   EXPECT_EQ(result.packets, intact_records - 1);
-  EXPECT_EQ(result.parse_failures, 0u);
+  EXPECT_EQ(result.decode.failures(), 0u);
   std::remove(path.c_str());
 }
 

@@ -374,7 +374,8 @@ TEST(TcpEndpoint, EstablishedRstOutOfWindowIgnored) {
 TEST(TcpEndpoint, RetransmitsLostData) {
   EventLoop loop;
   Network::Config config;
-  config.loss = 0.4;
+  config.link.client_censor_up.loss = 0.4;
+  config.link.censor_server_down.loss = 0.4;
   Network net(loop, config, Rng(42));
   TcpEndpoint client(loop,
                      {.local_addr = kClientAddr,

@@ -14,6 +14,18 @@ Packet packet_with_flags(std::uint8_t flags) {
                          10001);
 }
 
+std::vector<Packet> outbound(Engine& engine, Packet pkt) {
+  std::vector<Packet> out;
+  engine.process_outbound_into(std::move(pkt), out);
+  return out;
+}
+
+std::vector<Packet> inbound(Engine& engine, Packet pkt) {
+  std::vector<Packet> out;
+  engine.process_inbound_into(std::move(pkt), out);
+  return out;
+}
+
 TEST(Trigger, ExactFlagMatch) {
   const Trigger trigger{Proto::kTcp, "flags", "SA"};
   EXPECT_TRUE(trigger.matches(packet_with_flags(tcpflag::kSyn |
@@ -45,15 +57,15 @@ TEST(Trigger, ToStringForm) {
 
 TEST(Engine, NonTriggeredPacketsPassThrough) {
   Engine engine(parsed_strategy(1), Rng(1));
-  const auto out = engine.process_outbound(packet_with_flags(tcpflag::kAck));
+  const auto out = outbound(engine, packet_with_flags(tcpflag::kAck));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kAck);
 }
 
 TEST(Engine, Strategy1RewritesSynAckToRstPlusSyn) {
   Engine engine(parsed_strategy(1), Rng(1));
-  const auto out = engine.process_outbound(
-      packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
+  const auto out =
+      outbound(engine, packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kRst);
   EXPECT_EQ(out[1].tcp.flags, tcpflag::kSyn);
@@ -64,8 +76,8 @@ TEST(Engine, Strategy1RewritesSynAckToRstPlusSyn) {
 
 TEST(Engine, Strategy2EmitsCleanSynThenPayloadSyn) {
   Engine engine(parsed_strategy(2), Rng(1));
-  const auto out = engine.process_outbound(
-      packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
+  const auto out =
+      outbound(engine, packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kSyn);
   EXPECT_TRUE(out[0].payload.empty());
@@ -75,8 +87,8 @@ TEST(Engine, Strategy2EmitsCleanSynThenPayloadSyn) {
 
 TEST(Engine, Strategy6EmitsFinLoadCorruptAckThenOriginal) {
   Engine engine(parsed_strategy(6), Rng(1));
-  const auto out = engine.process_outbound(
-      packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
+  const auto out =
+      outbound(engine, packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kFin);
   EXPECT_FALSE(out[0].payload.empty());
@@ -90,7 +102,7 @@ TEST(Engine, Strategy8ShrinksWindowAndStripsWscale) {
   Engine engine(parsed_strategy(8), Rng(1));
   Packet sa = packet_with_flags(tcpflag::kSyn | tcpflag::kAck);
   sa.tcp.set_option(TcpOption::kWindowScale, {7});
-  const auto out = engine.process_outbound(std::move(sa));
+  const auto out = outbound(engine, std::move(sa));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tcp.window, 10);
   EXPECT_EQ(out[0].tcp.window_scale(), std::nullopt);
@@ -98,8 +110,8 @@ TEST(Engine, Strategy8ShrinksWindowAndStripsWscale) {
 
 TEST(Engine, Strategy11EmitsNullFlagsThenOriginal) {
   Engine engine(parsed_strategy(11), Rng(1));
-  const auto out = engine.process_outbound(
-      packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
+  const auto out =
+      outbound(engine, packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].tcp.flags, 0);
   EXPECT_EQ(out[1].tcp.flags, tcpflag::kSyn | tcpflag::kAck);
@@ -107,9 +119,8 @@ TEST(Engine, Strategy11EmitsNullFlagsThenOriginal) {
 
 TEST(Engine, AmplificationTracksPacketBlowup) {
   Engine engine(parsed_strategy(7), Rng(1));  // 3 packets per SYN+ACK
-  (void)engine.process_outbound(
-      packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
-  (void)engine.process_outbound(packet_with_flags(tcpflag::kAck));
+  (void)outbound(engine, packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
+  (void)outbound(engine, packet_with_flags(tcpflag::kAck));
   // (3 + 1) packets out for 2 in.
   EXPECT_DOUBLE_EQ(engine.amplification(), 2.0);
 }
@@ -118,21 +129,18 @@ TEST(Engine, FirstMatchingRuleWins) {
   Strategy s = parse_strategy(
       "[TCP:flags:SA]-drop-| [TCP:flags:SA]-duplicate-| \\/");
   Engine engine(std::move(s), Rng(1));
-  const auto out = engine.process_outbound(
-      packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
+  const auto out =
+      outbound(engine, packet_with_flags(tcpflag::kSyn | tcpflag::kAck));
   EXPECT_TRUE(out.empty());  // the first (drop) rule applied
 }
 
 TEST(Engine, InboundRulesApplySeparately) {
   Strategy s = parse_strategy("\\/ [TCP:flags:R]-drop-|");
   Engine engine(std::move(s), Rng(1));
-  EXPECT_TRUE(engine.process_inbound(packet_with_flags(tcpflag::kRst))
-                  .empty());
-  EXPECT_EQ(engine.process_inbound(packet_with_flags(tcpflag::kAck)).size(),
-            1u);
+  EXPECT_TRUE(inbound(engine, packet_with_flags(tcpflag::kRst)).empty());
+  EXPECT_EQ(inbound(engine, packet_with_flags(tcpflag::kAck)).size(), 1u);
   // Outbound side has no rules: everything passes.
-  EXPECT_EQ(engine.process_outbound(packet_with_flags(tcpflag::kRst)).size(),
-            1u);
+  EXPECT_EQ(outbound(engine, packet_with_flags(tcpflag::kRst)).size(), 1u);
 }
 
 }  // namespace

@@ -566,7 +566,7 @@ int cmd_replay(Args& args) {
   std::printf("country        : %s\n",
               std::string(to_string(country)).c_str());
   std::printf("packets        : %zu (%zu unparseable)\n", result.packets,
-              result.parse_failures);
+              result.decode.failures());
   if (result.skipped_records > 0) {
     std::printf("skipped records: %zu (lenient)\n", result.skipped_records);
   }
