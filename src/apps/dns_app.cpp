@@ -2,6 +2,12 @@
 
 namespace caya {
 
+TcpEndpoint& EndpointSlots::replace(std::unique_ptr<TcpEndpoint> next) {
+  slots_.at(used_) = std::move(next);  // std::out_of_range when all used
+  if (used_ > 0) current().disarm();
+  return *slots_[used_++];
+}
+
 DnsServer::DnsServer(EventLoop& loop, Network& net, Ipv4Address addr,
                      std::uint16_t port, Ipv4Address answer)
     : loop_(loop), net_(net), addr_(addr), port_(port), answer_(answer) {
@@ -9,30 +15,31 @@ DnsServer::DnsServer(EventLoop& loop, Network& net, Ipv4Address addr,
 }
 
 void DnsServer::make_conn() {
-  conn_ = std::make_unique<TcpEndpoint>(
+  TcpEndpoint& conn = conns_.replace(std::make_unique<TcpEndpoint>(
       loop_,
       TcpEndpoint::Config{.local_addr = addr_, .local_port = port_,
                           .isn = 50000},
-      [this](Packet pkt) { net_.send_from_server(std::move(pkt)); });
-  conn_->on_data = [this](const Bytes&) { on_bytes(); };
-  conn_->listen();
+      [this](Packet pkt) { net_.send_from_server(std::move(pkt)); }));
+  conn.on_data = [this](const Bytes&) { on_bytes(); };
+  conn.listen();
   answered_ = false;
 }
 
 void DnsServer::reopen() { make_conn(); }
 
-void DnsServer::deliver(const Packet& pkt) { conn_->deliver(pkt); }
+void DnsServer::deliver(const Packet& pkt) { endpoint().deliver(pkt); }
 
 void DnsServer::on_bytes() {
   if (answered_) return;
-  const auto qname = parse_dns_qname(std::span(conn_->received()));
+  TcpEndpoint& conn = endpoint();
+  const auto qname = parse_dns_qname(std::span(conn.received()));
   if (!qname) return;  // incomplete query
   answered_ = true;
   // Echo the query ID: re-parse the first two bytes past the length prefix.
-  const auto& buf = conn_->received();
+  const auto& buf = conn.received();
   const std::uint16_t id =
       static_cast<std::uint16_t>(buf[2] << 8 | buf[3]);
-  conn_->send_data(
+  conn.send_data(
       build_dns_response({.id = id, .qname = *qname, .address = answer_}));
 }
 
@@ -63,29 +70,30 @@ void DnsClient::attempt() {
       .remote_port = config_.server_port,
       .isn = config_.isn + static_cast<std::uint32_t>(attempt_) * 10000,
       .os = config_.os};
-  conn_ = std::make_unique<TcpEndpoint>(loop_, cfg, [this](Packet pkt) {
-    net_.send_from_client(std::move(pkt));
-  });
+  TcpEndpoint& conn = conns_.replace(
+      std::make_unique<TcpEndpoint>(loop_, cfg, [this](Packet pkt) {
+        net_.send_from_client(std::move(pkt));
+      }));
   net_.set_client(this);
 
   const std::uint16_t id = static_cast<std::uint16_t>(0x1000 + attempt_);
-  conn_->on_established = [this, id] {
-    conn_->send_data(build_dns_query({.id = id, .qname = qname_}));
+  conn.on_established = [this, id] {
+    endpoint().send_data(build_dns_query({.id = id, .qname = qname_}));
   };
-  conn_->on_data = [this](const Bytes&) { on_bytes(); };
-  conn_->on_reset = [this] {
+  conn.on_data = [this](const Bytes&) { on_bytes(); };
+  conn.on_reset = [this] {
     // RFC 7766: retry unanswered queries when the connection closes early.
     loop_.schedule_in(duration::ms(50), [this] { attempt(); });
   };
-  conn_->connect();
+  conn.connect();
 }
 
 void DnsClient::deliver(const Packet& pkt) {
-  if (conn_) conn_->deliver(pkt);
+  if (!conns_.empty()) endpoint().deliver(pkt);
 }
 
 void DnsClient::on_bytes() {
-  const auto response = parse_dns_response(std::span(conn_->received()));
+  const auto response = parse_dns_response(std::span(endpoint().received()));
   if (!response) return;
   if (response->qname == qname_ && response->address == expected_) {
     success_ = true;

@@ -2,11 +2,13 @@
 //
 // The client implements RFC 7766's retry guidance: a connection closed
 // before the response arrives is retried on a fresh connection, up to
-// `max_tries` total (3, matching the paper's evaluation convention). This
+// `max_tries` total (3, matching the paper's evaluation convention; at most
+// 5, which EndpointSlots holds on the server side). This
 // retry amplification is why China's per-try ~50% strategies reach ~87%+
 // for DNS in Table 2.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -17,6 +19,26 @@
 
 namespace caya {
 
+/// The TCP endpoints one app has made, newest current. A replaced endpoint
+/// is disarmed but kept alive: its retransmit callback may still be queued
+/// on the loop, and the harness clears the loop before it destroys the app.
+/// The fixed capacity keeps that free of allocation.
+class EndpointSlots {
+ public:
+  /// The server's first connection plus one per retry of a 5-try client.
+  static constexpr std::size_t kCapacity = 6;
+
+  /// Disarms the current endpoint and makes `next` current. Throws
+  /// std::out_of_range when all slots are used.
+  TcpEndpoint& replace(std::unique_ptr<TcpEndpoint> next);
+  [[nodiscard]] bool empty() const noexcept { return used_ == 0; }
+  [[nodiscard]] TcpEndpoint& current() noexcept { return *slots_[used_ - 1]; }
+
+ private:
+  std::array<std::unique_ptr<TcpEndpoint>, kCapacity> slots_;
+  std::size_t used_ = 0;
+};
+
 class DnsServer : public Endpoint {
  public:
   DnsServer(EventLoop& loop, Network& net, Ipv4Address addr,
@@ -25,7 +47,7 @@ class DnsServer : public Endpoint {
   void deliver(const Packet& pkt) override;
   /// Resets the per-connection TCP state so a retrying client can reconnect.
   void reopen();
-  [[nodiscard]] TcpEndpoint& endpoint() noexcept { return *conn_; }
+  [[nodiscard]] TcpEndpoint& endpoint() noexcept { return conns_.current(); }
 
  private:
   void on_bytes();
@@ -36,7 +58,7 @@ class DnsServer : public Endpoint {
   Ipv4Address addr_;
   std::uint16_t port_;
   Ipv4Address answer_;
-  std::unique_ptr<TcpEndpoint> conn_;
+  EndpointSlots conns_;
   bool answered_ = false;
 };
 
@@ -50,7 +72,7 @@ class DnsClient : public Endpoint {
 
   [[nodiscard]] bool succeeded() const noexcept { return success_; }
   [[nodiscard]] int tries_used() const noexcept { return attempt_; }
-  [[nodiscard]] TcpEndpoint& endpoint() noexcept { return *conn_; }
+  [[nodiscard]] TcpEndpoint& endpoint() noexcept { return conns_.current(); }
 
   /// Invoked when a new attempt starts (lets the harness reset server-side
   /// per-connection state, as a real server's accept() would).
@@ -69,7 +91,7 @@ class DnsClient : public Endpoint {
   int attempt_ = 0;
   bool success_ = false;
   bool gave_up_ = false;
-  std::unique_ptr<TcpEndpoint> conn_;
+  EndpointSlots conns_;
 };
 
 }  // namespace caya

@@ -74,6 +74,12 @@ class TcpEndpoint : public Endpoint {
   void close();
   /// Hard close: sends a RST and goes to CLOSED.
   void abort();
+  /// Cancels the retransmit timer without sending anything. Its callback
+  /// may still be queued on the loop, so the endpoint must outlive it.
+  void disarm() noexcept {
+    ++timer_generation_;
+    timer_armed_ = false;
+  }
 
   // ---- Callbacks to the application layer ----
   std::function<void()> on_established;

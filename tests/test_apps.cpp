@@ -140,6 +140,53 @@ TEST(Apps, DnsRetriesAfterMidConnectionReset) {
   EXPECT_GE(client.tries_used(), 2);
 }
 
+TEST(Apps, DnsRetryLeavesReplacedEndpointsSilent) {
+  // The first SYN+ACK is lost, so when the client's first attempt is reset
+  // the server's SYN+ACK retransmit timer is still armed, and it is due
+  // long after the retry has replaced both first-attempt endpoints.
+  EventLoop loop;
+  Network::Config net_config;
+  net_config.link.client_censor_down.flaps.push_back({0, duration::ms(60)});
+  Network net(loop, net_config, Rng(1));
+  ClientAppConfig config;
+  config.client_addr = kClient;
+  config.server_addr = kServer;
+  config.server_port = 53;
+  const Ipv4Address answer = Ipv4Address::parse("198.51.100.7");
+  DnsServer server(loop, net, kServer, 53, answer);
+  DnsClient client(loop, net, config, "www.wikipedia.org", answer);
+  Time retry_at = 0;
+  client.on_new_attempt = [&] {
+    if (client.tries_used() == 2) retry_at = loop.now();
+    server.reopen();
+  };
+  net.set_server(&server);
+  client.start();
+  loop.run_until(duration::ms(40));
+  ASSERT_EQ(client.endpoint().state(), TcpState::kSynSent);
+  ASSERT_EQ(server.endpoint().state(), TcpState::kSynReceived);
+  client.deliver(make_tcp_packet(kServer, 53, kClient,
+                                 client.endpoint().config().local_port,
+                                 tcpflag::kRst | tcpflag::kAck, 0,
+                                 client.endpoint().snd_nxt()));
+  loop.run();
+  EXPECT_TRUE(client.succeeded());
+  EXPECT_EQ(client.tries_used(), 2);
+  ASSERT_GT(retry_at, 0u);
+  // The first attempt used client port client_port + 1; nothing may be
+  // sent from or to it once the retry has started.
+  const auto first_port = static_cast<std::uint16_t>(config.client_port + 1);
+  for (const TraceEvent& event : net.trace().events()) {
+    if (event.at < retry_at) continue;
+    if (event.point == TracePoint::kClientSent) {
+      EXPECT_NE(event.packet.tcp.sport, first_port) << event.at;
+    }
+    if (event.point == TracePoint::kServerSent) {
+      EXPECT_NE(event.packet.tcp.dport, first_port) << event.at;
+    }
+  }
+}
+
 TEST(Apps, DnsGivesUpAfterMaxTries) {
   World w;
   // No server attached at all: every attempt times out and resets.
