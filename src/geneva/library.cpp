@@ -76,9 +76,15 @@ StrategyLibrary StrategyLibrary::deserialize(std::string_view text) {
 
     LibraryEntry entry;
     entry.name = fields[0];
+    // A success rate: the whole field must parse (`parsed` stays 0 when
+    // nothing does), to a value in [0, 1], which NaN is not.
+    std::size_t parsed = 0;
     try {
-      entry.success = std::stod(fields[1]);
+      entry.success = std::stod(fields[1], &parsed);
     } catch (const std::exception&) {
+    }
+    if (parsed == 0 || parsed != fields[1].size() ||
+        !(entry.success >= 0.0 && entry.success <= 1.0)) {
       throw std::invalid_argument("library line " +
                                   std::to_string(line_number) +
                                   ": bad success value " + fields[1]);

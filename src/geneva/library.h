@@ -22,7 +22,7 @@ namespace caya {
 
 struct LibraryEntry {
   std::string name;
-  double success = 0.0;  // measured success fraction, -1 if unknown
+  double success = 0.0;  // measured success fraction, in [0, 1]
   std::string notes;
   std::string dsl;  // canonical DSL (validated on load/save)
 };

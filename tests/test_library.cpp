@@ -76,6 +76,14 @@ TEST(Library, DeserializeRejectsMalformedLines) {
   EXPECT_THROW(
       StrategyLibrary::deserialize("x\tnot-a-number\tnote\tdrop\n"),
       std::invalid_argument);
+  // A success value must parse completely, to a rate in [0, 1].
+  for (const char* success : {"0.5abc", "nan", "-3"}) {
+    EXPECT_THROW(StrategyLibrary::deserialize(
+                     std::string("x\t") + success +
+                     "\tnote\t[TCP:flags:SA]-drop-| \\/\n"),
+                 std::invalid_argument)
+        << success;
+  }
   EXPECT_THROW(StrategyLibrary::deserialize(
                    "x\t0.5\tnote\t[TCP:flags:SA]-bad-|\n"),
                std::invalid_argument);
