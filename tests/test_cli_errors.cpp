@@ -283,15 +283,18 @@ std::string read_file(const std::filesystem::path& path) {
   return out.str();
 }
 
-// Runs `job ARGS` with checkpoints at --jobs 2, rolls its checkpoint back to
-// the rotated last-good copy (a genuinely partial snapshot, described by
-// `progress`), resumes at --jobs 4 and expects the uninterrupted run's
-// output file.
+// Runs `job ARGS` with checkpoints at --jobs 2, replaces its checkpoint
+// with a genuinely partial snapshot (described by `progress`), resumes at
+// --jobs 4 and expects the uninterrupted run's output file. The partial
+// snapshot is `corpus_file` from tests/corpus/checkpoints when given, else
+// the rotated last-good copy the run left behind.
 void expect_resume_matches(const std::string& job, const std::string& args,
                            const std::string& output_flag,
-                           const std::string& progress) {
+                           const std::string& progress,
+                           const std::string& corpus_file = "") {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / ("caya_resume_" + job);
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / ("caya_resume_" + job + corpus_file);
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string command = job + " " + args + " --checkpoint-dir " +
@@ -301,8 +304,14 @@ void expect_resume_matches(const std::string& job, const std::string& args,
       run_cli(command + (dir / "ref").string() + " --jobs 2");
   ASSERT_EQ(full.exit_code, 0) << full.stderr_text;
   const fs::path ckpt = dir / "ckpt" / (job + ".ckpt");
-  fs::copy_file(ckpt.string() + ".1", ckpt,
-                fs::copy_options::overwrite_existing);
+  const fs::path last_good = ckpt.string() + ".1";
+  if (corpus_file.empty()) {
+    fs::copy_file(last_good, ckpt, fs::copy_options::overwrite_existing);
+  } else {
+    fs::copy_file(fs::path(CAYA_CORPUS_DIR) / "checkpoints" / corpus_file,
+                  ckpt, fs::copy_options::overwrite_existing);
+    fs::remove(last_good);
+  }
 
   const fs::path log = dir / "resume.log";
   const CliResult resumed = run_cli(
@@ -334,6 +343,29 @@ TEST(CliResume, Serve) {
                         "--published 7 --published 6 --flows 2000 "
                         "--regime-flip-at 1000 --checkpoint-every 1",
                         "--report-out", "1984/2000 flows");
+}
+
+// Checkpoints written by the build before the GA breeding, health and
+// breaker parameters became constants: the rotated last-good copy of
+//   caya evolve --population 8 --gens 4 --seed 3 --checkpoint-every 3
+//   caya serve --published 7 --published 6 --flows 2000
+//     --regime-flip-at 1000 --seed 5 --checkpoint-every 1
+// each run with --jobs 2 and --checkpoint-dir D. A change to what a config
+// digest covers makes these resumes fail instead of refusing users'
+// checkpoints.
+TEST(CliResume, EvolveFromEarlierBuildCheckpoint) {
+  expect_resume_matches("evolve",
+                        "--population 8 --gens 4 --seed 3 "
+                        "--checkpoint-every 3",
+                        "--history-out", "history through generation 2",
+                        "v2_evolve.ckpt");
+}
+
+TEST(CliResume, ServeFromEarlierBuildCheckpoint) {
+  expect_resume_matches("serve",
+                        "--published 7 --published 6 --flows 2000 "
+                        "--regime-flip-at 1000 --seed 5 --checkpoint-every 1",
+                        "--report-out", "1984/2000 flows", "v2_serve.ckpt");
 }
 
 TEST(CliResume, SweepRefusesDifferentConfig) {
