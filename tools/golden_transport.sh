@@ -4,8 +4,11 @@
 # Runs `caya run` for the published strategy set across all five censors,
 # md5s the full report output (waterfall + censor stages) and the censor-view
 # pcap bytes, and also asserts --jobs invariance (--jobs 1 vs --jobs 4 must
-# print byte-identical reports). A checked-in manifest captured on a known-
-# good commit lets CI prove a packet-path change didn't alter wire behavior.
+# print byte-identical reports). It also md5s short `caya evolve` campaigns
+# (report + per-generation history): evolution is the one workload that
+# drives every tamper field and corrupt draw the GA can reach. A checked-in
+# manifest captured on a known-good commit lets CI prove a packet-path
+# change didn't alter wire behavior.
 #
 # Usage:
 #   tools/golden_transport.sh capture [manifest]   # write manifest
@@ -35,6 +38,9 @@ countries=(china india iran kazakhstan turkmenistan)
 # Duplicate, tamper-corrupt, and fragment coverage from Table 2; every action
 # kind the transport moves.
 published=(1 2 5 6 8)
+# country:protocol pairs evolved under seeds 1 and 7.
+evolved=(china:http china:dns china:ftp china:smtp china:https
+         kazakhstan:http iran:https)
 
 run_case() {
   local country="$1" id="$2" out="$3" pcap="$4" jobs="$5"
@@ -59,10 +65,19 @@ generate() {
   run_case china 1 "$dir/jobs4.txt" "$dir/jobs4.pcap" 4
   diff "$dir/jobs1.txt" "$dir/jobs4.txt"
   cmp "$dir/jobs1.pcap" "$dir/jobs4.pcap"
+  for seed in 1 7; do
+    for pair in "${evolved[@]}"; do
+      local country="${pair%%:*}" protocol="${pair##*:}"
+      local tag="evolve_${country}_${protocol}_seed${seed}"
+      "$caya" evolve --country "$country" --protocol "$protocol" \
+        --population 60 --gens 10 --seed "$seed" \
+        --history-out "$dir/$tag.history" > "$dir/$tag.txt"
+    done
+  done
 }
 
 generate "$workdir"
-(cd "$workdir" && md5sum $(ls *.txt *.pcap | sort)) > "$workdir/manifest.md5"
+(cd "$workdir" && md5sum $(ls *.txt *.pcap *.history | sort)) > "$workdir/manifest.md5"
 
 case "$mode" in
   capture)
