@@ -70,10 +70,8 @@ int main() {
   // (greeting, 331, 230), so there the search may also trigger on data
   // packets:
   GeneConfig ftp_genes;
-  ftp_genes.allowed_triggers = {
-      {Proto::kTcp, "flags", "SA"},
-      {Proto::kTcp, "flags", "PA"},
-  };
+  const Field& flags = lookup_field(Proto::kTcp, "flags");
+  ftp_genes.allowed_triggers = {{flags, "SA"}, {flags, "PA"}};
   evolve(Country::kChina, AppProtocol::kFtp,
          "China / FTP (SYN+ACK and data-packet triggers allowed):", 84'000,
          ftp_genes);

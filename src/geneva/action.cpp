@@ -61,28 +61,48 @@ std::size_t DuplicateAction::size() const {
 
 // ---- tamper ----
 
+TamperAction::TamperAction(const Field& field, TamperMode mode,
+                           std::string value, ActionPtr child)
+    : child_(std::move(child)) {
+  retarget(field, mode, std::move(value));
+}
+
+TamperAction::TamperAction(const TamperAction& other)
+    : Action(other),
+      field_(other.field_),
+      mode_(other.mode_),
+      value_(other.value_),
+      child_(clone_action(other.child_)) {}
+
+void TamperAction::retarget(const Field& field, TamperMode mode,
+                            std::string value) {
+  value_ = mode == TamperMode::kReplace ? field.parse(std::move(value))
+                                        : FieldValue{};
+  field_ = &field;
+  mode_ = mode;
+}
+
 void TamperAction::run(Packet pkt, Rng& rng, std::vector<Packet>& out) const {
   if (mode_ == TamperMode::kReplace) {
-    caya::set_field(pkt, proto_, field_, value_);
+    field_->replace(pkt, value_);
   } else {
-    corrupt_field(pkt, proto_, field_, rng);
+    field_->corrupt(pkt, rng);
   }
   run_action(child_.get(), std::move(pkt), rng, out);
 }
 
 std::string TamperAction::to_string() const {
-  std::string out = "tamper{" + std::string(caya::to_string(proto_)) + ":" +
-                    field_ + ":" +
+  std::string out = "tamper{" + std::string(caya::to_string(field_->proto)) +
+                    ":" + std::string(field_->name) + ":" +
                     (mode_ == TamperMode::kReplace ? "replace" : "corrupt");
-  if (mode_ == TamperMode::kReplace) out += ":" + value_;
+  if (mode_ == TamperMode::kReplace) out += ":" + value_.text;
   out += "}";
   if (child_) out += "(" + child_->to_string() + ",)";
   return out;
 }
 
 ActionPtr TamperAction::clone() const {
-  return std::make_unique<TamperAction>(proto_, field_, mode_, value_,
-                                        clone_action(child_));
+  return ActionPtr(new TamperAction(*this));
 }
 
 std::size_t TamperAction::size() const {

@@ -94,13 +94,11 @@ enum class TamperMode { kReplace, kCorrupt };
 /// tampered field *is* a checksum or length (Packet's override flags).
 class TamperAction final : public Action {
  public:
-  TamperAction(Proto proto, std::string field, TamperMode mode,
-               std::string value, ActionPtr child = nullptr)
-      : proto_(proto),
-        field_(std::move(field)),
-        mode_(mode),
-        value_(std::move(value)),
-        child_(std::move(child)) {}
+  /// `field` is a row of the field table. A replace value is parsed for the
+  /// field here, once; throws std::invalid_argument when the field cannot
+  /// hold it. Corrupt ignores `value`.
+  TamperAction(const Field& field, TamperMode mode, std::string value,
+               ActionPtr child = nullptr);
 
   void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const override;
   [[nodiscard]] std::string to_string() const override;
@@ -110,27 +108,23 @@ class TamperAction final : public Action {
     return {&child_};
   }
 
-  [[nodiscard]] Proto proto() const noexcept { return proto_; }
-  [[nodiscard]] const std::string& field() const noexcept { return field_; }
+  [[nodiscard]] const Field& field() const noexcept { return *field_; }
   [[nodiscard]] TamperMode mode() const noexcept { return mode_; }
-  [[nodiscard]] const std::string& value() const noexcept { return value_; }
+  [[nodiscard]] const std::string& value() const noexcept {
+    return value_.text;
+  }
 
-  // Mutable access for the genetic operators.
-  void set_field(Proto proto, std::string field) {
-    proto_ = proto;
-    field_ = std::move(field);
-  }
-  void set_mode(TamperMode mode, std::string value) {
-    mode_ = mode;
-    value_ = std::move(value);
-  }
+  /// The genetic operators' retune: field, mode and value change together,
+  /// so the value is always parsed for the field it is written to.
+  void retarget(const Field& field, TamperMode mode, std::string value);
 
  private:
-  Proto proto_;
-  std::string field_;
+  TamperAction(const TamperAction& other);  // deep copy, for clone()
+
+  const Field* field_;
   TamperMode mode_;
-  std::string value_;  // empty for corrupt
-  ActionPtr child_;    // null = send
+  FieldValue value_;  // empty for corrupt
+  ActionPtr child_;   // null = send
 };
 
 /// fragment{proto:offset:inOrder}(A1,A2): split the packet in two.

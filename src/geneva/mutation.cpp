@@ -31,36 +31,42 @@ void collect_tampers(const ActionPtr& node, std::vector<TamperAction*>& out) {
   }
 }
 
+/// A uniformly drawn entry of kTamperFields.
+const Field& random_tamper_field(Rng& rng) {
+  const auto& [proto, name] = kTamperFields[rng.index(kTamperFields.size())];
+  return lookup_field(proto, name);
+}
+
 }  // namespace
 
-std::string random_field_value(Proto proto, std::string_view field,
-                               Rng& rng) {
-  if (field == "flags") {
+std::string random_field_value(const Field& field, Rng& rng) {
+  const std::string_view name = field.name;
+  if (name == "flags") {
     static const std::array<std::string, 10> kFlagSets = {
         "", "S", "A", "R", "F", "SA", "RA", "FA", "PA", "FPA"};
     return kFlagSets[rng.index(kFlagSets.size())];
   }
-  if (field == "window") {
+  if (name == "window") {
     static const std::array<std::string, 5> kWindows = {"0", "10", "64",
                                                         "1024", "65535"};
     return kWindows[rng.index(kWindows.size())];
   }
-  if (field == "options-wscale") {
+  if (name == "options-wscale") {
     static const std::array<std::string, 3> kScales = {"", "0", "14"};
     return kScales[rng.index(kScales.size())];
   }
-  if (field == "load") {
+  if (name == "load") {
     static const std::array<std::string, 4> kLoads = {
         "GET / HTTP1.", "GET / HTTP/1.1", "AAAA", "%"};
     return kLoads[rng.index(kLoads.size())];
   }
-  if (field == "seq" || field == "ack") {
+  if (name == "seq" || name == "ack") {
     return std::to_string(rng.uniform(0, 0xffffffff));
   }
-  if (field == "ttl") {
+  if (name == "ttl") {
     return std::to_string(rng.uniform(1, 64));
   }
-  if (proto == Proto::kIp && (field == "src" || field == "dst")) {
+  if (field.proto == Proto::kIp && (name == "src" || name == "dst")) {
     return Ipv4Address(static_cast<std::uint32_t>(rng.uniform(0, 0xffffffff)))
         .to_string();
   }
@@ -82,16 +88,13 @@ ActionPtr random_action(const GeneConfig& config, Rng& rng,
                                              std::move(second));
   }
   if (!must_leaf && roll < 70) {
-    const auto& [proto, field] =
-        kTamperFields[rng.index(kTamperFields.size())];
+    const Field& field = random_tamper_field(rng);
     const bool corrupt = rng.chance(0.4);
-    std::string value =
-        corrupt ? "" : random_field_value(proto, field, rng);
+    std::string value = corrupt ? "" : random_field_value(field, rng);
     ActionPtr child =
         rng.chance(0.4) ? random_action(config, rng, depth + 1) : nullptr;
     return std::make_unique<TamperAction>(
-        proto, std::string(field),
-        corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
+        field, corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
         std::move(value), std::move(child));
   }
   if (!must_leaf && roll < 78) {
@@ -143,27 +146,24 @@ void mutate(Strategy& strategy, const GeneConfig& config, Rng& rng) {
     if (!tampers.empty()) {
       TamperAction* tamper = rng.pick(tampers);
       if (rng.chance(0.5)) {
-        const auto& [proto, field] =
-            kTamperFields[rng.index(kTamperFields.size())];
-        tamper->set_field(proto, std::string(field));
-        if (tamper->mode() == TamperMode::kReplace) {
-          tamper->set_mode(TamperMode::kReplace,
-                           random_field_value(proto, field, rng));
-        }
+        const Field& field = random_tamper_field(rng);
+        const TamperMode mode = tamper->mode();
+        tamper->retarget(field, mode,
+                         mode == TamperMode::kReplace
+                             ? random_field_value(field, rng)
+                             : "");
       } else {
         const bool corrupt = rng.chance(0.5);
-        tamper->set_mode(
+        tamper->retarget(
+            tamper->field(),
             corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
-            corrupt ? ""
-                    : random_field_value(tamper->proto(), tamper->field(),
-                                         rng));
+            corrupt ? "" : random_field_value(tamper->field(), rng));
       }
     } else {
-      const auto& [proto, field] =
-          kTamperFields[rng.index(kTamperFields.size())];
+      const Field& field = random_tamper_field(rng);
       rule.root = std::make_unique<TamperAction>(
-          proto, std::string(field), TamperMode::kReplace,
-          random_field_value(proto, field, rng), std::move(rule.root));
+          field, TamperMode::kReplace, random_field_value(field, rng),
+          std::move(rule.root));
     }
   } else if (roll < 90) {
     // Prune: null out a random non-root slot (falls back to send).

@@ -34,7 +34,7 @@ inline constexpr std::size_t kMaxDepth = 5;
 /// packet a server sends before censorship) — that restriction lives here.
 struct GeneConfig {
   std::vector<Trigger> allowed_triggers = {
-      {Proto::kTcp, "flags", "SA"},
+      {lookup_field(Proto::kTcp, "flags"), "SA"},
   };
 };
 
@@ -54,8 +54,6 @@ void crossover(Strategy& a, Strategy& b, Rng& rng);
 
 /// A plausible replace-value for the given tamper field (used by random
 /// generation and mutation).
-[[nodiscard]] std::string random_field_value(Proto proto,
-                                             std::string_view field,
-                                             Rng& rng);
+[[nodiscard]] std::string random_field_value(const Field& field, Rng& rng);
 
 }  // namespace caya

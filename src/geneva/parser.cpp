@@ -62,16 +62,27 @@ class Parser {
     expect(':');
     const std::string field = take_until(':');
     expect(':');
-    const std::string value = take_until(']');
+    std::string value = take_until(']');
     expect(']');
-    Trigger t;
-    t.proto = proto_from_string(proto);
-    t.field = field;
-    t.value = value;
-    if (!field_exists(t.proto, t.field)) {
-      throw ParseError("unknown trigger field: " + field, pos_);
+    return checked(pos_, [&] {
+      return Trigger(resolve(proto, field), std::move(value));
+    });
+  }
+
+  // The field table and the value parsers reject a name or value with
+  // std::invalid_argument; the parser reports it at offset `at`.
+  template <typename Build>
+  static auto checked(std::size_t at, Build build) -> decltype(build()) {
+    try {
+      return build();
+    } catch (const std::invalid_argument& e) {
+      throw ParseError(e.what(), at);
     }
-    return t;
+  }
+
+  static const Field& resolve(const std::string& proto,
+                              const std::string& field) {
+    return lookup_field(proto_from_string(proto), field);
   }
 
   ActionPtr parse_tree() {
@@ -102,14 +113,17 @@ class Parser {
                                                std::move(second));
     }
     if (name == "tamper") {
-      const std::string spec = parse_braces();
-      auto [proto, field, mode, value] = split_tamper_spec(spec);
-      auto [child, extra] = parse_two_children();
-      if (extra) {
+      TamperSpec spec = split_tamper_spec(parse_braces());
+      const std::size_t spec_end = pos_;
+      std::pair<ActionPtr, ActionPtr> children = parse_two_children();
+      if (children.second) {
         throw ParseError("tamper takes a single child", pos_);
       }
-      return std::make_unique<TamperAction>(proto, field, mode, value,
-                                            std::move(child));
+      return checked(spec_end, [&] {
+        return std::make_unique<TamperAction>(
+            resolve(spec.proto, spec.field), spec.mode, std::move(spec.value),
+            std::move(children.first));
+      });
     }
     if (name == "fragment") {
       const std::string spec = parse_braces();
@@ -159,8 +173,14 @@ class Parser {
     return out;
   }
 
-  std::tuple<Proto, std::string, TamperMode, std::string> split_tamper_spec(
-      const std::string& spec) {
+  struct TamperSpec {
+    std::string proto;
+    std::string field;
+    TamperMode mode;
+    std::string value;
+  };
+
+  TamperSpec split_tamper_spec(const std::string& spec) {
     // proto:field:mode[:value] — the value is verbatim (it may contain
     // colons and spaces, e.g. "GET / HTTP1.").
     const std::size_t c1 = spec.find(':');
@@ -188,11 +208,7 @@ class Parser {
     } else {
       throw ParseError("unknown tamper mode: " + mode_str, pos_);
     }
-    const Proto p = proto_from_string(proto);
-    if (!field_exists(p, field)) {
-      throw ParseError("unknown tamper field: " + field, pos_);
-    }
-    return {p, field, mode, value};
+    return {proto, field, mode, value};
   }
 
   std::tuple<Proto, std::size_t, bool> split_fragment_spec(

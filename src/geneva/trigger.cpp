@@ -3,13 +3,12 @@
 namespace caya {
 
 bool Trigger::matches(const Packet& pkt) const {
-  if (!field_exists(proto, field)) return false;
-  return get_field(pkt, proto, field) == value;
+  return field_->render(pkt) == value_;
 }
 
 std::string Trigger::to_string() const {
-  return "[" + std::string(caya::to_string(proto)) + ":" + field + ":" +
-         value + "]";
+  return "[" + std::string(caya::to_string(field_->proto)) + ":" +
+         std::string(field_->name) + ":" + value_ + "]";
 }
 
 }  // namespace caya

@@ -10,15 +10,22 @@
 
 namespace caya {
 
-struct Trigger {
-  Proto proto = Proto::kTcp;
-  std::string field = "flags";
-  std::string value = "SA";
+class Trigger {
+ public:
+  /// `field` is a row of the field table, resolved once by the parser or
+  /// the genetic operators.
+  Trigger(const Field& field, std::string value)
+      : field_(&field), value_(std::move(value)) {}
 
   [[nodiscard]] bool matches(const Packet& pkt) const;
   [[nodiscard]] std::string to_string() const;
 
-  friend bool operator==(const Trigger&, const Trigger&) = default;
+  [[nodiscard]] const Field& field() const noexcept { return *field_; }
+  [[nodiscard]] const std::string& value() const noexcept { return value_; }
+
+ private:
+  const Field* field_;
+  std::string value_;
 };
 
 }  // namespace caya

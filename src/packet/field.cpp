@@ -1,7 +1,10 @@
 #include "packet/field.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <stdexcept>
+#include <type_traits>
 
 #include "packet/dns.h"
 
@@ -9,82 +12,157 @@ namespace caya {
 
 namespace {
 
-[[noreturn]] void unknown_field(Proto proto, std::string_view field) {
-  throw std::invalid_argument("unknown field " + std::string(to_string(proto)) +
-                              ":" + std::string(field));
+using enum Proto;
+using enum FieldForm;
+using enum ChecksumRule;
+
+struct Access {
+  std::optional<std::uint64_t> (*get)(const Packet&);
+  void (*set)(Packet&, std::uint64_t);
+};
+
+std::uint64_t widen(std::uint64_t v) { return v; }
+std::uint64_t widen(Ipv4Address a) { return a.value(); }
+
+/// Reads and writes the header member `(pkt.*kHeader).*kMember`; a write
+/// keeps the member's low bits, as the wire field would.
+template <auto kHeader, auto kMember>
+constexpr Access kMemberAccess = {
+    [](const Packet& pkt) -> std::optional<std::uint64_t> {
+      return widen((pkt.*kHeader).*kMember);
+    },
+    [](Packet& pkt, std::uint64_t value) {
+      auto& member = (pkt.*kHeader).*kMember;
+      member = std::remove_reference_t<decltype(member)>(value);
+    }};
+
+template <auto kMember>
+constexpr Access kIpAccess = kMemberAccess<&Packet::ip, kMember>;
+template <auto kMember>
+constexpr Access kTcpAccess = kMemberAccess<&Packet::tcp, kMember>;
+
+std::optional<std::uint64_t> dns_id(const Packet& pkt) {
+  // Length prefix (2) + header starts with the ID.
+  if (pkt.payload.size() < 4) return std::nullopt;
+  return std::uint64_t{pkt.payload[2]} << 8 | pkt.payload[3];
 }
 
-std::uint64_t parse_number(std::string_view s, std::string_view what) {
+constexpr Access kDnsIdAccess = {
+    dns_id, [](Packet& pkt, std::uint64_t value) {
+      // Lenient by design: a payload that is not a DNS query is left alone.
+      if (!dns_id(pkt)) return;
+      const auto id = static_cast<std::uint16_t>(value);
+      Bytes& raw = pkt.payload.mutate();
+      raw[2] = static_cast<std::uint8_t>(id >> 8);
+      raw[3] = static_cast<std::uint8_t>(id & 0xff);
+    }};
+
+constexpr Field row(Proto proto, std::string_view name, FieldForm form,
+                    unsigned width, ChecksumRule checksum, Access access,
+                    bool Packet::*pin = nullptr) {
+  return {proto, name, form, width, checksum, pin, 0, access.get, access.set};
+}
+
+constexpr Field option_row(std::string_view name, std::uint8_t kind,
+                           unsigned bytes) {
+  return {kTcp, name, kOption, 8 * bytes, kInvalidate, nullptr, kind,
+          nullptr, nullptr};
+}
+
+constexpr Field bytes_row(Proto proto, std::string_view name, FieldForm form) {
+  return {proto, name, form, 0, kNone, nullptr, 0, nullptr, nullptr};
+}
+
+// Every field Geneva can name, grouped by protocol. Single-field TCP writes
+// keep the checksum memo current via RFC 1624; for TCP flags the
+// data-offset byte is common to the old and new header word, so it cancels
+// in the one's-complement difference and the flag byte alone suffices.
+constexpr std::array kFields = {
+    row(kIp, "version", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::version>),
+    row(kIp, "ihl", kDecimal, 4, kNone, kIpAccess<&Ipv4Header::ihl>),
+    row(kIp, "tos", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::tos>),
+    row(kIp, "len", kDecimal, 16, kNone,
+        kIpAccess<&Ipv4Header::total_length>, &Packet::ip_length_overridden),
+    row(kIp, "id", kDecimal, 16, kNone, kIpAccess<&Ipv4Header::id>),
+    row(kIp, "flags", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::flags>),
+    row(kIp, "frag", kDecimal, 16, kNone, kIpAccess<&Ipv4Header::frag_offset>),
+    row(kIp, "ttl", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::ttl>),
+    row(kIp, "proto", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::protocol>),
+    row(kIp, "chksum", kDecimal, 16, kNone, kIpAccess<&Ipv4Header::checksum>,
+        &Packet::ip_checksum_overridden),
+    // The addresses are pseudo-header words of the TCP checksum.
+    row(kIp, "src", kAddress, 32, kUpdate, kIpAccess<&Ipv4Header::src>),
+    row(kIp, "dst", kAddress, 32, kUpdate, kIpAccess<&Ipv4Header::dst>),
+    bytes_row(kIp, "load", kBytes),
+    row(kTcp, "sport", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::sport>),
+    row(kTcp, "dport", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::dport>),
+    row(kTcp, "seq", kDecimal, 32, kUpdate, kTcpAccess<&TcpHeader::seq>),
+    row(kTcp, "ack", kDecimal, 32, kUpdate, kTcpAccess<&TcpHeader::ack>),
+    // The pinned offset changes the header word: the memo is recomputed.
+    row(kTcp, "dataofs", kDecimal, 4, kInvalidate,
+        kTcpAccess<&TcpHeader::data_offset>, &Packet::tcp_offset_overridden),
+    row(kTcp, "flags", kFlags, 8, kUpdate, kTcpAccess<&TcpHeader::flags>),
+    row(kTcp, "window", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::window>),
+    // Pins the *stored* checksum; the memo of the computed one stays valid.
+    row(kTcp, "chksum", kDecimal, 16, kNone, kTcpAccess<&TcpHeader::checksum>,
+        &Packet::tcp_checksum_overridden),
+    row(kTcp, "urgptr", kDecimal, 16, kUpdate,
+        kTcpAccess<&TcpHeader::urgent_pointer>),
+    bytes_row(kTcp, "load", kBytes),
+    option_row("options-wscale", TcpOption::kWindowScale, 1),
+    option_row("options-mss", TcpOption::kMss, 2),
+    option_row("options-sackok", TcpOption::kSackPermitted, 0),
+    option_row("options-timestamp", TcpOption::kTimestamps, 8),
+    row(kDns, "id", kDecimal, 16, kNone, kDnsIdAccess),
+    bytes_row(kDns, "qname", kDnsName),
+};
+static_assert(std::ranges::is_sorted(kFields, {}, &Field::proto));
+
+std::uint64_t parse_number(const Field& field, std::string_view s) {
   std::uint64_t v = 0;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc() || ptr != s.data() + s.size()) {
-    throw std::invalid_argument("bad numeric value for " + std::string(what) +
-                                ": " + std::string(s));
+    throw std::invalid_argument("bad numeric value for " +
+                                std::string(to_string(field.proto)) + ":" +
+                                std::string(field.name) + ": " +
+                                std::string(s));
   }
   return v;
 }
 
-const std::vector<std::string> kIpFields = {
-    "version", "ihl",  "tos", "len",   "id",  "flags", "frag",
-    "ttl",     "proto", "chksum", "src", "dst", "load",
-};
-
-const std::vector<std::string> kTcpFields = {
-    "sport",   "dport", "seq",    "ack",  "dataofs",
-    "flags",   "window", "chksum", "urgptr", "load",
-    "options-wscale", "options-mss", "options-sackok", "options-timestamp",
-};
-
-const std::vector<std::string> kDnsFields = {"id", "qname"};
-
-std::optional<std::uint16_t> dns_id(const Packet& pkt) {
-  // Length prefix (2) + header starts with the ID.
-  if (pkt.payload.size() < 4) return std::nullopt;
-  return static_cast<std::uint16_t>(pkt.payload[2] << 8 | pkt.payload[3]);
-}
-
-std::optional<std::uint8_t> option_kind_for(std::string_view field) {
-  if (field == "options-wscale") return TcpOption::kWindowScale;
-  if (field == "options-mss") return TcpOption::kMss;
-  if (field == "options-sackok") return TcpOption::kSackPermitted;
-  if (field == "options-timestamp") return TcpOption::kTimestamps;
-  return std::nullopt;
-}
-
-std::string option_to_string(const Packet& pkt, std::uint8_t kind) {
-  const TcpOption* opt = pkt.tcp.find_option(kind);
-  if (opt == nullptr) return "";
-  std::uint64_t v = 0;
-  for (std::uint8_t b : opt->data) v = v << 8 | b;
-  return std::to_string(v);
-}
-
-void option_from_string(Packet& pkt, std::uint8_t kind, std::string_view value,
-                        std::size_t width) {
-  if (value.empty()) {
-    pkt.tcp.remove_option(kind);
-    return;
+/// Applies the row's pin and checksum rule to a write that changed the
+/// field from `old` to `now`.
+void settle(Packet& pkt, const Field& field, std::uint64_t old,
+            std::uint64_t now) {
+  if (field.pin != nullptr) pkt.*field.pin = true;
+  if (field.checksum == kInvalidate) {
+    pkt.tcp_sum_invalidate();
+  } else if (field.checksum == kUpdate && field.width == 32) {
+    pkt.tcp_sum_tamper32(static_cast<std::uint32_t>(old),
+                         static_cast<std::uint32_t>(now));
+  } else if (field.checksum == kUpdate) {
+    pkt.tcp_sum_tamper(static_cast<std::uint16_t>(old),
+                       static_cast<std::uint16_t>(now));
   }
-  const std::uint64_t v = parse_number(value, "tcp option");
-  Bytes data(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    data[width - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i) & 0xff);
-  }
-  pkt.tcp.set_option(kind, std::move(data));
 }
 
-std::size_t option_width(std::uint8_t kind) {
-  switch (kind) {
-    case TcpOption::kWindowScale:
-      return 1;
-    case TcpOption::kMss:
-      return 2;
-    case TcpOption::kSackPermitted:
-      return 0;
-    case TcpOption::kTimestamps:
-      return 8;
-    default:
-      return 4;
+/// Writes an integer-valued field (kDecimal, kFlags, kAddress).
+void store(Packet& pkt, const Field& field, std::uint64_t value) {
+  const std::uint64_t old = field.get(pkt).value_or(0);
+  field.set(pkt, value);
+  settle(pkt, field, old, field.get(pkt).value_or(0));
+}
+
+void set_option(Packet& pkt, const Field& field, Bytes data) {
+  pkt.tcp.set_option(field.option_kind, std::move(data));
+  settle(pkt, field, 0, 0);
+}
+
+void set_qname(Packet& pkt, const std::string& qname) {
+  const auto id = dns_id(pkt);
+  if (id && parse_dns_qname(std::span(pkt.payload))) {
+    pkt.payload = build_dns_query(
+        {.id = static_cast<std::uint16_t>(*id), .qname = qname});
   }
 }
 
@@ -103,256 +181,127 @@ std::string_view to_string(Proto proto) noexcept {
 }
 
 Proto proto_from_string(std::string_view s) {
-  if (s == "IP") return Proto::kIp;
-  if (s == "TCP") return Proto::kTcp;
-  if (s == "DNS") return Proto::kDns;
+  for (const Proto proto : {kIp, kTcp, kDns}) {
+    if (s == to_string(proto)) return proto;
+  }
   throw std::invalid_argument("unknown protocol: " + std::string(s));
 }
 
-const std::vector<std::string>& field_names(Proto proto) {
-  switch (proto) {
-    case Proto::kIp:
-      return kIpFields;
-    case Proto::kTcp:
-      return kTcpFields;
-    case Proto::kDns:
-      return kDnsFields;
-  }
-  return kTcpFields;
+std::span<const Field> fields(Proto proto) noexcept {
+  const auto rows = std::ranges::equal_range(kFields, proto, {}, &Field::proto);
+  return {rows.begin(), rows.end()};
 }
 
-bool field_exists(Proto proto, std::string_view field) {
-  for (const auto& f : field_names(proto)) {
-    if (f == field) return true;
+const Field& lookup_field(Proto proto, std::string_view name) {
+  for (const Field& field : fields(proto)) {
+    if (field.name == name) return field;
   }
-  return false;
+  throw std::invalid_argument("unknown field " + std::string(to_string(proto)) +
+                              ":" + std::string(name));
 }
 
-std::string get_field(const Packet& pkt, Proto proto, std::string_view field) {
-  if (proto == Proto::kDns) {
-    if (field == "id") {
-      const auto id = dns_id(pkt);
-      return id ? std::to_string(*id) : "";
-    }
-    if (field == "qname") {
+FieldValue Field::parse(std::string text) const {
+  FieldValue value{.text = std::move(text)};
+  switch (form) {
+    case kDecimal:
+      value.number = parse_number(*this, value.text);
+      break;
+    case kFlags:
+      value.number = flags_from_string(value.text);
+      break;
+    case kAddress:
+      value.number = Ipv4Address::parse(value.text).value();
+      break;
+    case kOption:
+      if (!value.text.empty()) value.number = parse_number(*this, value.text);
+      break;
+    case kBytes:
+    case kDnsName:
+      break;
+  }
+  return value;
+}
+
+std::string Field::render(const Packet& pkt) const {
+  switch (form) {
+    case kBytes:
+      return to_string(std::span(pkt.payload));
+    case kDnsName:
       return parse_dns_qname(std::span(pkt.payload)).value_or("");
+    case kOption: {
+      const TcpOption* opt = pkt.tcp.find_option(option_kind);
+      if (opt == nullptr) return "";
+      std::uint64_t v = 0;
+      for (std::uint8_t b : opt->data) v = v << 8 | b;
+      return std::to_string(v);
     }
-    unknown_field(proto, field);
+    case kDecimal:
+    case kFlags:
+    case kAddress:
+      break;
   }
-  if (proto == Proto::kIp) {
-    if (field == "version") return std::to_string(pkt.ip.version);
-    if (field == "ihl") return std::to_string(pkt.ip.ihl);
-    if (field == "tos") return std::to_string(pkt.ip.tos);
-    if (field == "len") return std::to_string(pkt.ip.total_length);
-    if (field == "id") return std::to_string(pkt.ip.id);
-    if (field == "flags") return std::to_string(pkt.ip.flags);
-    if (field == "frag") return std::to_string(pkt.ip.frag_offset);
-    if (field == "ttl") return std::to_string(pkt.ip.ttl);
-    if (field == "proto") return std::to_string(pkt.ip.protocol);
-    if (field == "chksum") return std::to_string(pkt.ip.checksum);
-    if (field == "src") return pkt.ip.src.to_string();
-    if (field == "dst") return pkt.ip.dst.to_string();
-    if (field == "load") return to_string(std::span(pkt.payload));
-    unknown_field(proto, field);
+  const std::optional<std::uint64_t> value = get(pkt);
+  if (!value) return "";
+  if (form == kFlags) {
+    return flags_to_string(static_cast<std::uint8_t>(*value));
   }
-  if (field == "sport") return std::to_string(pkt.tcp.sport);
-  if (field == "dport") return std::to_string(pkt.tcp.dport);
-  if (field == "seq") return std::to_string(pkt.tcp.seq);
-  if (field == "ack") return std::to_string(pkt.tcp.ack);
-  if (field == "dataofs") return std::to_string(pkt.tcp.data_offset);
-  if (field == "flags") return flags_to_string(pkt.tcp.flags);
-  if (field == "window") return std::to_string(pkt.tcp.window);
-  if (field == "chksum") return std::to_string(pkt.tcp.checksum);
-  if (field == "urgptr") return std::to_string(pkt.tcp.urgent_pointer);
-  if (field == "load") return to_string(std::span(pkt.payload));
-  if (auto kind = option_kind_for(field)) return option_to_string(pkt, *kind);
-  unknown_field(proto, field);
+  if (form == kAddress) {
+    return Ipv4Address(static_cast<std::uint32_t>(*value)).to_string();
+  }
+  return std::to_string(*value);
 }
 
-void set_field(Packet& pkt, Proto proto, std::string_view field,
-               std::string_view value) {
-  if (proto == Proto::kDns) {
-    // Lenient by design: a payload that is not a DNS query is left alone.
-    if (field == "id") {
-      if (dns_id(pkt)) {
-        const auto id =
-            static_cast<std::uint16_t>(parse_number(value, field));
-        Bytes& raw = pkt.payload.mutate();
-        raw[2] = static_cast<std::uint8_t>(id >> 8);
-        raw[3] = static_cast<std::uint8_t>(id & 0xff);
+void Field::replace(Packet& pkt, const FieldValue& value) const {
+  switch (form) {
+    case kBytes:
+      pkt.payload = to_bytes(value.text);  // payload is folded in per query
+      return;
+    case kDnsName:
+      set_qname(pkt, value.text);
+      return;
+    case kOption: {
+      if (value.text.empty()) {
+        pkt.tcp.remove_option(option_kind);
+        settle(pkt, *this, 0, 0);
+        return;
       }
+      const std::size_t n = width / 8;
+      Bytes data(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        data[n - 1 - i] = static_cast<std::uint8_t>(value.number >> (8 * i));
+      }
+      set_option(pkt, *this, std::move(data));
       return;
     }
-    if (field == "qname") {
-      const auto id = dns_id(pkt);
-      const auto qname = parse_dns_qname(std::span(pkt.payload));
-      if (id && qname) {
-        pkt.payload =
-            build_dns_query({.id = *id, .qname = std::string(value)});
-      }
+    case kDecimal:
+    case kFlags:
+    case kAddress:
+      store(pkt, *this, value.number);
       return;
-    }
-    unknown_field(proto, field);
-  }
-  if (proto == Proto::kIp) {
-    if (field == "version") {
-      pkt.ip.version = static_cast<std::uint8_t>(parse_number(value, field));
-    } else if (field == "ihl") {
-      pkt.ip.ihl = static_cast<std::uint8_t>(parse_number(value, field));
-    } else if (field == "tos") {
-      pkt.ip.tos = static_cast<std::uint8_t>(parse_number(value, field));
-    } else if (field == "len") {
-      pkt.ip.total_length =
-          static_cast<std::uint16_t>(parse_number(value, field));
-      pkt.ip_length_overridden = true;
-    } else if (field == "id") {
-      pkt.ip.id = static_cast<std::uint16_t>(parse_number(value, field));
-    } else if (field == "flags") {
-      pkt.ip.flags = static_cast<std::uint8_t>(parse_number(value, field));
-    } else if (field == "frag") {
-      pkt.ip.frag_offset =
-          static_cast<std::uint16_t>(parse_number(value, field));
-    } else if (field == "ttl") {
-      pkt.ip.ttl = static_cast<std::uint8_t>(parse_number(value, field));
-    } else if (field == "proto") {
-      pkt.ip.protocol = static_cast<std::uint8_t>(parse_number(value, field));
-    } else if (field == "chksum") {
-      pkt.ip.checksum = static_cast<std::uint16_t>(parse_number(value, field));
-      pkt.ip_checksum_overridden = true;
-    } else if (field == "src") {
-      const std::uint32_t old = pkt.ip.src.value();
-      pkt.ip.src = Ipv4Address::parse(value);
-      pkt.tcp_sum_tamper32(old, pkt.ip.src.value());  // pseudo-header word
-    } else if (field == "dst") {
-      const std::uint32_t old = pkt.ip.dst.value();
-      pkt.ip.dst = Ipv4Address::parse(value);
-      pkt.tcp_sum_tamper32(old, pkt.ip.dst.value());  // pseudo-header word
-    } else if (field == "load") {
-      pkt.payload = to_bytes(value);
-    } else {
-      unknown_field(proto, field);
-    }
-    return;
-  }
-  // Single-field TCP tampers keep the packet's checksum memo current via
-  // RFC 1624 instead of forcing a full recompute. For `flags` the data-offset
-  // high byte is common to the old and new header word, so it cancels in the
-  // one's-complement difference and the flag bytes alone suffice.
-  if (field == "sport") {
-    const std::uint16_t old = pkt.tcp.sport;
-    pkt.tcp.sport = static_cast<std::uint16_t>(parse_number(value, field));
-    pkt.tcp_sum_tamper(old, pkt.tcp.sport);
-  } else if (field == "dport") {
-    const std::uint16_t old = pkt.tcp.dport;
-    pkt.tcp.dport = static_cast<std::uint16_t>(parse_number(value, field));
-    pkt.tcp_sum_tamper(old, pkt.tcp.dport);
-  } else if (field == "seq") {
-    const std::uint32_t old = pkt.tcp.seq;
-    pkt.tcp.seq = static_cast<std::uint32_t>(parse_number(value, field));
-    pkt.tcp_sum_tamper32(old, pkt.tcp.seq);
-  } else if (field == "ack") {
-    const std::uint32_t old = pkt.tcp.ack;
-    pkt.tcp.ack = static_cast<std::uint32_t>(parse_number(value, field));
-    pkt.tcp_sum_tamper32(old, pkt.tcp.ack);
-  } else if (field == "dataofs") {
-    pkt.tcp.data_offset = static_cast<std::uint8_t>(parse_number(value, field));
-    pkt.tcp_offset_overridden = true;
-    pkt.tcp_sum_invalidate();  // the pinned offset changes the header word
-  } else if (field == "flags") {
-    const std::uint8_t old = pkt.tcp.flags;
-    pkt.tcp.flags = flags_from_string(value);
-    pkt.tcp_sum_tamper(old, pkt.tcp.flags);
-  } else if (field == "window") {
-    const std::uint16_t old = pkt.tcp.window;
-    pkt.tcp.window = static_cast<std::uint16_t>(parse_number(value, field));
-    pkt.tcp_sum_tamper(old, pkt.tcp.window);
-  } else if (field == "chksum") {
-    // Pins the *stored* checksum; the memo of the computed one stays valid.
-    pkt.tcp.checksum = static_cast<std::uint16_t>(parse_number(value, field));
-    pkt.tcp_checksum_overridden = true;
-  } else if (field == "urgptr") {
-    const std::uint16_t old = pkt.tcp.urgent_pointer;
-    pkt.tcp.urgent_pointer =
-        static_cast<std::uint16_t>(parse_number(value, field));
-    pkt.tcp_sum_tamper(old, pkt.tcp.urgent_pointer);
-  } else if (field == "load") {
-    pkt.payload = to_bytes(value);  // payload is folded in per query
-  } else if (auto kind = option_kind_for(field)) {
-    option_from_string(pkt, *kind, value, option_width(*kind));
-    pkt.tcp_sum_invalidate();  // option bytes and header length changed
-  } else {
-    unknown_field(proto, field);
   }
 }
 
-void corrupt_field(Packet& pkt, Proto proto, std::string_view field, Rng& rng) {
+void Field::corrupt(Packet& pkt, Rng& rng) const {
   // "corrupt sets the field to an equal number of random bits" (appendix).
-  if (proto == Proto::kDns) {
-    if (field == "id") {
-      set_field(pkt, proto, field, std::to_string(rng.uniform(0, 0xffff)));
+  switch (form) {
+    case kBytes: {
+      const std::size_t n =
+          pkt.payload.empty() ? 4 + rng.index(12) : pkt.payload.size();
+      pkt.payload = rng.bytes(n);
       return;
     }
-    if (field == "qname") {
-      const Bytes label = rng.bytes(8);
-      set_field(pkt, proto, field, to_hex(label) + ".example");
+    case kDnsName:
+      set_qname(pkt, to_hex(rng.bytes(8)) + ".example");
       return;
-    }
-    unknown_field(proto, field);
-  }
-  if (field == "load") {
-    const std::size_t n =
-        pkt.payload.empty() ? 4 + rng.index(12) : pkt.payload.size();
-    pkt.payload = rng.bytes(n);
-    return;
-  }
-  if (proto == Proto::kTcp && field == "flags") {
-    const std::uint8_t old = pkt.tcp.flags;
-    pkt.tcp.flags = static_cast<std::uint8_t>(rng.uniform(0, 255));
-    pkt.tcp_sum_tamper(old, pkt.tcp.flags);
-    return;
-  }
-  if (proto == Proto::kIp && (field == "src" || field == "dst")) {
-    set_field(pkt, proto, field,
-              Ipv4Address(static_cast<std::uint32_t>(rng.uniform(0, 0xffffffff)))
-                  .to_string());
-    return;
-  }
-  if (auto kind = option_kind_for(field); proto == Proto::kTcp && kind) {
-    const std::size_t width = option_width(*kind);
-    pkt.tcp.set_option(*kind, rng.bytes(width));
-    pkt.tcp_sum_invalidate();
-    return;
-  }
-  // Numeric fields: draw random bits of the field's width. The current value
-  // tells us nothing about width, so dispatch per field name.
-  auto rand16 = [&] { return std::to_string(rng.uniform(0, 0xffff)); };
-  auto rand32 = [&] { return std::to_string(rng.uniform(0, 0xffffffff)); };
-  auto rand8 = [&] { return std::to_string(rng.uniform(0, 0xff)); };
-  if (proto == Proto::kTcp) {
-    if (field == "seq" || field == "ack") {
-      set_field(pkt, proto, field, rand32());
+    case kOption:
+      set_option(pkt, *this, rng.bytes(width / 8));
       return;
-    }
-    if (field == "dataofs") {
-      set_field(pkt, proto, field, std::to_string(rng.uniform(0, 15)));
+    case kDecimal:
+    case kFlags:
+    case kAddress:
+      store(pkt, *this, rng.uniform(0, (std::uint64_t{1} << width) - 1));
       return;
-    }
-    set_field(pkt, proto, field, rand16());
-    return;
   }
-  if (field == "src" || field == "dst") {
-    // handled above; unreachable
-  }
-  if (field == "ttl" || field == "tos" || field == "proto" ||
-      field == "version" || field == "flags") {
-    set_field(pkt, proto, field, rand8());
-    return;
-  }
-  if (field == "ihl") {
-    set_field(pkt, proto, field, std::to_string(rng.uniform(0, 15)));
-    return;
-  }
-  set_field(pkt, proto, field, rand16());
 }
 
 }  // namespace caya

@@ -13,6 +13,10 @@ Packet synack() {
   return pkt;
 }
 
+const Field& tcp(std::string_view name) {
+  return lookup_field(Proto::kTcp, name);
+}
+
 std::vector<Packet> run(const Action& action, Packet pkt, std::uint64_t seed = 1) {
   Rng rng(seed);
   std::vector<Packet> out;
@@ -41,10 +45,8 @@ TEST(Action, NullChildrenDefaultToSend) {
 
 TEST(Action, DuplicateOrderFirstThenSecond) {
   DuplicateAction dup(
-      std::make_unique<TamperAction>(Proto::kTcp, "flags",
-                                     TamperMode::kReplace, "R", nullptr),
-      std::make_unique<TamperAction>(Proto::kTcp, "flags",
-                                     TamperMode::kReplace, "S", nullptr));
+      std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "R"),
+      std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "S"));
   const auto out = run(dup, synack());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kRst);
@@ -52,16 +54,14 @@ TEST(Action, DuplicateOrderFirstThenSecond) {
 }
 
 TEST(Action, TamperReplaceRecomputesChecksum) {
-  TamperAction tamper(Proto::kTcp, "flags", TamperMode::kReplace, "S",
-                      nullptr);
+  TamperAction tamper(tcp("flags"), TamperMode::kReplace, "S");
   const auto out = run(tamper, synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].tcp_checksum_valid());
 }
 
 TEST(Action, TamperOnChecksumPinsIt) {
-  TamperAction tamper(Proto::kTcp, "chksum", TamperMode::kReplace, "1234",
-                      nullptr);
+  TamperAction tamper(tcp("chksum"), TamperMode::kReplace, "1234");
   const auto out = run(tamper, synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].tcp_checksum_overridden);
@@ -69,16 +69,16 @@ TEST(Action, TamperOnChecksumPinsIt) {
 }
 
 TEST(Action, TamperCorruptLoadAddsPayload) {
-  TamperAction tamper(Proto::kTcp, "load", TamperMode::kCorrupt, "", nullptr);
+  TamperAction tamper(tcp("load"), TamperMode::kCorrupt, "");
   const auto out = run(tamper, synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].payload.empty());
 }
 
 TEST(Action, TamperChainsThroughChild) {
-  auto child = std::make_unique<TamperAction>(
-      Proto::kTcp, "window", TamperMode::kReplace, "10", nullptr);
-  TamperAction tamper(Proto::kTcp, "options-wscale", TamperMode::kReplace, "",
+  auto child =
+      std::make_unique<TamperAction>(tcp("window"), TamperMode::kReplace, "10");
+  TamperAction tamper(tcp("options-wscale"), TamperMode::kReplace, "",
                       std::move(child));
   const auto out = run(tamper, synack());
   ASSERT_EQ(out.size(), 1u);
@@ -135,8 +135,7 @@ TEST(Action, FragmentIpSetsFragmentFields) {
 
 TEST(Action, CloneIsDeepAndEquivalent) {
   DuplicateAction dup(
-      std::make_unique<TamperAction>(Proto::kTcp, "ack", TamperMode::kCorrupt,
-                                     "", nullptr),
+      std::make_unique<TamperAction>(tcp("ack"), TamperMode::kCorrupt, ""),
       std::make_unique<DropAction>());
   const ActionPtr copy = dup.clone();
   EXPECT_EQ(copy->to_string(), dup.to_string());
@@ -152,8 +151,7 @@ TEST(Action, CloneIsDeepAndEquivalent) {
 
 TEST(Action, SizeCountsNodes) {
   DuplicateAction dup(
-      std::make_unique<TamperAction>(Proto::kTcp, "flags",
-                                     TamperMode::kReplace, "R", nullptr),
+      std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "R"),
       nullptr);
   EXPECT_EQ(dup.size(), 2u);
   SendAction send;
@@ -163,7 +161,7 @@ TEST(Action, SizeCountsNodes) {
 TEST(Action, Strategy9ShapeEmitsThreeCopiesWithSamePayload) {
   // tamper{load:corrupt}(duplicate(duplicate,),)
   auto tree = std::make_unique<TamperAction>(
-      Proto::kTcp, "load", TamperMode::kCorrupt, "",
+      tcp("load"), TamperMode::kCorrupt, "",
       std::make_unique<DuplicateAction>(
           std::make_unique<DuplicateAction>(nullptr, nullptr), nullptr));
   const auto out = run(*tree, synack());

@@ -16,6 +16,21 @@ Packet sample() {
   return pkt;
 }
 
+// Tests look rows up by name, as the strategy parser does.
+const Field& ip(std::string_view name) {
+  return lookup_field(Proto::kIp, name);
+}
+const Field& tcp(std::string_view name) {
+  return lookup_field(Proto::kTcp, name);
+}
+const Field& dns(std::string_view name) {
+  return lookup_field(Proto::kDns, name);
+}
+
+void set(Packet& pkt, const Field& field, std::string value) {
+  field.replace(pkt, field.parse(std::move(value)));
+}
+
 TEST(Field, ProtoStrings) {
   EXPECT_EQ(proto_from_string("TCP"), Proto::kTcp);
   EXPECT_EQ(proto_from_string("IP"), Proto::kIp);
@@ -25,64 +40,70 @@ TEST(Field, ProtoStrings) {
 
 TEST(Field, GetTcpFields) {
   const Packet pkt = sample();
-  EXPECT_EQ(get_field(pkt, Proto::kTcp, "flags"), "SA");
-  EXPECT_EQ(get_field(pkt, Proto::kTcp, "seq"), "1000");
-  EXPECT_EQ(get_field(pkt, Proto::kTcp, "ack"), "2001");
-  EXPECT_EQ(get_field(pkt, Proto::kTcp, "sport"), "3822");
-  EXPECT_EQ(get_field(pkt, Proto::kTcp, "window"), "65535");
-  EXPECT_EQ(get_field(pkt, Proto::kTcp, "options-wscale"), "7");
+  EXPECT_EQ(tcp("flags").render(pkt), "SA");
+  EXPECT_EQ(tcp("seq").render(pkt), "1000");
+  EXPECT_EQ(tcp("ack").render(pkt), "2001");
+  EXPECT_EQ(tcp("sport").render(pkt), "3822");
+  EXPECT_EQ(tcp("window").render(pkt), "65535");
+  EXPECT_EQ(tcp("options-wscale").render(pkt), "7");
 }
 
 TEST(Field, GetIpFields) {
   const Packet pkt = sample();
-  EXPECT_EQ(get_field(pkt, Proto::kIp, "src"), "10.0.0.1");
-  EXPECT_EQ(get_field(pkt, Proto::kIp, "dst"), "10.0.0.2");
-  EXPECT_EQ(get_field(pkt, Proto::kIp, "ttl"), "64");
+  EXPECT_EQ(ip("src").render(pkt), "10.0.0.1");
+  EXPECT_EQ(ip("dst").render(pkt), "10.0.0.2");
+  EXPECT_EQ(ip("ttl").render(pkt), "64");
 }
 
 TEST(Field, SetFlagsReplacesExactly) {
   Packet pkt = sample();
-  set_field(pkt, Proto::kTcp, "flags", "R");
+  set(pkt, tcp("flags"), "R");
   EXPECT_EQ(pkt.tcp.flags, tcpflag::kRst);
-  set_field(pkt, Proto::kTcp, "flags", "");
+  set(pkt, tcp("flags"), "");
   EXPECT_EQ(pkt.tcp.flags, 0);
 }
 
 TEST(Field, SetWindowAndRemoveWscale) {
   // The exact edits Strategy 8 performs.
   Packet pkt = sample();
-  set_field(pkt, Proto::kTcp, "window", "10");
-  set_field(pkt, Proto::kTcp, "options-wscale", "");
+  set(pkt, tcp("window"), "10");
+  set(pkt, tcp("options-wscale"), "");
   EXPECT_EQ(pkt.tcp.window, 10);
   EXPECT_EQ(pkt.tcp.window_scale(), std::nullopt);
 }
 
 TEST(Field, SetLoadReplacesPayload) {
   Packet pkt = sample();
-  set_field(pkt, Proto::kTcp, "load", "GET / HTTP1.");
+  set(pkt, tcp("load"), "GET / HTTP1.");
   EXPECT_EQ(to_string(pkt.payload), "GET / HTTP1.");
 }
 
 TEST(Field, SetChecksumPinsIt) {
   Packet pkt = sample();
-  set_field(pkt, Proto::kTcp, "chksum", "4660");
+  set(pkt, tcp("chksum"), "4660");
   EXPECT_TRUE(pkt.tcp_checksum_overridden);
   EXPECT_EQ(pkt.tcp.checksum, 0x1234);
   EXPECT_FALSE(pkt.tcp_checksum_valid());
 }
 
 TEST(Field, UnknownFieldThrows) {
-  Packet pkt = sample();
-  EXPECT_THROW((void)get_field(pkt, Proto::kTcp, "bogus"),
+  EXPECT_THROW((void)lookup_field(Proto::kTcp, "bogus"),
                std::invalid_argument);
-  EXPECT_THROW(set_field(pkt, Proto::kTcp, "bogus", "1"),
+  EXPECT_THROW((void)lookup_field(Proto::kIp, "options-mss"),
                std::invalid_argument);
 }
 
 TEST(Field, BadNumericValueThrows) {
-  Packet pkt = sample();
-  EXPECT_THROW(set_field(pkt, Proto::kTcp, "seq", "abc"),
+  EXPECT_THROW((void)tcp("seq").parse("abc"), std::invalid_argument);
+  EXPECT_THROW((void)tcp("window").parse("-1"), std::invalid_argument);
+  EXPECT_THROW((void)tcp("options-mss").parse("1k"),
                std::invalid_argument);
+  EXPECT_THROW((void)tcp("flags").parse("SX"), std::invalid_argument);
+  EXPECT_THROW((void)ip("src").parse("10.0.0"), std::invalid_argument);
+  // Text forms take any value; an empty option value means "remove".
+  EXPECT_NO_THROW((void)tcp("load").parse("abc"));
+  EXPECT_NO_THROW((void)dns("qname").parse("abc"));
+  EXPECT_NO_THROW((void)tcp("options-wscale").parse(""));
 }
 
 TEST(Field, CorruptAckChangesValueDeterministically) {
@@ -90,15 +111,15 @@ TEST(Field, CorruptAckChangesValueDeterministically) {
   Packet b = sample();
   Rng rng_a(7);
   Rng rng_b(7);
-  corrupt_field(a, Proto::kTcp, "ack", rng_a);
-  corrupt_field(b, Proto::kTcp, "ack", rng_b);
+  tcp("ack").corrupt(a, rng_a);
+  tcp("ack").corrupt(b, rng_b);
   EXPECT_EQ(a.tcp.ack, b.tcp.ack);  // deterministic under same seed
 }
 
 TEST(Field, CorruptLoadOnEmptyPayloadCreatesOne) {
   Packet pkt = sample();
   Rng rng(11);
-  corrupt_field(pkt, Proto::kTcp, "load", rng);
+  tcp("load").corrupt(pkt, rng);
   EXPECT_FALSE(pkt.payload.empty());
 }
 
@@ -106,26 +127,30 @@ TEST(Field, CorruptLoadPreservesNonEmptyLength) {
   Packet pkt = sample();
   pkt.payload = to_bytes("12345678");
   Rng rng(11);
-  corrupt_field(pkt, Proto::kTcp, "load", rng);
+  tcp("load").corrupt(pkt, rng);
   EXPECT_EQ(pkt.payload.size(), 8u);
 }
 
 TEST(Field, FieldNamesAreAllReadable) {
   const Packet pkt = sample();
-  for (const Proto proto : {Proto::kIp, Proto::kTcp}) {
-    for (const auto& name : field_names(proto)) {
-      EXPECT_TRUE(field_exists(proto, name));
-      EXPECT_NO_THROW((void)get_field(pkt, proto, name)) << name;
+  EXPECT_EQ(fields(Proto::kIp).size(), 13u);
+  EXPECT_EQ(fields(Proto::kTcp).size(), 14u);
+  EXPECT_EQ(fields(Proto::kDns).size(), 2u);
+  for (const Proto proto : {Proto::kIp, Proto::kTcp, Proto::kDns}) {
+    for (const Field& field : fields(proto)) {
+      EXPECT_EQ(field.proto, proto);
+      EXPECT_EQ(&lookup_field(proto, field.name), &field);
+      EXPECT_NO_THROW((void)field.render(pkt)) << field.name;
     }
   }
 }
 
 TEST(Field, EveryFieldCanBeCorrupted) {
   Rng rng(3);
-  for (const Proto proto : {Proto::kIp, Proto::kTcp}) {
-    for (const auto& name : field_names(proto)) {
+  for (const Proto proto : {Proto::kIp, Proto::kTcp, Proto::kDns}) {
+    for (const Field& field : fields(proto)) {
       Packet pkt = sample();
-      EXPECT_NO_THROW(corrupt_field(pkt, proto, name, rng)) << name;
+      EXPECT_NO_THROW(field.corrupt(pkt, rng)) << field.name;
     }
   }
 }
@@ -142,47 +167,47 @@ Packet dns_packet() {
 
 TEST(DnsFields, ReadIdAndQname) {
   const Packet pkt = dns_packet();
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "id"), "4660");
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "www.wikipedia.org");
+  EXPECT_EQ(dns("id").render(pkt), "4660");
+  EXPECT_EQ(dns("qname").render(pkt), "www.wikipedia.org");
 }
 
 TEST(DnsFields, ReplaceQnameRebuildsQuery) {
   Packet pkt = dns_packet();
-  set_field(pkt, Proto::kDns, "qname", "benign.example");
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "benign.example");
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "id"), "4660");  // id preserved
+  set(pkt, dns("qname"), "benign.example");
+  EXPECT_EQ(dns("qname").render(pkt), "benign.example");
+  EXPECT_EQ(dns("id").render(pkt), "4660");  // id preserved
   EXPECT_EQ(parse_dns_qname(std::span(pkt.payload)), "benign.example");
 }
 
 TEST(DnsFields, ReplaceId) {
   Packet pkt = dns_packet();
-  set_field(pkt, Proto::kDns, "id", "255");
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "id"), "255");
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "www.wikipedia.org");
+  set(pkt, dns("id"), "255");
+  EXPECT_EQ(dns("id").render(pkt), "255");
+  EXPECT_EQ(dns("qname").render(pkt), "www.wikipedia.org");
 }
 
 TEST(DnsFields, NonDnsPayloadIsLeftAlone) {
   Packet pkt = dns_packet();
   pkt.payload = to_bytes("GET / HTTP/1.1\r\n\r\n");
   const Bytes before = pkt.payload.bytes();
-  set_field(pkt, Proto::kDns, "qname", "x.example");
+  set(pkt, dns("qname"), "x.example");
   EXPECT_EQ(pkt.payload, before);
-  EXPECT_EQ(get_field(pkt, Proto::kDns, "qname"), "");
+  EXPECT_EQ(dns("qname").render(pkt), "");
 }
 
 TEST(DnsFields, CorruptQnameChangesIt) {
   Packet pkt = dns_packet();
   Rng rng(1);
-  corrupt_field(pkt, Proto::kDns, "qname", rng);
-  EXPECT_NE(get_field(pkt, Proto::kDns, "qname"), "www.wikipedia.org");
-  EXPECT_FALSE(get_field(pkt, Proto::kDns, "qname").empty());
+  dns("qname").corrupt(pkt, rng);
+  EXPECT_NE(dns("qname").render(pkt), "www.wikipedia.org");
+  EXPECT_FALSE(dns("qname").render(pkt).empty());
 }
 
 TEST(DnsFields, ProtoStringsRoundTrip) {
   EXPECT_EQ(proto_from_string("DNS"), Proto::kDns);
   EXPECT_EQ(to_string(Proto::kDns), "DNS");
-  EXPECT_TRUE(field_exists(Proto::kDns, "qname"));
-  EXPECT_FALSE(field_exists(Proto::kDns, "flags"));
+  EXPECT_EQ(dns("qname").name, "qname");
+  EXPECT_THROW((void)dns("flags"), std::invalid_argument);
 }
 
 TEST(DnsFields, TamperDslRoundTrip) {
@@ -190,10 +215,11 @@ TEST(DnsFields, TamperDslRoundTrip) {
   const Packet pkt = dns_packet();
   Rng rng(1);
   // Built inline to avoid a geneva dependency in this packet-level test:
-  // tamper is exercised via set_field, which is what TamperAction calls.
+  // tamper is exercised via Field::parse + replace, which is what a parsed
+  // TamperAction does.
   Packet copy = pkt;
-  set_field(copy, Proto::kDns, "qname", "replaced.example");
-  EXPECT_EQ(get_field(copy, Proto::kDns, "qname"), "replaced.example");
+  set(copy, dns("qname"), "replaced.example");
+  EXPECT_EQ(dns("qname").render(copy), "replaced.example");
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationProperty,
 
 TEST(Mutation, RespectsAllowedTriggers) {
   GeneConfig config;
-  config.allowed_triggers = {{Proto::kTcp, "flags", "SA"}};
+  config.allowed_triggers = {{lookup_field(Proto::kTcp, "flags"), "SA"}};
   Rng rng(7);
   for (int i = 0; i < 50; ++i) {
     const Strategy s = random_strategy(config, rng);
@@ -98,11 +98,12 @@ TEST(Mutation, RandomFieldValuesAreValidForField) {
                                Ipv4Address::parse("5.6.7.8"), 443,
                                tcpflag::kSyn | tcpflag::kAck, 1, 2);
   for (int i = 0; i < 200; ++i) {
-    const auto& [proto, field] =
+    const auto& [proto, name] =
         kTamperFields[rng.index(kTamperFields.size())];
-    const std::string value = random_field_value(proto, field, rng);
-    EXPECT_NO_THROW(set_field(pkt, proto, field, value))
-        << field << "=" << value;
+    const Field& field = lookup_field(proto, name);
+    const std::string value = random_field_value(field, rng);
+    EXPECT_NO_THROW(field.replace(pkt, field.parse(value)))
+        << name << "=" << value;
   }
 }
 

@@ -116,8 +116,11 @@ TEST(PacketPool, WordSumIsInvalidatedByMutate) {
 // Geneva engine applies; after each batch the incrementally-maintained
 // checksum must equal the full fold over a fresh serialization.
 TEST(PacketPool, IncrementalChecksumMatchesFullFoldUnderRandomTampers) {
-  const std::vector<std::string> tcp_fields = {
-      "sport", "dport", "seq", "ack", "flags", "window", "urgptr"};
+  std::vector<const Field*> tcp_fields;
+  for (const char* name :
+       {"sport", "dport", "seq", "ack", "flags", "window", "urgptr"}) {
+    tcp_fields.push_back(&lookup_field(Proto::kTcp, name));
+  }
   Rng rng(42);
   for (int round = 0; round < 200; ++round) {
     Packet pkt = test_packet(rng.bytes(rng.index(64)));
@@ -129,14 +132,15 @@ TEST(PacketPool, IncrementalChecksumMatchesFullFoldUnderRandomTampers) {
     for (int tamper = 0; tamper < 3; ++tamper) {
       const double which = static_cast<double>(rng.index(10));
       if (which < 7) {
-        corrupt_field(pkt, Proto::kTcp, rng.pick(tcp_fields), rng);
+        rng.pick(tcp_fields)->corrupt(pkt, rng);
       } else if (which < 8) {
         // Pseudo-header words flow through the same RFC 1624 path.
-        corrupt_field(pkt, Proto::kIp, rng.chance(0.5) ? "src" : "dst", rng);
+        lookup_field(Proto::kIp, rng.chance(0.5) ? "src" : "dst")
+            .corrupt(pkt, rng);
       } else if (which < 9) {
-        corrupt_field(pkt, Proto::kTcp, "dataofs", rng);  // invalidates
+        lookup_field(Proto::kTcp, "dataofs").corrupt(pkt, rng);  // invalidates
       } else {
-        corrupt_field(pkt, Proto::kTcp, "options-mss", rng);  // invalidates
+        lookup_field(Proto::kTcp, "options-mss").corrupt(pkt, rng);  // ditto
       }
     }
     EXPECT_EQ(pkt.computed_tcp_checksum(), serialized_tcp_checksum(pkt))
@@ -150,9 +154,14 @@ TEST(PacketPool, SelfCheckOracleAcceptsTamperedPackets) {
   set_selfcheck_enabled(true);
   Packet pkt = test_packet(to_bytes("hello censor"));
   EXPECT_NO_THROW((void)pkt.computed_tcp_checksum());
-  set_field(pkt, Proto::kTcp, "seq", "123456789");
-  set_field(pkt, Proto::kTcp, "window", "17");
-  set_field(pkt, Proto::kIp, "src", "203.0.113.9");
+  const auto set = [&pkt](Proto proto, std::string_view name,
+                          std::string value) {
+    const Field& field = lookup_field(proto, name);
+    field.replace(pkt, field.parse(std::move(value)));
+  };
+  set(Proto::kTcp, "seq", "123456789");
+  set(Proto::kTcp, "window", "17");
+  set(Proto::kIp, "src", "203.0.113.9");
   EXPECT_NO_THROW((void)pkt.computed_tcp_checksum());
   set_selfcheck_enabled(false);
 }

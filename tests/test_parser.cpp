@@ -26,8 +26,8 @@ TEST(Parser, MinimalStrategy) {
   const Strategy s = parse_strategy("[TCP:flags:SA]-drop-| \\/");
   ASSERT_EQ(s.outbound.size(), 1u);
   EXPECT_TRUE(s.inbound.empty());
-  EXPECT_EQ(s.outbound[0].trigger.field, "flags");
-  EXPECT_EQ(s.outbound[0].trigger.value, "SA");
+  EXPECT_EQ(s.outbound[0].trigger.field().name, "flags");
+  EXPECT_EQ(s.outbound[0].trigger.value(), "SA");
 }
 
 TEST(Parser, EmptyActionMeansSend) {
@@ -41,7 +41,7 @@ TEST(Parser, InboundSide) {
       parse_strategy("[TCP:flags:SA]-drop-| \\/ [TCP:flags:R]-drop-|");
   EXPECT_EQ(s.outbound.size(), 1u);
   EXPECT_EQ(s.inbound.size(), 1u);
-  EXPECT_EQ(s.inbound[0].trigger.value, "R");
+  EXPECT_EQ(s.inbound[0].trigger.value(), "R");
 }
 
 TEST(Parser, BackslashVeeOptional) {
@@ -89,6 +89,33 @@ TEST(Parser, RejectsUnknownTamperMode) {
   EXPECT_THROW(
       parse_strategy("[TCP:flags:SA]-tamper{TCP:flags:melt:S}-| \\/"),
       ParseError);
+}
+
+TEST(Parser, RejectsUnknownProtocol) {
+  EXPECT_THROW(parse_strategy("[UDP:flags:SA]-drop-|"), ParseError);
+  EXPECT_THROW(parse_strategy("[TCP:flags:SA]-tamper{UDP:flags:corrupt}-|"),
+               ParseError);
+}
+
+TEST(Parser, RejectsReplaceValueTheFieldCannotHold) {
+  // A replace value is parsed for its field when the strategy is built, so
+  // a bad one is a ParseError at the tamper instead of a failure mid-run.
+  try {
+    (void)parse_strategy("[TCP:flags:SA]-tamper{TCP:seq:replace:abc}-|");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.position(), 42u);  // just past the tamper's braces
+    EXPECT_NE(std::string(e.what()).find("TCP:seq: abc"), std::string::npos);
+  }
+  for (const char* bad :
+       {"tamper{TCP:flags:replace:SX}", "tamper{IP:src:replace:10.0.0}",
+        "tamper{TCP:options-mss:replace:1k}", "tamper{DNS:id:replace:-1}"}) {
+    EXPECT_THROW((void)parse_action(bad), ParseError) << bad;
+  }
+  // Corrupt takes no value, and a payload or DNS name takes any.
+  EXPECT_NO_THROW((void)parse_action("tamper{TCP:seq:corrupt:abc}"));
+  EXPECT_NO_THROW((void)parse_action("tamper{TCP:load:replace:abc}"));
+  EXPECT_NO_THROW((void)parse_action("tamper{DNS:qname:replace:abc}"));
 }
 
 TEST(Parser, RejectsTrailingGarbage) {
@@ -163,12 +190,13 @@ TEST(Parser, DnsTamperInDsl) {
   Packet pkt = make_tcp_packet(Ipv4Address::parse("10.0.0.1"), 40000,
                                Ipv4Address::parse("8.8.8.8"), 53,
                                tcpflag::kPsh | tcpflag::kAck, 1, 1);
-  set_field(pkt, Proto::kDns, "qname", "x");  // no-op (payload empty)
+  lookup_field(Proto::kDns, "qname")
+      .replace(pkt, {.text = "x"});  // no-op (payload empty)
   pkt.payload = build_dns_query({.id = 7, .qname = "www.wikipedia.org"});
   Rng rng(1);
   const auto out = apply_out(s, pkt, rng);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(get_field(out[0], Proto::kDns, "qname"), "benign.example");
+  EXPECT_EQ(parse_dns_qname(std::span(out[0].payload)), "benign.example");
 }
 
 // Round-trip property: every published strategy parses, prints, and

@@ -26,8 +26,12 @@ std::vector<Packet> inbound(Engine& engine, Packet pkt) {
   return out;
 }
 
+const Field& tcp(std::string_view name) {
+  return lookup_field(Proto::kTcp, name);
+}
+
 TEST(Trigger, ExactFlagMatch) {
-  const Trigger trigger{Proto::kTcp, "flags", "SA"};
+  const Trigger trigger{tcp("flags"), "SA"};
   EXPECT_TRUE(trigger.matches(packet_with_flags(tcpflag::kSyn |
                                                 tcpflag::kAck)));
   // Exact match: "SA" does not match bare SYN or SYN+ACK+PSH.
@@ -37,21 +41,21 @@ TEST(Trigger, ExactFlagMatch) {
 }
 
 TEST(Trigger, NumericFieldMatch) {
-  const Trigger trigger{Proto::kTcp, "dport", "40000"};
+  const Trigger trigger{tcp("dport"), "40000"};
   EXPECT_TRUE(trigger.matches(packet_with_flags(tcpflag::kSyn)));
-  const Trigger other{Proto::kTcp, "dport", "443"};
+  const Trigger other{tcp("dport"), "443"};
   EXPECT_FALSE(other.matches(packet_with_flags(tcpflag::kSyn)));
 }
 
-TEST(Trigger, UnknownFieldNeverMatches) {
-  Trigger trigger{Proto::kTcp, "flags", "SA"};
-  trigger.field = "made-up";
-  EXPECT_FALSE(trigger.matches(packet_with_flags(tcpflag::kSyn |
-                                                 tcpflag::kAck)));
+TEST(Trigger, UnknownFieldCannotBeConstructed) {
+  // A trigger holds a row of the field table: an unknown name fails when it
+  // is resolved, before any packet is seen.
+  EXPECT_THROW((void)tcp("made-up"), std::invalid_argument);
+  EXPECT_THROW((void)parse_strategy("[TCP:made-up:SA]-drop-|"), ParseError);
 }
 
 TEST(Trigger, ToStringForm) {
-  const Trigger trigger{Proto::kTcp, "flags", "SA"};
+  const Trigger trigger{tcp("flags"), "SA"};
   EXPECT_EQ(trigger.to_string(), "[TCP:flags:SA]");
 }
 
