@@ -17,13 +17,7 @@ ActionPtr clone_action(const ActionPtr& action) {
   return action ? action->clone() : nullptr;
 }
 
-// ---- send / drop ----
-
-void SendAction::run(Packet pkt, Rng&, std::vector<Packet>& out) const {
-  out.push_back(std::move(pkt));
-}
-
-ActionPtr SendAction::clone() const { return std::make_unique<SendAction>(); }
+// ---- drop ----
 
 void DropAction::run(Packet, Rng&, std::vector<Packet>&) const {}
 

@@ -10,7 +10,8 @@
 //   send                            puts the packet on the wire
 //
 // An action tree is applied to one packet and yields an ordered list of
-// packets to transmit. Missing children default to send.
+// packets to transmit. send has no node of its own: it is the null slot,
+// and missing children default to it.
 #pragma once
 
 #include <memory>
@@ -46,15 +47,6 @@ class Action {
   /// Direct children, for tree surgery by the genetic operators. Entries may
   /// be null (= implicit send).
   [[nodiscard]] virtual std::vector<ActionPtr*> children() { return {}; }
-};
-
-/// Leaf: transmit the packet.
-class SendAction final : public Action {
- public:
-  void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const override;
-  [[nodiscard]] std::string to_string() const override { return "send"; }
-  [[nodiscard]] ActionPtr clone() const override;
-  [[nodiscard]] std::size_t size() const override { return 1; }
 };
 
 /// Leaf: discard the packet.

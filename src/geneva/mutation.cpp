@@ -107,7 +107,7 @@ ActionPtr random_action(const GeneConfig& config, Rng& rng,
         std::move(second));
   }
   if (roll < 88) return std::make_unique<DropAction>();
-  // Plain send is the null slot, never an explicit SendAction: one canonical
+  // Plain send is the null slot (there is no send node): one canonical
   // tree per DSL string keeps checkpointed strategies bit-identical through
   // a to_string()/parse round trip.
   return nullptr;

@@ -25,8 +25,10 @@ std::vector<Packet> run(const Action& action, Packet pkt, std::uint64_t seed = 1
 }
 
 TEST(Action, SendEmitsPacketUnchanged) {
-  SendAction send;
-  const auto out = run(send, synack());
+  // Plain send is the null slot.
+  Rng rng(1);
+  std::vector<Packet> out;
+  run_action(nullptr, synack(), rng, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kSyn | tcpflag::kAck);
 }
@@ -154,8 +156,7 @@ TEST(Action, SizeCountsNodes) {
       std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "R"),
       nullptr);
   EXPECT_EQ(dup.size(), 2u);
-  SendAction send;
-  EXPECT_EQ(send.size(), 1u);
+  EXPECT_EQ(DuplicateAction().size(), 1u);  // null (send) slots add no node
 }
 
 TEST(Action, Strategy9ShapeEmitsThreeCopiesWithSamePayload) {
