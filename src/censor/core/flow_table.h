@@ -31,6 +31,7 @@
 #include "censor/flow.h"
 #include "netsim/endpoint.h"
 #include "packet/packet.h"
+#include "util/fnv.h"
 
 namespace caya {
 
@@ -39,18 +40,12 @@ namespace detail {
 /// FNV-1a over the flow key, field by field (never over struct memory:
 /// padding bytes would make the hash nondeterministic).
 [[nodiscard]] inline std::uint64_t flow_key_hash(const FlowKey& key) noexcept {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  const auto mix = [&h](std::uint64_t value, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h ^= (value >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix(key.client_addr, 4);
-  mix(key.client_port, 2);
-  mix(key.server_addr, 4);
-  mix(key.server_port, 2);
-  return h;
+  Fnv1a h;
+  h.add_le(key.client_addr, 4);
+  h.add_le(key.client_port, 2);
+  h.add_le(key.server_addr, 4);
+  h.add_le(key.server_port, 2);
+  return h.value();
 }
 
 }  // namespace detail

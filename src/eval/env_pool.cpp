@@ -1,39 +1,22 @@
 #include "eval/env_pool.h"
 
 #include <atomic>
-#include <cstring>
+#include <bit>
 
 #include "packet/payload.h"
+#include "util/fnv.h"
 
 namespace caya {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-void hash_u64(std::uint64_t& h, std::uint64_t v) {
-  hash_bytes(h, &v, sizeof(v));
-}
-
-void hash_double(std::uint64_t& h, double v) {
+void hash_double(Fnv1a& h, double v) {
   // Bit-pattern hashing: +0.0 / -0.0 digest differently, which is fine —
   // equal configs (the only thing the pool needs) have equal bit patterns.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  hash_u64(h, bits);
+  h.add_le(std::bit_cast<std::uint64_t>(v));
 }
 
-void hash_impairments(std::uint64_t& h, const Impairments& lane) {
+void hash_impairments(Fnv1a& h, const Impairments& lane) {
   hash_double(h, lane.loss);
   hash_double(h, lane.burst.p_good_to_bad);
   hash_double(h, lane.burst.p_bad_to_good);
@@ -42,12 +25,12 @@ void hash_impairments(std::uint64_t& h, const Impairments& lane) {
   hash_double(h, lane.duplicate);
   hash_double(h, lane.corrupt);
   hash_double(h, lane.reorder);
-  hash_u64(h, static_cast<std::uint64_t>(lane.jitter_min));
-  hash_u64(h, static_cast<std::uint64_t>(lane.jitter_max));
-  hash_u64(h, lane.flaps.size());
+  h.add_le(static_cast<std::uint64_t>(lane.jitter_min));
+  h.add_le(static_cast<std::uint64_t>(lane.jitter_max));
+  h.add_le(lane.flaps.size());
   for (const LinkFlap& flap : lane.flaps) {
-    hash_u64(h, static_cast<std::uint64_t>(flap.at));
-    hash_u64(h, static_cast<std::uint64_t>(flap.duration));
+    h.add_le(static_cast<std::uint64_t>(flap.at));
+    h.add_le(static_cast<std::uint64_t>(flap.duration));
   }
 }
 
@@ -57,30 +40,30 @@ std::atomic<std::uint64_t> g_reused{0};
 }  // namespace
 
 std::uint64_t env_config_digest(const Environment::Config& config) {
-  std::uint64_t h = kFnvOffsetBasis;
-  hash_u64(h, static_cast<std::uint64_t>(config.country));
-  hash_u64(h, static_cast<std::uint64_t>(config.protocol));
+  Fnv1a h;
+  h.add_le(static_cast<std::uint64_t>(config.country));
+  h.add_le(static_cast<std::uint64_t>(config.protocol));
   // config.seed deliberately excluded: reset(seed) re-seeds a shelved
   // substrate, so shape equality is seed-independent.
-  hash_u64(h, config.server_port);
-  hash_u64(h, static_cast<std::uint64_t>(config.china_architecture));
-  hash_u64(h, static_cast<std::uint64_t>(config.gfw_regime));
-  hash_u64(h, static_cast<std::uint64_t>(config.carrier));
+  h.add_le(config.server_port);
+  h.add_le(static_cast<std::uint64_t>(config.china_architecture));
+  h.add_le(static_cast<std::uint64_t>(config.gfw_regime));
+  h.add_le(static_cast<std::uint64_t>(config.carrier));
 
-  hash_u64(h, config.net.trace_stages ? 1 : 0);
+  h.add_le(config.net.trace_stages ? 1 : 0);
   hash_impairments(h, config.net.link.client_censor_up);
   hash_impairments(h, config.net.link.client_censor_down);
   hash_impairments(h, config.net.link.censor_server_up);
   hash_impairments(h, config.net.link.censor_server_down);
 
   const auto& faults = config.censor_faults.events();
-  hash_u64(h, faults.size());
+  h.add_le(faults.size());
   for (const FaultEvent& event : faults) {
-    hash_u64(h, static_cast<std::uint64_t>(event.at));
-    hash_u64(h, static_cast<std::uint64_t>(event.kind));
-    hash_u64(h, static_cast<std::uint64_t>(event.duration));
+    h.add_le(static_cast<std::uint64_t>(event.at));
+    h.add_le(static_cast<std::uint64_t>(event.kind));
+    h.add_le(static_cast<std::uint64_t>(event.duration));
   }
-  return h;
+  return h.value();
 }
 
 void EnvironmentPool::Lease::keep() {

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "eval/env_pool.h"
+#include "util/fnv.h"
 
 namespace caya {
 
@@ -313,23 +314,17 @@ std::string fitness_cache_digest(Country country, AppProtocol protocol,
                                      profiles) {
   // FNV-1a over every field that changes what a fitness function returns.
   // jobs is deliberately excluded: sharding never changes scores.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(country));
-  mix(static_cast<std::uint64_t>(protocol));
-  mix(trials);
-  mix(base_seed);
-  mix(profiles.size());
+  Fnv1a h;
+  h.add_le(static_cast<std::uint64_t>(country));
+  h.add_le(static_cast<std::uint64_t>(protocol));
+  h.add_le(trials);
+  h.add_le(base_seed);
+  h.add_le(profiles.size());
   for (const ImpairmentProfile profile : profiles) {
-    mix(static_cast<std::uint64_t>(profile));
+    h.add_le(static_cast<std::uint64_t>(profile));
   }
   std::ostringstream out;
-  out << std::hex << h;
+  out << std::hex << h.value();
   return out.str();
 }
 

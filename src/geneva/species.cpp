@@ -2,18 +2,11 @@
 
 #include <set>
 
+#include "util/fnv.h"
+
 namespace caya {
 
 namespace {
-
-// FNV-1a.
-void mix(std::uint64_t& hash, std::uint8_t byte) {
-  hash ^= byte;
-  hash *= 0x100000001b3ull;
-}
-void mix_bytes(std::uint64_t& hash, std::span<const std::uint8_t> data) {
-  for (const std::uint8_t b : data) mix(hash, b);
-}
 
 std::vector<Packet> canonical_probes() {
   const Ipv4Address src = Ipv4Address::parse("192.0.2.1");
@@ -39,41 +32,35 @@ std::vector<Packet> canonical_probes() {
 // only through the RNG; we fix the RNG seed, so identical trees hash
 // identically, while value-level randomness is still covered because
 // corrupt draws are deterministic under the fixed seed.
-void mix_packet(std::uint64_t& hash, const Packet& pkt) {
-  mix(hash, pkt.tcp.flags);
-  mix(hash, static_cast<std::uint8_t>(pkt.payload.size() & 0xff));
-  mix(hash, static_cast<std::uint8_t>(pkt.payload.size() >> 8 & 0xff));
-  mix_bytes(hash, std::span(pkt.payload));
-  for (const std::uint32_t v : {pkt.tcp.seq, pkt.tcp.ack}) {
-    mix(hash, static_cast<std::uint8_t>(v & 0xff));
-    mix(hash, static_cast<std::uint8_t>(v >> 8 & 0xff));
-    mix(hash, static_cast<std::uint8_t>(v >> 16 & 0xff));
-    mix(hash, static_cast<std::uint8_t>(v >> 24 & 0xff));
-  }
-  mix(hash, static_cast<std::uint8_t>(pkt.tcp.window & 0xff));
-  mix(hash, static_cast<std::uint8_t>(pkt.tcp.window >> 8));
-  mix(hash, pkt.ip.ttl);
-  mix(hash, pkt.tcp_checksum_overridden ? 1 : 0);
-  mix(hash, pkt.tcp.window_scale() ? 1 : 0);
+void mix_packet(Fnv1a& hash, const Packet& pkt) {
+  hash.add(pkt.tcp.flags);
+  hash.add_le(pkt.payload.size(), 2);
+  hash.add(std::span(pkt.payload));
+  hash.add_le(pkt.tcp.seq, 4);
+  hash.add_le(pkt.tcp.ack, 4);
+  hash.add_le(pkt.tcp.window, 2);
+  hash.add(pkt.ip.ttl);
+  hash.add(pkt.tcp_checksum_overridden ? 1 : 0);
+  hash.add(pkt.tcp.window_scale() ? 1 : 0);
 }
 
 }  // namespace
 
 std::uint64_t strategy_fingerprint(const Strategy& strategy) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+  Fnv1a hash;
   Rng rng(0xC0FFEE);  // fixed: corrupt draws are reproducible
   std::vector<Packet> out;
   for (const Packet& probe : canonical_probes()) {
-    mix(hash, 0xfe);  // probe separator
+    hash.add(0xfe);  // probe separator
     out.clear();
     strategy.apply_outbound_into(probe, rng, out);
     for (const Packet& pkt : out) mix_packet(hash, pkt);
     out.clear();
     strategy.apply_inbound_into(probe, rng, out);
-    mix(hash, 0xfd);
+    hash.add(0xfd);
     for (const Packet& pkt : out) mix_packet(hash, pkt);
   }
-  return hash;
+  return hash.value();
 }
 
 std::vector<Strategy> distinct_species(

@@ -76,15 +76,6 @@ std::string checksum_hex(std::string_view bytes) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void SnapshotWriter::record(std::string_view key,
                             const std::vector<std::string_view>& fields) {
   if (key.empty() || key.find_first_of("\t\n\\") != std::string_view::npos ||

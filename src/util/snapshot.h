@@ -28,6 +28,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fnv.h"
+
 namespace caya {
 
 /// Raised on malformed, truncated, or checksum-mismatched snapshots, and on
@@ -36,10 +38,6 @@ class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// FNV-1a 64-bit over a byte string (the snapshot integrity footer and
-/// SnapshotWriter::digest).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 class SnapshotWriter {
  public:
