@@ -1,9 +1,11 @@
 #include "eval/censor_set.h"
 
 #include "censor/airtel.h"
+#include "censor/core/flow_table.h"
 #include "censor/iran.h"
 #include "censor/kazakhstan.h"
 #include "censor/turkmenistan.h"
+#include "packet/tcp_flags.h"
 
 namespace caya {
 
@@ -111,6 +113,31 @@ CensorSet& pooled_censor_set(Country country, std::uint64_t seed) {
   }
   cache.push_back(std::make_unique<CensorSet>(country, seed));
   return *cache.back();
+}
+
+OfflineFeed::Step OfflineFeed::feed(const Packet& pkt, Injector& injector) {
+  // key_for with an assumed direction: "forward" treats the source as the
+  // client.
+  const FlowKey forward =
+      FlowTable<bool>::key_for(pkt, Direction::kClientToServer);
+  const bool reverse =
+      !clients_.contains(forward) &&
+      clients_.contains(
+          FlowTable<bool>::key_for(pkt, Direction::kServerToClient));
+  if (!reverse && pkt.tcp.flags == tcpflag::kSyn) clients_.insert(forward);
+  const Direction dir =
+      reverse ? Direction::kServerToClient : Direction::kClientToServer;
+
+  Step step;
+  const std::size_t before = censors_.censored_total();
+  for (Middlebox* box : censors_.boxes()) {
+    if (box->on_packet(pkt, dir, injector) == Verdict::kDrop &&
+        box->in_path()) {
+      step.dropped = true;
+    }
+  }
+  step.censored = censors_.censored_total() > before;
+  return step;
 }
 
 }  // namespace caya

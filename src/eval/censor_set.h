@@ -2,14 +2,16 @@
 // which boxes a country runs, how they are seeded, how a fault schedule fans
 // out over them, and how many flows they censored. Every Environment owns
 // one for its trials; the offline ingest paths (capture replay, the
-// adversarial fuzz oracle) build their own to feed *external* bytes to the
-// same censor models.
+// adversarial fuzz oracle) feed *external* bytes to the same censor models
+// through an OfflineFeed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "censor/flow.h"
 #include "censor/gfw.h"
 #include "eval/country.h"
 #include "netsim/fault.h"
@@ -87,6 +89,25 @@ class CensorSet {
   std::unique_ptr<KazakhstanCensor> kazakh_;
   std::unique_ptr<TurkmenistanCensor> turkmen_;
   std::vector<Middlebox*> boxes_;
+};
+
+/// Feeds offline packets (a capture replay, a fuzz schedule) to every box of
+/// a CensorSet. Nothing on such a packet says which end is the client: the
+/// first bare SYN of a flow marks its sender as the client, and a packet of
+/// a flow with no SYN seen yet counts as client-to-server.
+class OfflineFeed {
+ public:
+  explicit OfflineFeed(CensorSet& censors) : censors_(censors) {}
+
+  struct Step {
+    bool censored = false;  // the censored-flow total rose
+    bool dropped = false;   // an in-path box dropped the packet
+  };
+  Step feed(const Packet& pkt, Injector& injector);
+
+ private:
+  CensorSet& censors_;
+  std::set<FlowKey> clients_;  // flows oriented from their first bare SYN
 };
 
 /// Thread-local recycled CensorSet: returns a warm set for `country`,

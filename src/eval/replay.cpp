@@ -1,10 +1,7 @@
 #include "eval/replay.h"
+
 #include <fstream>
 
-#include <map>
-
-#include "censor/core/flow_table.h"
-#include "censor/flow.h"
 #include "eval/censor_set.h"
 
 namespace caya {
@@ -25,14 +22,9 @@ class CountingInjector : public Injector {
 ReplayResult replay_through_censor(const std::vector<PcapRecord>& records,
                                    Country country, std::uint64_t seed,
                                    Trace* trace) {
-  CensorSet& censors = pooled_censor_set(country, seed);
-  const std::vector<Middlebox*>& boxes = censors.boxes();
-  auto censored_total = [&]() { return censors.censored_total(); };
-
+  OfflineFeed feed(pooled_censor_set(country, seed));
   ReplayResult result;
   CountingInjector injector;
-  // Flow orientation: the first bare SYN marks its sender as the client.
-  std::map<FlowKey, bool> client_is_src;  // key oriented src->dst
 
   for (std::size_t i = 0; i < records.size(); ++i) {
     ++result.packets;
@@ -54,33 +46,13 @@ ReplayResult replay_through_censor(const std::vector<PcapRecord>& records,
       result.events.push_back({i, "decode-error: " + std::move(detail)});
       continue;
     }
-    Packet pkt = std::move(decoded.value);
+    const Packet& pkt = decoded.value;
     injector.now_value = records[i].at;
 
-    // key_for with an assumed direction: "forward" treats the source as the
-    // client, "reverse" the destination.
-    const FlowKey forward =
-        FlowTable<bool>::key_for(pkt, Direction::kClientToServer);
-    const FlowKey reverse =
-        FlowTable<bool>::key_for(pkt, Direction::kServerToClient);
-    Direction dir = Direction::kClientToServer;
-    if (client_is_src.contains(forward)) {
-      dir = Direction::kClientToServer;
-    } else if (client_is_src.contains(reverse)) {
-      dir = Direction::kServerToClient;
-    } else if (pkt.tcp.flags == tcpflag::kSyn) {
-      client_is_src[forward] = true;
-    }
-
-    const std::size_t before = censored_total();
     const std::size_t injected_before = injector.injected;
-    for (Middlebox* box : boxes) {
-      (void)box->on_packet(pkt, dir, injector);
-    }
-    if (censored_total() > before) {
+    if (feed.feed(pkt, injector).censored) {
       ++result.censor_events;
-      result.events.push_back(
-          {i, "censored: " + pkt.summary()});
+      result.events.push_back({i, "censored: " + pkt.summary()});
     }
     result.injected_packets += injector.injected - injected_before;
   }

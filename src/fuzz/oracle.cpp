@@ -1,13 +1,9 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
-#include <map>
 
-#include "censor/core/flow_table.h"
-#include "censor/flow.h"
 #include "eval/censor_set.h"
 #include "fuzz/mutator.h"
-#include "packet/tcp_flags.h"
 
 namespace caya {
 
@@ -50,8 +46,8 @@ OracleOutcome run_oracle(Country country, std::uint64_t seed,
   // recycled set skips rebuilding the boxes (and China's five-protocol
   // stack) 20k+ times per smoke run.
   CensorSet& censors = pooled_censor_set(country, seed);
+  OfflineFeed feed(censors);
   OracleInjector injector;
-  std::map<FlowKey, bool> client_is_src;
 
   // Interleave: innocuous handshake first (so its state is established),
   // hostile records with the innocuous request spliced into the middle,
@@ -94,33 +90,16 @@ OracleOutcome run_oracle(Country country, std::uint64_t seed,
       clock = std::max(clock, record.at);
       injector.now_value = clock;
 
-      const FlowKey forward =
-          FlowTable<bool>::key_for(pkt, Direction::kClientToServer);
-      const FlowKey reverse =
-          FlowTable<bool>::key_for(pkt, Direction::kServerToClient);
-      Direction dir = Direction::kClientToServer;
-      if (client_is_src.contains(forward)) {
-        dir = Direction::kClientToServer;
-      } else if (client_is_src.contains(reverse)) {
-        dir = Direction::kServerToClient;
-      } else if (pkt.tcp.flags == tcpflag::kSyn) {
-        client_is_src[forward] = true;
-      }
-
-      const std::size_t before = censors.censored_total();
       const bool innocuous_hit_before = injector.hit_innocuous;
-      bool dropped = false;
-      for (Middlebox* box : censors.boxes()) {
-        const Verdict verdict = box->on_packet(pkt, dir, injector);
-        if (verdict == Verdict::kDrop && box->in_path()) dropped = true;
-      }
-      if (censors.censored_total() > before) ++out.censor_events;
+      const OfflineFeed::Step step = feed.feed(pkt, injector);
+      if (step.censored) ++out.censor_events;
       if (is_innocuous[i]) {
         // Any action against the bystander flow is a fail-closed verdict:
         // a drop by an in-path box, an injection aimed at its endpoints,
         // or the censored-flow counter advancing on its packet.
-        if (dropped || (injector.hit_innocuous && !innocuous_hit_before) ||
-            censors.censored_total() > before) {
+        if (step.dropped ||
+            (injector.hit_innocuous && !innocuous_hit_before) ||
+            step.censored) {
           out.fail_closed = true;
         }
       }
