@@ -129,11 +129,9 @@ struct TrialCell {
 /// triggers on a run of consecutive errored trials, scanned in index order
 /// so the verdict does not depend on scheduling.
 RateReport reduce_outcomes(const std::vector<TrialOutcome>& outcomes,
-                           std::size_t begin, std::size_t end,
-                           const SupervisionPolicy& policy) {
+                           std::size_t begin, std::size_t end) {
   RateReport report;
   std::size_t consecutive_errors = 0;
-  const std::size_t quarantine_after = policy.quarantine_after;
   for (std::size_t i = begin; i < end; ++i) {
     const TrialOutcome& outcome = outcomes[i];
     report.retries += outcome.attempts - 1;
@@ -142,9 +140,7 @@ RateReport reduce_outcomes(const std::vector<TrialOutcome>& outcomes,
     if (errored) {
       ++report.errors;
       ++report.error_counts[static_cast<std::size_t>(outcome.error)];
-      if (quarantine_after != 0 && ++consecutive_errors >= quarantine_after) {
-        report.quarantined = true;
-      }
+      if (++consecutive_errors >= kQuarantineAfter) report.quarantined = true;
       continue;
     }
     consecutive_errors = 0;
@@ -172,7 +168,7 @@ RateReport run_trials(Country country, AppProtocol protocol,
   const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
       options.trials, [&](std::size_t) { return cell.digest; },
       [&](std::size_t i) { return cell.run(i, options.supervision); });
-  return reduce_outcomes(outcomes, 0, outcomes.size(), options.supervision);
+  return reduce_outcomes(outcomes, 0, outcomes.size());
 }
 
 }  // namespace
@@ -421,8 +417,8 @@ std::vector<SweepPoint> measure_sweep_cells(
   std::vector<SweepPoint> points;
   points.reserve(count);
   for (std::size_t c = 0; c < count; ++c) {
-    const RateReport report = reduce_outcomes(
-        outcomes, c * trials, (c + 1) * trials, options.supervision);
+    const RateReport report =
+        reduce_outcomes(outcomes, c * trials, (c + 1) * trials);
     points.push_back(
         sweep_point_from_report(values[(first + c) % values.size()], report));
   }

@@ -63,7 +63,7 @@ struct RateReport {
   std::size_t errors = 0;      // trials that exhausted their retry budget
   std::size_t retries = 0;     // extra attempts spent recovering trials
   std::array<std::size_t, kTrialErrorKinds> error_counts{};  // by kind
-  bool quarantined = false;    // hit `quarantine_after` consecutive errors
+  bool quarantined = false;    // hit kQuarantineAfter consecutive errors
 
   /// The error class that dominated the batch's failures — what a
   /// quarantine entry records as its reason. kNone when the batch raised no

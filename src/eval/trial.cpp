@@ -241,7 +241,7 @@ SupervisedOutcome run_supervised_trial(const Environment::Config& env_config,
                                        const SupervisionPolicy& policy,
                                        std::size_t trial_index) {
   SupervisedOutcome outcome;
-  const std::size_t max_attempts = policy.max_retries + 1;
+  const std::size_t max_attempts = kMaxRetries + 1;
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     outcome.attempts = attempt + 1;
     Environment::Config attempt_config = env_config;

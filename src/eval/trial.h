@@ -150,18 +150,20 @@ class Environment {
 /// retrying later against different transient conditions.
 inline constexpr std::uint64_t kRetrySeedStride = 0x9E3779B97F4A7C15ull;
 
+/// Extra attempts granted to retryable error classes before the trial is
+/// recorded as errored.
+inline constexpr std::size_t kMaxRetries = 2;
+
+/// A strategy whose batch shows this many *consecutive* errored trials
+/// (timeouts excluded — those are legitimate results) is quarantined: the
+/// batch is reported poisoned and the GA assigns sentinel fitness instead of
+/// aborting the campaign.
+inline constexpr std::size_t kQuarantineAfter = 8;
+
 /// How a batch runner reacts to failing trials. All decisions are
 /// deterministic functions of (trial index, attempt), so a supervised batch
 /// is byte-identical across --jobs values and across resumes.
 struct SupervisionPolicy {
-  /// Extra attempts granted to retryable error classes before the trial is
-  /// recorded as errored.
-  std::size_t max_retries = 2;
-  /// A strategy whose batch shows this many *consecutive* errored trials
-  /// (timeouts excluded — those are legitimate results) is quarantined:
-  /// the batch is reported poisoned and the GA assigns sentinel fitness
-  /// instead of aborting the campaign. 0 disables quarantine.
-  std::size_t quarantine_after = 8;
   /// Deterministic fault injection for tests/benches: every Nth trial
   /// (1-based index divisible by N) fails. "soft" faults fail only the
   /// first attempt, so a retry recovers them; "hard" faults fail every

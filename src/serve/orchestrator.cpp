@@ -98,9 +98,9 @@ std::string Orchestrator::config_digest() const {
   w.put_u64("backoff_jitter", CircuitBreaker::kBackoffJitter);
   w.put_u64("probe_flows", CircuitBreaker::kProbeFlows);
   w.put_u64("probe_passes", CircuitBreaker::kProbePasses);
-  w.put_u64("max_retries", config_.supervision.max_retries);
+  w.put_u64("max_retries", kMaxRetries);
   w.put_u64("retry_stride", kRetrySeedStride);
-  w.put_u64("quarantine_after", config_.supervision.quarantine_after);
+  w.put_u64("quarantine_after", kQuarantineAfter);
   w.put_u64("soft_fault", config_.supervision.inject_soft_fault_every);
   w.put_u64("hard_fault", config_.supervision.inject_hard_fault_every);
   for (const ServeTier& tier : tiers_) {

@@ -399,7 +399,6 @@ TEST(Supervision, HardFaultsAreCountedNotFatal) {
   options.trials = 12;
   options.base_seed = 500;
   options.supervision.inject_hard_fault_every = 4;  // trials 3, 7, 11
-  options.supervision.max_retries = 2;
   const RateReport report = measure_rate_supervised(
       Country::kChina, AppProtocol::kHttp, std::nullopt, options);
   EXPECT_EQ(report.errors, 3u);
@@ -447,10 +446,9 @@ TEST(Supervision, ReportIsJobsInvariant) {
 
 TEST(Supervision, ConsecutiveErrorsTriggerQuarantine) {
   RateOptions options;
-  options.trials = 10;
+  options.trials = 10;  // more than kQuarantineAfter in a row
   options.base_seed = 500;
   options.supervision.inject_hard_fault_every = 1;  // every trial errors
-  options.supervision.quarantine_after = 4;
   const RateReport report = measure_rate_supervised(
       Country::kChina, AppProtocol::kHttp, std::nullopt, options);
   EXPECT_TRUE(report.quarantined);
@@ -462,9 +460,11 @@ TEST(Supervision, QuarantinedFitnessIsSentinelNotAbort) {
   auto quarantine = std::make_shared<Quarantine>();
   SupervisionPolicy policy;
   policy.inject_hard_fault_every = 1;
-  policy.quarantine_after = 2;
-  FitnessFn fitness = make_supervised_fitness(
-      Country::kChina, AppProtocol::kHttp, 6, 100, quarantine, policy);
+  // kQuarantineAfter trials, every one errored.
+  FitnessFn fitness = make_supervised_fitness(Country::kChina,
+                                              AppProtocol::kHttp,
+                                              kQuarantineAfter, 100,
+                                              quarantine, policy);
   const Strategy strategy = parsed_strategy(1);
   EXPECT_EQ(fitness(strategy), kQuarantinedFitness);
   EXPECT_EQ(quarantine->size(), 1u);
@@ -513,9 +513,9 @@ TEST(Supervision, ProbingFitnessReleasesRecoveredStrategy) {
   auto quarantine = std::make_shared<Quarantine>(/*probe_interval=*/1);
   SupervisionPolicy faulty;
   faulty.inject_hard_fault_every = 1;
-  faulty.quarantine_after = 2;
-  FitnessFn sick = make_supervised_fitness(
-      Country::kChina, AppProtocol::kHttp, 6, 100, quarantine, faulty);
+  FitnessFn sick = make_supervised_fitness(Country::kChina, AppProtocol::kHttp,
+                                           kQuarantineAfter, 100, quarantine,
+                                           faulty);
   const Strategy strategy = parsed_strategy(1);
   EXPECT_EQ(sick(strategy), kQuarantinedFitness);
   ASSERT_EQ(quarantine->size(), 1u);
