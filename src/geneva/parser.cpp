@@ -62,27 +62,15 @@ class Parser {
     expect(':');
     const std::string field = take_until(':');
     expect(':');
-    std::string value = take_until(']');
+    const std::string value = take_until(']');
     expect(']');
-    return checked(pos_, [&] {
-      return Trigger(resolve(proto, field), std::move(value));
-    });
-  }
-
-  // The field table and the value parsers reject a name or value with
-  // std::invalid_argument; the parser reports it at offset `at`.
-  template <typename Build>
-  static auto checked(std::size_t at, Build build) -> decltype(build()) {
+    // The field table rejects an unknown protocol or field with
+    // std::invalid_argument; the parser reports it at its offset.
     try {
-      return build();
+      return Trigger(lookup_field(proto_from_string(proto), field), value);
     } catch (const std::invalid_argument& e) {
-      throw ParseError(e.what(), at);
+      throw ParseError(e.what(), pos_);
     }
-  }
-
-  static const Field& resolve(const std::string& proto,
-                              const std::string& field) {
-    return lookup_field(proto_from_string(proto), field);
   }
 
   ActionPtr parse_tree() {
@@ -113,17 +101,22 @@ class Parser {
                                                std::move(second));
     }
     if (name == "tamper") {
-      TamperSpec spec = split_tamper_spec(parse_braces());
+      const std::string spec = parse_braces();
       const std::size_t spec_end = pos_;
-      std::pair<ActionPtr, ActionPtr> children = parse_two_children();
-      if (children.second) {
+      auto [proto, field, mode, value] = split_tamper_spec(spec);
+      auto [child, extra] = parse_two_children();
+      if (extra) {
         throw ParseError("tamper takes a single child", pos_);
       }
-      return checked(spec_end, [&] {
+      // An unknown field, or a replace value the field cannot hold, is an
+      // error at the tamper's spec.
+      try {
         return std::make_unique<TamperAction>(
-            resolve(spec.proto, spec.field), spec.mode, std::move(spec.value),
-            std::move(children.first));
-      });
+            lookup_field(proto_from_string(proto), field), mode, value,
+            std::move(child));
+      } catch (const std::invalid_argument& e) {
+        throw ParseError(e.what(), spec_end);
+      }
     }
     if (name == "fragment") {
       const std::string spec = parse_braces();
@@ -173,14 +166,8 @@ class Parser {
     return out;
   }
 
-  struct TamperSpec {
-    std::string proto;
-    std::string field;
-    TamperMode mode;
-    std::string value;
-  };
-
-  TamperSpec split_tamper_spec(const std::string& spec) {
+  std::tuple<std::string, std::string, TamperMode, std::string>
+  split_tamper_spec(const std::string& spec) {
     // proto:field:mode[:value] — the value is verbatim (it may contain
     // colons and spaces, e.g. "GET / HTTP1.").
     const std::size_t c1 = spec.find(':');
