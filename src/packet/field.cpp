@@ -25,7 +25,7 @@ std::uint64_t widen(std::uint64_t v) { return v; }
 std::uint64_t widen(Ipv4Address a) { return a.value(); }
 
 /// Reads and writes the header member `(pkt.*kHeader).*kMember`; a write
-/// keeps the member's low bits, as the wire field would.
+/// keeps the low bits the member holds.
 template <auto kHeader, auto kMember>
 constexpr Access kMemberAccess = {
     [](const Packet& pkt) -> std::optional<std::uint64_t> {
@@ -69,7 +69,7 @@ constexpr Field option_row(std::string_view name, std::uint8_t kind,
           nullptr, nullptr};
 }
 
-constexpr Field bytes_row(Proto proto, std::string_view name, FieldForm form) {
+constexpr Field text_row(Proto proto, std::string_view name, FieldForm form) {
   return {proto, name, form, 0, kNone, nullptr, 0, nullptr, nullptr};
 }
 
@@ -93,7 +93,7 @@ constexpr std::array kFields = {
     // The addresses are pseudo-header words of the TCP checksum.
     row(kIp, "src", kAddress, 32, kUpdate, kIpAccess<&Ipv4Header::src>),
     row(kIp, "dst", kAddress, 32, kUpdate, kIpAccess<&Ipv4Header::dst>),
-    bytes_row(kIp, "load", kBytes),
+    text_row(kIp, "load", kBytes),
     row(kTcp, "sport", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::sport>),
     row(kTcp, "dport", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::dport>),
     row(kTcp, "seq", kDecimal, 32, kUpdate, kTcpAccess<&TcpHeader::seq>),
@@ -108,13 +108,13 @@ constexpr std::array kFields = {
         &Packet::tcp_checksum_overridden),
     row(kTcp, "urgptr", kDecimal, 16, kUpdate,
         kTcpAccess<&TcpHeader::urgent_pointer>),
-    bytes_row(kTcp, "load", kBytes),
+    text_row(kTcp, "load", kBytes),
     option_row("options-wscale", TcpOption::kWindowScale, 1),
     option_row("options-mss", TcpOption::kMss, 2),
     option_row("options-sackok", TcpOption::kSackPermitted, 0),
     option_row("options-timestamp", TcpOption::kTimestamps, 8),
     row(kDns, "id", kDecimal, 16, kNone, kDnsIdAccess),
-    bytes_row(kDns, "qname", kDnsName),
+    text_row(kDns, "qname", kDnsName),
 };
 static_assert(std::ranges::is_sorted(kFields, {}, &Field::proto));
 

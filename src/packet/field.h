@@ -75,7 +75,8 @@ struct Field {
   bool Packet::*pin;
   std::uint8_t option_kind;  // kOption only
   /// kDecimal, kFlags and kAddress: reads the value (nullopt where the
-  /// packet has none) and stores one, cut to the field's width.
+  /// packet has none) and stores one, keeping the low bits its header
+  /// member holds.
   std::optional<std::uint64_t> (*get)(const Packet&);
   void (*set)(Packet&, std::uint64_t);
 
