@@ -17,7 +17,6 @@ struct TriggeredAction {
   Trigger trigger;
   ActionPtr root;  // null = plain send (no-op rule)
 
-  TriggeredAction() = default;
   TriggeredAction(Trigger t, ActionPtr a)
       : trigger(std::move(t)), root(std::move(a)) {}
   TriggeredAction(const TriggeredAction& other)
