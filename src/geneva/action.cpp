@@ -4,116 +4,54 @@
 
 namespace caya {
 
-void run_action(const Action* action, Packet pkt, Rng& rng,
-                std::vector<Packet>& out) {
-  if (action == nullptr) {
-    out.push_back(std::move(pkt));  // implicit send
-    return;
+namespace {
+
+constexpr std::size_t arity(ActionKind kind) noexcept {
+  switch (kind) {
+    case ActionKind::kDuplicate:
+    case ActionKind::kFragment:
+      return 2;
+    case ActionKind::kTamper:
+      return 1;
+    case ActionKind::kSend:
+    case ActionKind::kDrop:
+      break;
   }
-  action->run(std::move(pkt), rng, out);
+  return 0;
 }
 
-ActionPtr clone_action(const ActionPtr& action) {
-  return action ? action->clone() : nullptr;
-}
-
-// ---- drop ----
-
-void DropAction::run(Packet, Rng&, std::vector<Packet>&) const {}
-
-ActionPtr DropAction::clone() const { return std::make_unique<DropAction>(); }
-
-// ---- duplicate ----
-
-void DuplicateAction::run(Packet pkt, Rng& rng,
-                          std::vector<Packet>& out) const {
-  Packet copy = pkt;
-  run_action(first_.get(), std::move(pkt), rng, out);
-  run_action(second_.get(), std::move(copy), rng, out);
-}
-
-std::string DuplicateAction::to_string() const {
-  std::string out = "duplicate";
-  if (first_ || second_) {
-    out += "(";
-    if (first_) out += first_->to_string();
-    out += ",";
-    if (second_) out += second_->to_string();
-    out += ")";
+/// Runs node i's subtree on `pkt`; returns subtree_end(tree, i).
+std::size_t run(std::span<const ActionNode> tree, std::size_t i, Packet pkt,
+                Rng& rng, std::vector<Packet>& out) {
+  const ActionNode& node = tree[i];
+  switch (node.kind) {
+    case ActionKind::kSend:
+      out.push_back(std::move(pkt));
+      return i + 1;
+    case ActionKind::kDrop:
+      return i + 1;
+    case ActionKind::kDuplicate: {
+      Packet copy = pkt;
+      const std::size_t second = run(tree, i + 1, std::move(pkt), rng, out);
+      return run(tree, second, std::move(copy), rng, out);
+    }
+    case ActionKind::kTamper:
+      if (node.mode == TamperMode::kReplace) {
+        node.field->replace(pkt, node.value);
+      } else {
+        node.field->corrupt(pkt, rng);
+      }
+      return run(tree, i + 1, std::move(pkt), rng, out);
+    case ActionKind::kFragment:
+      break;
   }
-  return out;
-}
 
-ActionPtr DuplicateAction::clone() const {
-  return std::make_unique<DuplicateAction>(clone_action(first_),
-                                           clone_action(second_));
-}
-
-std::size_t DuplicateAction::size() const {
-  return 1 + (first_ ? first_->size() : 0) + (second_ ? second_->size() : 0);
-}
-
-// ---- tamper ----
-
-TamperAction::TamperAction(const Field& field, TamperMode mode,
-                           std::string value, ActionPtr child)
-    : child_(std::move(child)) {
-  retarget(field, mode, std::move(value));
-}
-
-TamperAction::TamperAction(const TamperAction& other)
-    : Action(other),
-      field_(other.field_),
-      mode_(other.mode_),
-      value_(other.value_),
-      child_(clone_action(other.child_)) {}
-
-void TamperAction::retarget(const Field& field, TamperMode mode,
-                            std::string value) {
-  value_ = mode == TamperMode::kReplace ? field.parse(std::move(value))
-                                        : FieldValue{};
-  field_ = &field;
-  mode_ = mode;
-}
-
-void TamperAction::run(Packet pkt, Rng& rng, std::vector<Packet>& out) const {
-  if (mode_ == TamperMode::kReplace) {
-    field_->replace(pkt, value_);
-  } else {
-    field_->corrupt(pkt, rng);
-  }
-  run_action(child_.get(), std::move(pkt), rng, out);
-}
-
-std::string TamperAction::to_string() const {
-  std::string out = "tamper{" + std::string(caya::to_string(field_->proto)) +
-                    ":" + std::string(field_->name) + ":" +
-                    (mode_ == TamperMode::kReplace ? "replace" : "corrupt");
-  if (mode_ == TamperMode::kReplace) out += ":" + value_.text;
-  out += "}";
-  if (child_) out += "(" + child_->to_string() + ",)";
-  return out;
-}
-
-ActionPtr TamperAction::clone() const {
-  return ActionPtr(new TamperAction(*this));
-}
-
-std::size_t TamperAction::size() const {
-  return 1 + (child_ ? child_->size() : 0);
-}
-
-// ---- fragment ----
-
-void FragmentAction::run(Packet pkt, Rng& rng,
-                         std::vector<Packet>& out) const {
   if (pkt.payload.size() < 2) {
     // Nothing to split: pass through the first branch.
-    run_action(first_.get(), std::move(pkt), rng, out);
-    return;
+    return subtree_end(tree, run(tree, i + 1, std::move(pkt), rng, out));
   }
   const std::size_t cut =
-      std::clamp<std::size_t>(offset_, 1, pkt.payload.size() - 1);
+      std::clamp<std::size_t>(node.offset, 1, pkt.payload.size() - 1);
 
   Packet a = pkt;
   Packet b = pkt;
@@ -121,7 +59,7 @@ void FragmentAction::run(Packet pkt, Rng& rng,
                    pkt.payload.begin() + static_cast<std::ptrdiff_t>(cut));
   b.payload.assign(pkt.payload.begin() + static_cast<std::ptrdiff_t>(cut),
                    pkt.payload.end());
-  if (proto_ == Proto::kTcp) {
+  if (node.proto == Proto::kTcp) {
     // TCP segmentation: the second segment advances the sequence number.
     b.tcp.seq = pkt.tcp.seq + static_cast<std::uint32_t>(cut);
     b.tcp_sum_tamper32(pkt.tcp.seq, b.tcp.seq);
@@ -132,45 +70,101 @@ void FragmentAction::run(Packet pkt, Rng& rng,
     b.ip.frag_offset = static_cast<std::uint16_t>(cut / 8);
   }
 
-  std::vector<Packet> first_out;
-  std::vector<Packet> second_out;
-  run_action(first_.get(), std::move(a), rng, first_out);
-  run_action(second_.get(), std::move(b), rng, second_out);
-  if (in_order_) {
-    out.insert(out.end(), std::make_move_iterator(first_out.begin()),
-               std::make_move_iterator(first_out.end()));
-    out.insert(out.end(), std::make_move_iterator(second_out.begin()),
-               std::make_move_iterator(second_out.end()));
-  } else {
-    out.insert(out.end(), std::make_move_iterator(second_out.begin()),
-               std::make_move_iterator(second_out.end()));
-    out.insert(out.end(), std::make_move_iterator(first_out.begin()),
-               std::make_move_iterator(first_out.end()));
+  const auto first_at = static_cast<std::ptrdiff_t>(out.size());
+  const std::size_t second = run(tree, i + 1, std::move(a), rng, out);
+  const auto second_at = static_cast<std::ptrdiff_t>(out.size());
+  const std::size_t end = run(tree, second, std::move(b), rng, out);
+  if (!node.in_order) {
+    std::rotate(out.begin() + first_at, out.begin() + second_at, out.end());
   }
+  return end;
 }
 
-std::string FragmentAction::to_string() const {
-  std::string out = "fragment{" + std::string(caya::to_string(proto_)) + ":" +
-                    std::to_string(offset_) + ":" +
-                    (in_order_ ? "True" : "False") + "}";
-  if (first_ || second_) {
-    out += "(";
-    if (first_) out += first_->to_string();
-    out += ",";
-    if (second_) out += second_->to_string();
-    out += ")";
+/// Appends the DSL form of node i's subtree (nothing for send) to `out`;
+/// returns subtree_end(tree, i).
+std::size_t print(std::span<const ActionNode> tree, std::size_t i,
+                  std::string& out) {
+  const ActionNode& node = tree[i];
+  switch (node.kind) {
+    case ActionKind::kSend:
+      return i + 1;
+    case ActionKind::kDrop:
+      out += "drop";
+      return i + 1;
+    case ActionKind::kTamper: {
+      out += "tamper{";
+      out += to_string(node.field->proto);
+      out += ":";
+      out += node.field->name;
+      if (node.mode == TamperMode::kReplace) {
+        out += ":replace:" + node.value.text + "}";
+      } else {
+        out += ":corrupt}";
+      }
+      if (tree[i + 1].kind == ActionKind::kSend) return i + 2;
+      out += "(";
+      const std::size_t end = print(tree, i + 1, out);
+      out += ",)";
+      return end;
+    }
+    case ActionKind::kDuplicate:
+      out += "duplicate";
+      break;
+    case ActionKind::kFragment:
+      out += "fragment{";
+      out += to_string(node.proto);
+      out += ":" + std::to_string(node.offset) + ":" +
+             (node.in_order ? "True" : "False") + "}";
+      break;
   }
-  return out;
+  const std::size_t second = subtree_end(tree, i + 1);
+  if (tree[i + 1].kind == ActionKind::kSend &&
+      tree[second].kind == ActionKind::kSend) {
+    return second + 1;
+  }
+  out += "(";
+  print(tree, i + 1, out);
+  out += ",";
+  const std::size_t end = print(tree, second, out);
+  out += ")";
+  return end;
 }
 
-ActionPtr FragmentAction::clone() const {
-  return std::make_unique<FragmentAction>(proto_, offset_, in_order_,
-                                          clone_action(first_),
-                                          clone_action(second_));
+}  // namespace
+
+ActionNode tamper_node(const Field& field, TamperMode mode,
+                       std::string value) {
+  return {.kind = ActionKind::kTamper,
+          .mode = mode,
+          .field = &field,
+          .value = mode == TamperMode::kReplace ? field.parse(std::move(value))
+                                                : FieldValue{}};
 }
 
-std::size_t FragmentAction::size() const {
-  return 1 + (first_ ? first_->size() : 0) + (second_ ? second_->size() : 0);
+std::size_t subtree_end(std::span<const ActionNode> tree, std::size_t i) {
+  // Each node fills one open slot and opens one per child.
+  for (std::size_t open = 1; open > 0; ++i) {
+    open = open - 1 + arity(tree[i].kind);
+  }
+  return i;
+}
+
+void run_action(std::span<const ActionNode> tree, Packet pkt, Rng& rng,
+                std::vector<Packet>& out) {
+  run(tree, 0, std::move(pkt), rng, out);
+}
+
+std::string action_to_string(std::span<const ActionNode> tree) {
+  std::string out;
+  print(tree, 0, out);
+  return out.empty() ? "send" : out;
+}
+
+std::size_t action_size(std::span<const ActionNode> tree) {
+  return static_cast<std::size_t>(
+      std::ranges::count_if(tree, [](const ActionNode& node) {
+        return node.kind != ActionKind::kSend;
+      }));
 }
 
 }  // namespace caya

@@ -9,12 +9,15 @@
 //   drop                            discards the packet
 //   send                            puts the packet on the wire
 //
-// An action tree is applied to one packet and yields an ordered list of
-// packets to transmit. send has no node of its own: it is the null slot,
-// and missing children default to it.
+// An action tree is one array of plain nodes in preorder: each node is
+// followed by the subtrees of its children, so node i's subtree is the
+// contiguous range [i, subtree_end(tree, i)). Every child slot holds a node;
+// a slot the DSL leaves empty is a send node. Applied to one packet, a tree
+// yields an ordered list of packets to transmit.
 #pragma once
 
-#include <memory>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,140 +27,55 @@
 
 namespace caya {
 
-class Action;
-using ActionPtr = std::unique_ptr<Action>;
-
-class Action {
- public:
-  virtual ~Action() = default;
-
-  /// Applies the subtree to `pkt`, appending resulting packets to `out` in
-  /// transmission order.
-  virtual void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const = 0;
-
-  /// DSL form of this subtree (the paper's syntax).
-  [[nodiscard]] virtual std::string to_string() const = 0;
-
-  [[nodiscard]] virtual ActionPtr clone() const = 0;
-
-  /// Number of nodes in the subtree (Geneva's complexity measure for its
-  /// fitness penalty).
-  [[nodiscard]] virtual std::size_t size() const = 0;
-
-  /// Direct children, for tree surgery by the genetic operators. Entries may
-  /// be null (= implicit send).
-  [[nodiscard]] virtual std::vector<ActionPtr*> children() { return {}; }
+enum class ActionKind : std::uint8_t {
+  kSend,
+  kDrop,
+  kDuplicate,  // A1 runs on the original, A2 on the copy; A1's output first
+  kTamper,     // edits a field, then runs its one child
+  kFragment,   // A1 runs on the first piece, A2 on the second
 };
 
-/// Leaf: discard the packet.
-class DropAction final : public Action {
- public:
-  void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const override;
-  [[nodiscard]] std::string to_string() const override { return "drop"; }
-  [[nodiscard]] ActionPtr clone() const override;
-  [[nodiscard]] std::size_t size() const override { return 1; }
+enum class TamperMode : std::uint8_t { kReplace, kCorrupt };
+
+/// One node of an action tree; only its kind's members are meaningful.
+struct ActionNode {
+  ActionKind kind = ActionKind::kSend;
+  TamperMode mode = TamperMode::kReplace;
+  // fragment: TCP mode segments the payload at `offset` bytes (adjusting
+  // seq); IP mode splits it into two IP fragments. in_order=false delivers
+  // the second piece first.
+  Proto proto = Proto::kTcp;
+  bool in_order = true;
+  std::size_t offset = 0;
+  // tamper: a row of the field table and the replace value parsed for it
+  // (empty for corrupt). Per the appendix, tamper recomputes checksums and
+  // lengths unless the tampered field *is* a checksum or length.
+  const Field* field = nullptr;
+  FieldValue value{};
 };
 
-/// duplicate(A1,A2): copy the packet; A1 runs on the original, A2 on the
-/// copy; all of A1's output precedes A2's.
-class DuplicateAction final : public Action {
- public:
-  DuplicateAction() = default;
-  DuplicateAction(ActionPtr first, ActionPtr second)
-      : first_(std::move(first)), second_(std::move(second)) {}
+using ActionTree = std::vector<ActionNode>;
 
-  void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const override;
-  [[nodiscard]] std::string to_string() const override;
-  [[nodiscard]] ActionPtr clone() const override;
-  [[nodiscard]] std::size_t size() const override;
-  [[nodiscard]] std::vector<ActionPtr*> children() override {
-    return {&first_, &second_};
-  }
+/// A tamper node. A replace value is parsed for the field here, once;
+/// throws std::invalid_argument when the field cannot hold it. Corrupt
+/// ignores `value`.
+[[nodiscard]] ActionNode tamper_node(const Field& field, TamperMode mode,
+                                     std::string value);
 
- private:
-  ActionPtr first_;   // null = send
-  ActionPtr second_;  // null = send
-};
+/// One past the last node of node i's subtree.
+[[nodiscard]] std::size_t subtree_end(std::span<const ActionNode> tree,
+                                      std::size_t i);
 
-enum class TamperMode { kReplace, kCorrupt };
-
-/// tamper{proto:field:mode[:newValue]}(A): edit a field, then run A.
-/// Per the appendix, tamper recomputes checksums and lengths unless the
-/// tampered field *is* a checksum or length (Packet's override flags).
-class TamperAction final : public Action {
- public:
-  /// `field` is a row of the field table. A replace value is parsed for the
-  /// field here, once; throws std::invalid_argument when the field cannot
-  /// hold it. Corrupt ignores `value`.
-  TamperAction(const Field& field, TamperMode mode, std::string value,
-               ActionPtr child = nullptr);
-
-  void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const override;
-  [[nodiscard]] std::string to_string() const override;
-  [[nodiscard]] ActionPtr clone() const override;
-  [[nodiscard]] std::size_t size() const override;
-  [[nodiscard]] std::vector<ActionPtr*> children() override {
-    return {&child_};
-  }
-
-  [[nodiscard]] const Field& field() const noexcept { return *field_; }
-  [[nodiscard]] TamperMode mode() const noexcept { return mode_; }
-  [[nodiscard]] const std::string& value() const noexcept {
-    return value_.text;
-  }
-
-  /// The genetic operators' retune: field, mode and value change together,
-  /// so the value is always parsed for the field it is written to.
-  void retarget(const Field& field, TamperMode mode, std::string value);
-
- private:
-  TamperAction(const TamperAction& other);  // deep copy, for clone()
-
-  const Field* field_;
-  TamperMode mode_;
-  FieldValue value_;  // empty for corrupt
-  ActionPtr child_;   // null = send
-};
-
-/// fragment{proto:offset:inOrder}(A1,A2): split the packet in two.
-/// TCP mode segments the payload at `offset` bytes (adjusting seq); IP mode
-/// splits the payload into two IP fragments. A1 runs on the first piece, A2
-/// on the second; inOrder=false swaps delivery order.
-class FragmentAction final : public Action {
- public:
-  FragmentAction(Proto proto, std::size_t offset, bool in_order,
-                 ActionPtr first = nullptr, ActionPtr second = nullptr)
-      : proto_(proto),
-        offset_(offset),
-        in_order_(in_order),
-        first_(std::move(first)),
-        second_(std::move(second)) {}
-
-  void run(Packet pkt, Rng& rng, std::vector<Packet>& out) const override;
-  [[nodiscard]] std::string to_string() const override;
-  [[nodiscard]] ActionPtr clone() const override;
-  [[nodiscard]] std::size_t size() const override;
-  [[nodiscard]] std::vector<ActionPtr*> children() override {
-    return {&first_, &second_};
-  }
-
-  [[nodiscard]] Proto proto() const noexcept { return proto_; }
-  [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
-  [[nodiscard]] bool in_order() const noexcept { return in_order_; }
-
- private:
-  Proto proto_;
-  std::size_t offset_;
-  bool in_order_;
-  ActionPtr first_;
-  ActionPtr second_;
-};
-
-/// Runs `action` (or send if null) on `pkt`.
-void run_action(const Action* action, Packet pkt, Rng& rng,
+/// Applies the tree to `pkt`, appending the resulting packets to `out` in
+/// transmission order.
+void run_action(std::span<const ActionNode> tree, Packet pkt, Rng& rng,
                 std::vector<Packet>& out);
 
-/// Deep-copies a possibly-null action.
-[[nodiscard]] ActionPtr clone_action(const ActionPtr& action);
+/// DSL form of the tree (the paper's syntax); a lone send prints as "send".
+[[nodiscard]] std::string action_to_string(std::span<const ActionNode> tree);
+
+/// Number of nodes other than send (Geneva's complexity measure for its
+/// fitness penalty).
+[[nodiscard]] std::size_t action_size(std::span<const ActionNode> tree);
 
 }  // namespace caya

@@ -21,8 +21,8 @@ class Engine : public PacketProcessor {
   Engine(Strategy strategy, Rng rng)
       : owned_(std::move(strategy)), strategy_(&owned_), rng_(rng) {}
 
-  /// Borrowing form for the trial hot path: avoids cloning the whole action
-  /// tree per connection. `strategy` must outlive the engine.
+  /// Borrowing form for the trial hot path: avoids copying the strategy per
+  /// connection. `strategy` must outlive the engine.
   Engine(const Strategy* strategy, Rng rng) : strategy_(strategy), rng_(rng) {}
 
   // strategy_ may point into owned_, so default copy/move would dangle.

@@ -4,41 +4,6 @@
 
 namespace caya {
 
-namespace {
-
-/// Collects every child slot in the tree (including empty ones) plus the
-/// root slot, for uniform surgery.
-void collect_slots(ActionPtr& slot, std::vector<ActionPtr*>& out) {
-  out.push_back(&slot);
-  if (slot) {
-    for (ActionPtr* child : slot->children()) collect_slots(*child, out);
-  }
-}
-
-std::vector<ActionPtr*> all_slots(TriggeredAction& rule) {
-  std::vector<ActionPtr*> out;
-  collect_slots(rule.root, out);
-  return out;
-}
-
-void collect_tampers(const ActionPtr& node, std::vector<TamperAction*>& out) {
-  if (!node) return;
-  if (auto* tamper = dynamic_cast<TamperAction*>(node.get())) {
-    out.push_back(tamper);
-  }
-  for (ActionPtr* child : const_cast<Action*>(node.get())->children()) {
-    collect_tampers(*child, out);
-  }
-}
-
-/// A uniformly drawn entry of kTamperFields.
-const Field& random_tamper_field(Rng& rng) {
-  const auto& [proto, name] = kTamperFields[rng.index(kTamperFields.size())];
-  return lookup_field(proto, name);
-}
-
-}  // namespace
-
 std::string random_field_value(const Field& field, Rng& rng) {
   const std::string_view name = field.name;
   if (name == "flags") {
@@ -73,51 +38,82 @@ std::string random_field_value(const Field& field, Rng& rng) {
   return std::to_string(rng.uniform(0, 0xffff));
 }
 
-ActionPtr random_action(const GeneConfig& config, Rng& rng,
-                        std::size_t depth) {
+namespace {
+
+/// A uniformly drawn entry of kTamperFields.
+const Field& random_tamper_field(Rng& rng) {
+  const auto& [proto, name] = kTamperFields[rng.index(kTamperFields.size())];
+  return lookup_field(proto, name);
+}
+
+/// Appends a random subtree of bounded depth to `tree`, in preorder.
+void grow(Rng& rng, std::size_t depth, ActionTree& tree) {
   const bool must_leaf = depth >= kMaxDepth;
   const auto roll = rng.uniform(0, 99);
+  const auto child = [&](double p) {
+    if (rng.chance(p)) {
+      grow(rng, depth + 1, tree);
+    } else {
+      tree.emplace_back();  // send
+    }
+  };
 
   if (!must_leaf && roll < 30) {
-    // duplicate with random children (nulls = send are common).
-    ActionPtr first =
-        rng.chance(0.6) ? random_action(config, rng, depth + 1) : nullptr;
-    ActionPtr second =
-        rng.chance(0.6) ? random_action(config, rng, depth + 1) : nullptr;
-    return std::make_unique<DuplicateAction>(std::move(first),
-                                             std::move(second));
-  }
-  if (!must_leaf && roll < 70) {
+    // duplicate with random children (send is common).
+    tree.push_back({.kind = ActionKind::kDuplicate});
+    child(0.6);
+    child(0.6);
+  } else if (!must_leaf && roll < 70) {
     const Field& field = random_tamper_field(rng);
     const bool corrupt = rng.chance(0.4);
-    std::string value = corrupt ? "" : random_field_value(field, rng);
-    ActionPtr child =
-        rng.chance(0.4) ? random_action(config, rng, depth + 1) : nullptr;
-    return std::make_unique<TamperAction>(
+    tree.push_back(tamper_node(
         field, corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
-        std::move(value), std::move(child));
+        corrupt ? "" : random_field_value(field, rng)));
+    child(0.4);
+  } else if (!must_leaf && roll < 78) {
+    const std::size_t at = tree.size();
+    tree.push_back({.kind = ActionKind::kFragment});
+    child(0.4);
+    child(0.4);
+    // Drawn after the children, in two statements, so that the draw order
+    // does not depend on the compiler.
+    tree[at].in_order = rng.chance(0.7);
+    tree[at].offset = 1 + rng.index(16);
+  } else {
+    tree.push_back({.kind = roll < 88 ? ActionKind::kDrop : ActionKind::kSend});
   }
-  if (!must_leaf && roll < 78) {
-    ActionPtr first =
-        rng.chance(0.4) ? random_action(config, rng, depth + 1) : nullptr;
-    ActionPtr second =
-        rng.chance(0.4) ? random_action(config, rng, depth + 1) : nullptr;
-    return std::make_unique<FragmentAction>(
-        Proto::kTcp, 1 + rng.index(16), rng.chance(0.7), std::move(first),
-        std::move(second));
-  }
-  if (roll < 88) return std::make_unique<DropAction>();
-  // Plain send is the null slot (there is no send node): one canonical
-  // tree per DSL string keeps checkpointed strategies bit-identical through
-  // a to_string()/parse round trip.
-  return nullptr;
 }
+
+ActionTree random_action(Rng& rng, std::size_t depth) {
+  ActionTree tree;
+  grow(rng, depth, tree);
+  return tree;
+}
+
+ActionTree::iterator node_at(ActionTree& tree, std::size_t i) {
+  return tree.begin() + static_cast<std::ptrdiff_t>(i);
+}
+
+/// Replaces node i's subtree with `subtree`.
+void splice(ActionTree& tree, std::size_t i, const ActionTree& subtree) {
+  const auto at = tree.erase(node_at(tree, i),
+                             node_at(tree, subtree_end(tree, i)));
+  tree.insert(at, subtree.begin(), subtree.end());
+}
+
+/// Cuts node i's subtree down to one send node.
+void prune(ActionTree& tree, std::size_t i) {
+  tree.erase(node_at(tree, i + 1), node_at(tree, subtree_end(tree, i)));
+  tree[i] = {};
+}
+
+}  // namespace
 
 Strategy random_strategy(const GeneConfig& config, Rng& rng) {
   Strategy strategy;
   const Trigger trigger =
       config.allowed_triggers[rng.index(config.allowed_triggers.size())];
-  strategy.outbound.emplace_back(trigger, random_action(config, rng));
+  strategy.outbound.push_back({trigger, random_action(rng, 0)});
   return strategy;
 }
 
@@ -127,82 +123,75 @@ void mutate(Strategy& strategy, const GeneConfig& config, Rng& rng) {
     return;
   }
   TriggeredAction& rule = rng.pick(strategy.outbound);
+  ActionTree& tree = rule.tree;
   const auto roll = rng.uniform(0, 99);
 
   if (roll < 15) {
     // Re-roll the whole tree.
-    rule.root = random_action(config, rng);
+    tree = random_action(rng, 0);
     return;
   }
   if (roll < 45) {
     // Replace a random slot with a fresh subtree.
-    auto slots = all_slots(rule);
-    ActionPtr* slot = rng.pick(slots);
-    *slot = random_action(config, rng, /*depth=*/2);
+    const std::size_t slot = rng.index(tree.size());
+    splice(tree, slot, random_action(rng, /*depth=*/2));
   } else if (roll < 75) {
     // Retune a tamper node if there is one; otherwise graft one at the root.
-    std::vector<TamperAction*> tampers;
-    collect_tampers(rule.root, tampers);
+    std::vector<std::size_t> tampers;
+    for (std::size_t i = 0; i < tree.size(); ++i) {
+      if (tree[i].kind == ActionKind::kTamper) tampers.push_back(i);
+    }
     if (!tampers.empty()) {
-      TamperAction* tamper = rng.pick(tampers);
+      ActionNode& tamper = tree[rng.pick(tampers)];
       if (rng.chance(0.5)) {
         const Field& field = random_tamper_field(rng);
-        const TamperMode mode = tamper->mode();
-        tamper->retarget(field, mode,
-                         mode == TamperMode::kReplace
-                             ? random_field_value(field, rng)
-                             : "");
+        const TamperMode mode = tamper.mode;
+        tamper = tamper_node(field, mode,
+                             mode == TamperMode::kReplace
+                                 ? random_field_value(field, rng)
+                                 : "");
       } else {
+        const Field& field = *tamper.field;
         const bool corrupt = rng.chance(0.5);
-        tamper->retarget(
-            tamper->field(),
-            corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
-            corrupt ? "" : random_field_value(tamper->field(), rng));
+        tamper = tamper_node(
+            field, corrupt ? TamperMode::kCorrupt : TamperMode::kReplace,
+            corrupt ? "" : random_field_value(field, rng));
       }
     } else {
       const Field& field = random_tamper_field(rng);
-      rule.root = std::make_unique<TamperAction>(
-          field, TamperMode::kReplace, random_field_value(field, rng),
-          std::move(rule.root));
+      tree.insert(tree.begin(),
+                  tamper_node(field, TamperMode::kReplace,
+                              random_field_value(field, rng)));
     }
   } else if (roll < 90) {
-    // Prune: null out a random non-root slot (falls back to send).
-    auto slots = all_slots(rule);
-    if (slots.size() > 1) {
-      *slots[1 + rng.index(slots.size() - 1)] = nullptr;
-    } else {
-      rule.root = nullptr;
-    }
+    // Prune a random non-root slot to send (the root of a one-node tree).
+    prune(tree, tree.size() > 1 ? 1 + rng.index(tree.size() - 1) : 0);
   } else {
     // Re-roll the trigger.
     rule.trigger =
         config.allowed_triggers[rng.index(config.allowed_triggers.size())];
   }
 
-  // Enforce the size bound by pruning the deepest occupied slot.
-  while (rule.root && rule.root->size() > kMaxTreeSize) {
-    auto slots = all_slots(rule);
-    ActionPtr* victim = nullptr;
-    for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
-      if (**it != nullptr) {
-        victim = *it;
-        break;
-      }
-    }
-    if (victim == nullptr) break;
-    *victim = nullptr;
+  // Enforce the size bound by pruning the last node that is not send.
+  while (action_size(tree) > kMaxTreeSize) {
+    std::size_t last = tree.size() - 1;
+    while (tree[last].kind == ActionKind::kSend) --last;
+    prune(tree, last);
   }
 }
 
 void crossover(Strategy& a, Strategy& b, Rng& rng) {
   if (a.outbound.empty() || b.outbound.empty()) return;
-  TriggeredAction& rule_a = rng.pick(a.outbound);
-  TriggeredAction& rule_b = rng.pick(b.outbound);
-  auto slots_a = all_slots(rule_a);
-  auto slots_b = all_slots(rule_b);
-  ActionPtr* slot_a = rng.pick(slots_a);
-  ActionPtr* slot_b = rng.pick(slots_b);
-  std::swap(*slot_a, *slot_b);
+  ActionTree& tree_a = rng.pick(a.outbound).tree;
+  ActionTree& tree_b = rng.pick(b.outbound).tree;
+  const std::size_t at_a = rng.index(tree_a.size());
+  const std::size_t at_b = rng.index(tree_b.size());
+  const ActionTree from_a(node_at(tree_a, at_a),
+                          node_at(tree_a, subtree_end(tree_a, at_a)));
+  splice(tree_a, at_a,
+         ActionTree(node_at(tree_b, at_b),
+                    node_at(tree_b, subtree_end(tree_b, at_b))));
+  splice(tree_b, at_b, from_a);
 }
 
 }  // namespace caya

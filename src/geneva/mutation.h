@@ -38,10 +38,6 @@ struct GeneConfig {
   };
 };
 
-/// A random action subtree of bounded depth.
-[[nodiscard]] ActionPtr random_action(const GeneConfig& config, Rng& rng,
-                                      std::size_t depth = 0);
-
 /// A random one-rule strategy.
 [[nodiscard]] Strategy random_strategy(const GeneConfig& config, Rng& rng);
 

@@ -34,9 +34,10 @@ class Parser {
     return strategy;
   }
 
-  ActionPtr parse_action_tree() {
+  ActionTree parse_action_tree() {
     skip_ws();
-    ActionPtr tree = parse_tree();
+    ActionTree tree;
+    parse_tree(tree);
     skip_ws();
     if (!done()) throw ParseError("trailing input after action", pos_);
     return tree;
@@ -47,9 +48,9 @@ class Parser {
     Trigger trigger = parse_trigger();
     expect('-');
     skip_ws();
-    ActionPtr tree;
+    ActionTree tree;
     // An empty action ("[...]--|") means plain send.
-    if (peek() != '-') tree = parse_tree();
+    parse_slot(tree, peek() == '-');
     skip_ws();
     expect('-');
     expect('|');
@@ -73,7 +74,8 @@ class Parser {
     }
   }
 
-  ActionPtr parse_tree() {
+  // Appends the subtree at the cursor to `tree`, in preorder.
+  void parse_tree(ActionTree& tree) {
     skip_ws();
     const std::size_t start = pos_;
     std::string name;
@@ -82,49 +84,46 @@ class Parser {
     }
     if (name.empty()) throw ParseError("expected action name", start);
 
-    if (name == "send") {
+    if (name == "send" || name == "drop") {
       require_no_children(name);
-      // Normalize to the null (implicit-send) slot. "send" and an empty
-      // slot print and behave identically, so keeping both representations
-      // alive would make to_string() lossy — and a strategy serialized into
-      // a checkpoint must re-parse to a structurally identical tree, or the
-      // genetic operators diverge after resume.
-      return nullptr;
-    }
-    if (name == "drop") {
-      require_no_children(name);
-      return std::make_unique<DropAction>();
+      tree.push_back(
+          {.kind = name == "send" ? ActionKind::kSend : ActionKind::kDrop});
+      return;
     }
     if (name == "duplicate") {
-      auto [first, second] = parse_two_children();
-      return std::make_unique<DuplicateAction>(std::move(first),
-                                               std::move(second));
+      tree.push_back({.kind = ActionKind::kDuplicate});
+      parse_two_children(tree);
+      return;
     }
     if (name == "tamper") {
       const std::string spec = parse_braces();
       const std::size_t spec_end = pos_;
       auto [proto, field, mode, value] = split_tamper_spec(spec);
-      auto [child, extra] = parse_two_children();
-      if (extra) {
+      const std::size_t at = tree.size();
+      tree.emplace_back();
+      if (tree[parse_two_children(tree)].kind != ActionKind::kSend) {
         throw ParseError("tamper takes a single child", pos_);
       }
+      tree.pop_back();
       // An unknown field, or a replace value the field cannot hold, is an
       // error at the tamper's spec.
       try {
-        return std::make_unique<TamperAction>(
-            lookup_field(proto_from_string(proto), field), mode, value,
-            std::move(child));
+        tree[at] = tamper_node(lookup_field(proto_from_string(proto), field),
+                               mode, value);
       } catch (const std::invalid_argument& e) {
         throw ParseError(e.what(), spec_end);
       }
+      return;
     }
     if (name == "fragment") {
       const std::string spec = parse_braces();
       auto [proto, offset, in_order] = split_fragment_spec(spec);
-      auto [first, second] = parse_two_children();
-      return std::make_unique<FragmentAction>(proto, offset, in_order,
-                                              std::move(first),
-                                              std::move(second));
+      tree.push_back({.kind = ActionKind::kFragment,
+                      .proto = proto,
+                      .in_order = in_order,
+                      .offset = offset});
+      parse_two_children(tree);
+      return;
     }
     throw ParseError("unknown action: " + name, start);
   }
@@ -136,25 +135,38 @@ class Parser {
     }
   }
 
-  // Parses an optional "(A,B)" child list; missing list or empty slots
-  // yield nulls.
-  std::pair<ActionPtr, ActionPtr> parse_two_children() {
+  // Appends one child slot to `tree`: a send node when it is empty.
+  void parse_slot(ActionTree& tree, bool empty) {
+    if (empty) {
+      tree.emplace_back();
+    } else {
+      parse_tree(tree);
+    }
+  }
+
+  // Appends an optional "(A,B)" child list to `tree`; a missing list or an
+  // empty slot is a send node. Returns the index where B starts.
+  std::size_t parse_two_children(ActionTree& tree) {
     skip_ws();
-    if (done() || peek() != '(') return {nullptr, nullptr};
+    if (done() || peek() != '(') {
+      tree.resize(tree.size() + 2);
+      return tree.size() - 1;
+    }
     expect('(');
-    ActionPtr first;
-    ActionPtr second;
     skip_ws();
-    if (peek() != ',' && peek() != ')') first = parse_tree();
+    parse_slot(tree, peek() == ',' || peek() == ')');
+    const std::size_t second = tree.size();
     skip_ws();
     if (peek() == ',') {
       expect(',');
       skip_ws();
-      if (peek() != ')') second = parse_tree();
+      parse_slot(tree, peek() == ')');
       skip_ws();
+    } else {
+      tree.emplace_back();
     }
     expect(')');
-    return {std::move(first), std::move(second)};
+    return second;
   }
 
   std::string parse_braces() {
@@ -265,7 +277,7 @@ Strategy parse_strategy(std::string_view text) {
   return Parser(text).parse_strategy();
 }
 
-ActionPtr parse_action(std::string_view text) {
+ActionTree parse_action(std::string_view text) {
   return Parser(text).parse_action_tree();
 }
 

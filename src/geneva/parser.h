@@ -30,6 +30,6 @@ class ParseError : public std::runtime_error {
 
 /// Parses a single action tree, e.g.
 /// "duplicate(tamper{TCP:flags:replace:R},)". Throws ParseError.
-[[nodiscard]] ActionPtr parse_action(std::string_view text);
+[[nodiscard]] ActionTree parse_action(std::string_view text);
 
 }  // namespace caya

@@ -7,7 +7,7 @@ void apply_rules_into(const std::vector<TriggeredAction>& rules, Packet pkt,
                       Rng& rng, std::vector<Packet>& out) {
   for (const auto& rule : rules) {
     if (rule.trigger.matches(pkt)) {
-      run_action(rule.root.get(), std::move(pkt), rng, out);
+      run_action(rule.tree, std::move(pkt), rng, out);
       return;
     }
   }
@@ -16,8 +16,7 @@ void apply_rules_into(const std::vector<TriggeredAction>& rules, Packet pkt,
 }  // namespace
 
 std::string TriggeredAction::to_string() const {
-  return trigger.to_string() + "-" + (root ? root->to_string() : "send") +
-         "-|";
+  return trigger.to_string() + "-" + action_to_string(tree) + "-|";
 }
 
 std::string Strategy::to_string() const {

@@ -15,26 +15,10 @@ namespace caya {
 
 struct TriggeredAction {
   Trigger trigger;
-  ActionPtr root;  // null = plain send (no-op rule)
-
-  TriggeredAction(Trigger t, ActionPtr a)
-      : trigger(std::move(t)), root(std::move(a)) {}
-  TriggeredAction(const TriggeredAction& other)
-      : trigger(other.trigger), root(clone_action(other.root)) {}
-  TriggeredAction& operator=(const TriggeredAction& other) {
-    if (this != &other) {
-      trigger = other.trigger;
-      root = clone_action(other.root);
-    }
-    return *this;
-  }
-  TriggeredAction(TriggeredAction&&) = default;
-  TriggeredAction& operator=(TriggeredAction&&) = default;
+  ActionTree tree;  // preorder; a lone send node is a plain send rule
 
   [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] std::size_t size() const {
-    return 1 + (root ? root->size() : 0);
-  }
+  [[nodiscard]] std::size_t size() const { return 1 + action_size(tree); }
 };
 
 struct Strategy {

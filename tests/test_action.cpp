@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "geneva/parser.h"
+
 namespace caya {
 namespace {
 
@@ -13,76 +15,64 @@ Packet synack() {
   return pkt;
 }
 
-const Field& tcp(std::string_view name) {
-  return lookup_field(Proto::kTcp, name);
-}
-
-std::vector<Packet> run(const Action& action, Packet pkt, std::uint64_t seed = 1) {
+std::vector<Packet> run(std::string_view action, Packet pkt,
+                        std::uint64_t seed = 1) {
   Rng rng(seed);
   std::vector<Packet> out;
-  action.run(std::move(pkt), rng, out);
+  run_action(parse_action(action), std::move(pkt), rng, out);
   return out;
 }
 
 TEST(Action, SendEmitsPacketUnchanged) {
-  // Plain send is the null slot.
-  Rng rng(1);
-  std::vector<Packet> out;
-  run_action(nullptr, synack(), rng, out);
+  const auto out = run("send", synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kSyn | tcpflag::kAck);
 }
 
 TEST(Action, DropEmitsNothing) {
-  DropAction drop;
-  EXPECT_TRUE(run(drop, synack()).empty());
+  EXPECT_TRUE(run("drop", synack()).empty());
 }
 
 TEST(Action, NullChildrenDefaultToSend) {
-  DuplicateAction dup;
-  const auto out = run(dup, synack());
+  // Missing children are send nodes.
+  EXPECT_EQ(parse_action("duplicate").size(), 3u);
+  const auto out = run("duplicate", synack());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].tcp.seq, out[1].tcp.seq);
 }
 
 TEST(Action, DuplicateOrderFirstThenSecond) {
-  DuplicateAction dup(
-      std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "R"),
-      std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "S"));
-  const auto out = run(dup, synack());
+  const auto out = run(
+      "duplicate(tamper{TCP:flags:replace:R},tamper{TCP:flags:replace:S})",
+      synack());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].tcp.flags, tcpflag::kRst);
   EXPECT_EQ(out[1].tcp.flags, tcpflag::kSyn);
 }
 
 TEST(Action, TamperReplaceRecomputesChecksum) {
-  TamperAction tamper(tcp("flags"), TamperMode::kReplace, "S");
-  const auto out = run(tamper, synack());
+  const auto out = run("tamper{TCP:flags:replace:S}", synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].tcp_checksum_valid());
 }
 
 TEST(Action, TamperOnChecksumPinsIt) {
-  TamperAction tamper(tcp("chksum"), TamperMode::kReplace, "1234");
-  const auto out = run(tamper, synack());
+  const auto out = run("tamper{TCP:chksum:replace:1234}", synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].tcp_checksum_overridden);
   EXPECT_FALSE(out[0].tcp_checksum_valid());
 }
 
 TEST(Action, TamperCorruptLoadAddsPayload) {
-  TamperAction tamper(tcp("load"), TamperMode::kCorrupt, "");
-  const auto out = run(tamper, synack());
+  const auto out = run("tamper{TCP:load:corrupt}", synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].payload.empty());
 }
 
 TEST(Action, TamperChainsThroughChild) {
-  auto child =
-      std::make_unique<TamperAction>(tcp("window"), TamperMode::kReplace, "10");
-  TamperAction tamper(tcp("options-wscale"), TamperMode::kReplace, "",
-                      std::move(child));
-  const auto out = run(tamper, synack());
+  const auto out = run(
+      "tamper{TCP:options-wscale:replace:}(tamper{TCP:window:replace:10},)",
+      synack());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].tcp.window, 10);
   EXPECT_EQ(out[0].tcp.window_scale(), std::nullopt);
@@ -92,8 +82,7 @@ TEST(Action, FragmentTcpSplitsPayloadAndAdjustsSeq) {
   Packet pkt = synack();
   pkt.tcp.flags = tcpflag::kPsh | tcpflag::kAck;
   pkt.payload = to_bytes("HELLOWORLD");
-  FragmentAction frag(Proto::kTcp, 5, /*in_order=*/true);
-  const auto out = run(frag, pkt);
+  const auto out = run("fragment{TCP:5:True}", pkt);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(to_string(out[0].payload), "HELLO");
   EXPECT_EQ(to_string(out[1].payload), "WORLD");
@@ -103,8 +92,7 @@ TEST(Action, FragmentTcpSplitsPayloadAndAdjustsSeq) {
 TEST(Action, FragmentOutOfOrderSwapsDelivery) {
   Packet pkt = synack();
   pkt.payload = to_bytes("HELLOWORLD");
-  FragmentAction frag(Proto::kTcp, 5, /*in_order=*/false);
-  const auto out = run(frag, pkt);
+  const auto out = run("fragment{TCP:5:False}", pkt);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(to_string(out[0].payload), "WORLD");
   EXPECT_EQ(to_string(out[1].payload), "HELLO");
@@ -113,59 +101,63 @@ TEST(Action, FragmentOutOfOrderSwapsDelivery) {
 TEST(Action, FragmentOffsetClampedToPayload) {
   Packet pkt = synack();
   pkt.payload = to_bytes("ab");
-  FragmentAction frag(Proto::kTcp, 100, true);
-  const auto out = run(frag, pkt);
+  const auto out = run("fragment{TCP:100:True}", pkt);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].payload.size() + out[1].payload.size(), 2u);
 }
 
 TEST(Action, FragmentOnEmptyPayloadPassesThrough) {
-  FragmentAction frag(Proto::kTcp, 5, true);
-  const auto out = run(frag, synack());
+  const auto out = run("fragment{TCP:5:True}", synack());
   ASSERT_EQ(out.size(), 1u);
 }
 
 TEST(Action, FragmentIpSetsFragmentFields) {
   Packet pkt = synack();
   pkt.payload = Bytes(32, 0xab);
-  FragmentAction frag(Proto::kIp, 16, true);
-  const auto out = run(frag, pkt);
+  const auto out = run("fragment{IP:16:True}", pkt);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(out[0].ip.flags & Ipv4Header::kFlagMoreFragments);
   EXPECT_EQ(out[1].ip.frag_offset, 2);  // 16 bytes / 8
 }
 
-TEST(Action, CloneIsDeepAndEquivalent) {
-  DuplicateAction dup(
-      std::make_unique<TamperAction>(tcp("ack"), TamperMode::kCorrupt, ""),
-      std::make_unique<DropAction>());
-  const ActionPtr copy = dup.clone();
-  EXPECT_EQ(copy->to_string(), dup.to_string());
-  EXPECT_EQ(copy->size(), dup.size());
+TEST(Action, CopiedStrategyIsIndependent) {
+  const Strategy original = parse_strategy(
+      "[TCP:flags:SA]-duplicate(tamper{TCP:ack:corrupt},drop)-|");
+  Strategy copy = original;
+  EXPECT_EQ(copy.to_string(), original.to_string());
   // Same seed => same corruption => identical output.
-  const auto a = run(dup, synack(), 9);
-  Rng rng(9);
+  Rng rng_a(9);
+  Rng rng_b(9);
+  std::vector<Packet> a;
   std::vector<Packet> b;
-  copy->run(synack(), rng, b);
-  ASSERT_EQ(a.size(), b.size());
+  original.apply_outbound_into(synack(), rng_a, a);
+  copy.apply_outbound_into(synack(), rng_b, b);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].tcp.ack, b[0].tcp.ack);
+  // Editing the copy's tree leaves the original as it was.
+  ActionTree& tree = copy.outbound[0].tree;
+  tree[1] = tamper_node(lookup_field(Proto::kTcp, "flags"),
+                        TamperMode::kReplace, "R");
+  tree[3] = {};  // drop becomes send
+  EXPECT_EQ(copy.to_string(),
+            "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},)-| \\/ ");
+  EXPECT_EQ(original.to_string(),
+            "[TCP:flags:SA]-duplicate(tamper{TCP:ack:corrupt},drop)-| \\/ ");
 }
 
 TEST(Action, SizeCountsNodes) {
-  DuplicateAction dup(
-      std::make_unique<TamperAction>(tcp("flags"), TamperMode::kReplace, "R"),
-      nullptr);
-  EXPECT_EQ(dup.size(), 2u);
-  EXPECT_EQ(DuplicateAction().size(), 1u);  // null (send) slots add no node
+  EXPECT_EQ(action_size(parse_action("duplicate(tamper{TCP:flags:replace:R},)")),
+            2u);
+  // Send nodes add nothing.
+  EXPECT_EQ(action_size(parse_action("duplicate")), 1u);
+  EXPECT_EQ(action_size(parse_action("send")), 0u);
 }
 
 TEST(Action, Strategy9ShapeEmitsThreeCopiesWithSamePayload) {
   // tamper{load:corrupt}(duplicate(duplicate,),)
-  auto tree = std::make_unique<TamperAction>(
-      tcp("load"), TamperMode::kCorrupt, "",
-      std::make_unique<DuplicateAction>(
-          std::make_unique<DuplicateAction>(nullptr, nullptr), nullptr));
-  const auto out = run(*tree, synack());
+  const auto out =
+      run("tamper{TCP:load:corrupt}(duplicate(duplicate,),)", synack());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].payload, out[1].payload);
   EXPECT_EQ(out[1].payload, out[2].payload);

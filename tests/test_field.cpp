@@ -216,7 +216,7 @@ TEST(DnsFields, TamperDslRoundTrip) {
   Rng rng(1);
   // Built inline to avoid a geneva dependency in this packet-level test:
   // tamper is exercised via Field::parse + replace, which is what a parsed
-  // TamperAction does.
+  // tamper node does.
   Packet copy = pkt;
   set(copy, dns("qname"), "replaced.example");
   EXPECT_EQ(dns("qname").render(copy), "replaced.example");

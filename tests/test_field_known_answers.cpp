@@ -71,11 +71,11 @@ std::uint64_t digest(const Packet& pkt) {
 }
 
 Packet tamper(std::string_view field, const std::string& mode) {
-  const ActionPtr action =
+  const ActionTree action =
       parse_action("tamper{" + std::string(field) + ":" + mode + "}");
   Rng rng(kCorruptSeed);
   std::vector<Packet> out;
-  run_action(action.get(), packet_for(field), rng, out);
+  run_action(action, packet_for(field), rng, out);
   EXPECT_EQ(out.size(), 1u) << field;
   return out.empty() ? Packet{} : out.front();
 }

@@ -29,8 +29,8 @@ TEST_P(MutationProperty, MutationPreservesWellFormedness) {
   Strategy s = random_strategy(config, rng);
   for (int i = 0; i < 30; ++i) {
     mutate(s, config, rng);
-    if (!s.outbound.empty() && s.outbound[0].root) {
-      EXPECT_LE(s.outbound[0].root->size(), kMaxTreeSize);
+    if (!s.outbound.empty()) {
+      EXPECT_LE(action_size(s.outbound[0].tree), kMaxTreeSize);
     }
     const Strategy reparsed = parse_strategy(s.to_string());
     EXPECT_EQ(reparsed.to_string(), s.to_string());

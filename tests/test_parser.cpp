@@ -33,7 +33,8 @@ TEST(Parser, MinimalStrategy) {
 TEST(Parser, EmptyActionMeansSend) {
   const Strategy s = parse_strategy("[TCP:flags:SA]--| \\/");
   ASSERT_EQ(s.outbound.size(), 1u);
-  EXPECT_EQ(s.outbound[0].root, nullptr);
+  ASSERT_EQ(s.outbound[0].tree.size(), 1u);
+  EXPECT_EQ(s.outbound[0].tree[0].kind, ActionKind::kSend);
 }
 
 TEST(Parser, InboundSide) {
@@ -54,7 +55,7 @@ TEST(Parser, WhitespaceAndNewlinesTolerated) {
       "[TCP:flags:SA]-\n  duplicate(\n    tamper{TCP:flags:replace:R},\n"
       "    tamper{TCP:flags:replace:S})-| \\/");
   ASSERT_EQ(s.outbound.size(), 1u);
-  EXPECT_EQ(s.outbound[0].root->size(), 3u);
+  EXPECT_EQ(action_size(s.outbound[0].tree), 3u);
 }
 
 TEST(Parser, TamperValueKeepsSpacesAndSlashes) {
@@ -134,18 +135,19 @@ TEST(Parser, RejectsChildrenOnLeaves) {
                ParseError);
 }
 
-TEST(Parser, SendLeavesNormalizeToNullSlots) {
-  // "send" and an empty slot are the same behaviour; the parser folds the
-  // explicit spelling into the null slot so every DSL string maps to ONE
-  // tree shape. Without that, a strategy round-tripped through a checkpoint
-  // (to_string -> parse) would be structurally different from the original
-  // and the genetic operators would diverge after a resume.
+TEST(Parser, SendLeavesAndEmptySlotsAreOneNode) {
+  // "send" and an empty slot are the same behaviour and parse to the same
+  // send node, so every DSL string maps to ONE tree shape. Without that, a
+  // strategy round-tripped through a checkpoint (to_string -> parse) would
+  // be structurally different from the original and the genetic operators
+  // would diverge after a resume.
   EXPECT_EQ(parse_strategy("[TCP:flags:SA]-duplicate(send,drop)-| \\/")
                 .to_string(),
             "[TCP:flags:SA]-duplicate(,drop)-| \\/ ");
   const Strategy bare = parse_strategy("[TCP:flags:SA]-send-| \\/");
   ASSERT_EQ(bare.outbound.size(), 1u);
-  EXPECT_EQ(bare.outbound.front().root, nullptr);
+  ASSERT_EQ(bare.outbound.front().tree.size(), 1u);
+  EXPECT_EQ(bare.outbound.front().tree[0].kind, ActionKind::kSend);
   EXPECT_EQ(bare.to_string(), "[TCP:flags:SA]-send-| \\/ ");
 }
 
@@ -157,12 +159,12 @@ TEST(Parser, RejectsTamperWithTwoChildren) {
 }
 
 TEST(Parser, FragmentSpecParsed) {
-  const ActionPtr a = parse_action("fragment{TCP:8:False}(drop,)");
-  auto* frag = dynamic_cast<FragmentAction*>(a.get());
-  ASSERT_NE(frag, nullptr);
-  EXPECT_EQ(frag->proto(), Proto::kTcp);
-  EXPECT_EQ(frag->offset(), 8u);
-  EXPECT_FALSE(frag->in_order());
+  const ActionTree a = parse_action("fragment{TCP:8:False}(drop,)");
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[0].kind, ActionKind::kFragment);
+  EXPECT_EQ(a[0].proto, Proto::kTcp);
+  EXPECT_EQ(a[0].offset, 8u);
+  EXPECT_FALSE(a[0].in_order);
 }
 
 TEST(Parser, FragmentRejectsBadSpec) {
