@@ -63,10 +63,20 @@ constexpr Field row(Proto proto, std::string_view name, FieldForm form,
   return {proto, name, form, width, checksum, pin, 0, access.get, access.set};
 }
 
-constexpr Field option_row(std::string_view name, std::uint8_t kind,
-                           unsigned bytes) {
-  return {kTcp, name, kOption, 8 * bytes, kInvalidate, nullptr, kind,
-          nullptr, nullptr};
+/// An option's value bytes read as one big-endian integer.
+template <std::uint8_t kKind>
+std::optional<std::uint64_t> option_value(const Packet& pkt) {
+  const TcpOption* opt = pkt.tcp.find_option(kKind);
+  if (opt == nullptr) return std::nullopt;
+  std::uint64_t v = 0;
+  for (std::uint8_t b : opt->data) v = v << 8 | b;
+  return v;
+}
+
+template <std::uint8_t kKind>
+constexpr Field option_row(std::string_view name, unsigned bytes) {
+  return {kTcp, name, kOption, 8 * bytes, kInvalidate, nullptr, kKind,
+          option_value<kKind>, nullptr};
 }
 
 constexpr Field text_row(Proto proto, std::string_view name, FieldForm form) {
@@ -109,10 +119,10 @@ constexpr std::array kFields = {
     row(kTcp, "urgptr", kDecimal, 16, kUpdate,
         kTcpAccess<&TcpHeader::urgent_pointer>),
     text_row(kTcp, "load", kBytes),
-    option_row("options-wscale", TcpOption::kWindowScale, 1),
-    option_row("options-mss", TcpOption::kMss, 2),
-    option_row("options-sackok", TcpOption::kSackPermitted, 0),
-    option_row("options-timestamp", TcpOption::kTimestamps, 8),
+    option_row<TcpOption::kWindowScale>("options-wscale", 1),
+    option_row<TcpOption::kMss>("options-mss", 2),
+    option_row<TcpOption::kSackPermitted>("options-sackok", 0),
+    option_row<TcpOption::kTimestamps>("options-timestamp", 8),
     row(kDns, "id", kDecimal, 16, kNone, kDnsIdAccess),
     text_row(kDns, "qname", kDnsName),
 };
@@ -228,13 +238,7 @@ std::string Field::render(const Packet& pkt) const {
       return to_string(std::span(pkt.payload));
     case kDnsName:
       return parse_dns_qname(std::span(pkt.payload)).value_or("");
-    case kOption: {
-      const TcpOption* opt = pkt.tcp.find_option(option_kind);
-      if (opt == nullptr) return "";
-      std::uint64_t v = 0;
-      for (std::uint8_t b : opt->data) v = v << 8 | b;
-      return std::to_string(v);
-    }
+    case kOption:
     case kDecimal:
     case kFlags:
     case kAddress:

@@ -53,8 +53,8 @@ enum class ChecksumRule : std::uint8_t {
   kInvalidate,  // the header layout changed: the memo is recomputed
 };
 
-/// A replace value parsed for its field: the DSL text, printed back
-/// verbatim, and the number it denotes for every form but kBytes and
+/// A trigger or replace value parsed for its field: the DSL text, printed
+/// back verbatim, and the number it denotes for every form but kBytes and
 /// kDnsName.
 struct FieldValue {
   std::string text;
@@ -74,13 +74,14 @@ struct Field {
   /// offset against recomputation at serialization; null for none.
   bool Packet::*pin;
   std::uint8_t option_kind;  // kOption only
-  /// kDecimal, kFlags and kAddress: reads the value (nullopt where the
-  /// packet has none) and stores one, keeping the low bits its header
-  /// member holds.
+  /// Every form but kBytes and kDnsName: reads the value as a number
+  /// (nullopt where the packet has none, such as an absent option).
   std::optional<std::uint64_t> (*get)(const Packet&);
+  /// kDecimal, kFlags and kAddress: stores a value, keeping the low bits its
+  /// header member holds.
   void (*set)(Packet&, std::uint64_t);
 
-  /// Parses `text` as a replace value for this field; throws
+  /// Parses `text` as a trigger or replace value for this field; throws
   /// std::invalid_argument when the field cannot hold it.
   [[nodiscard]] FieldValue parse(std::string text) const;
 

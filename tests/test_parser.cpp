@@ -119,6 +119,30 @@ TEST(Parser, RejectsReplaceValueTheFieldCannotHold) {
   EXPECT_NO_THROW((void)parse_action("tamper{DNS:qname:replace:abc}"));
 }
 
+TEST(Parser, RejectsTriggerValueTheFieldCannotHold) {
+  // A trigger value is parsed for its field, as a replace value is, so a
+  // value the field cannot hold is a ParseError just past the trigger
+  // instead of a rule that never fires.
+  for (const std::string bad :
+       {"[TCP:seq:abc]-drop-|", "[TCP:flags:PA0]-drop-|",
+        "[IP:src:1.2.3]-drop-|"}) {
+    try {
+      (void)parse_strategy(bad);
+      ADD_FAILURE() << "expected ParseError: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.position(), bad.find(']') + 1) << bad;
+    }
+  }
+}
+
+TEST(Parser, TriggerFlagsMatchInAnyLetterOrder) {
+  // "AS" is the flag mask SA: it fires on a SYN+ACK and prints as written.
+  const Strategy s = parse_strategy("[TCP:flags:AS]-drop-|");
+  EXPECT_EQ(s.to_string(), "[TCP:flags:AS]-drop-| \\/ ");
+  Rng rng(1);
+  EXPECT_TRUE(apply_out(s, synack(), rng).empty());
+}
+
 TEST(Parser, RejectsTrailingGarbage) {
   EXPECT_THROW(parse_strategy("[TCP:flags:SA]-drop-| extra"), ParseError);
 }
