@@ -1,5 +1,6 @@
 #include "util/stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -14,7 +15,9 @@ RateCounter::Interval RateCounter::wilson(double z) const noexcept {
   const double center = (p + z2 / (2.0 * n)) / denom;
   const double margin =
       z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  return {center - margin, center + margin};
+  // Clamped, so a 0/n rate starts at +0.0 rather than a rounding error
+  // below zero.
+  return {std::max(0.0, center - margin), std::min(1.0, center + margin)};
 }
 
 std::string percent(double rate) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace caya {
 namespace {
 
@@ -38,7 +40,15 @@ TEST(RateCounter, WilsonHandlesExtremes) {
   for (int i = 0; i < 20; ++i) c.record(true);
   const auto iv = c.wilson();
   EXPECT_GT(iv.lo, 0.7);
-  EXPECT_LE(iv.hi, 1.0001);
+  EXPECT_LE(iv.hi, 1.0);
+  // 0/20: the lower end is exactly +0.0, which prints as 0.0%, not -0.0%.
+  RateCounter none;
+  for (int i = 0; i < 20; ++i) none.record(false);
+  const auto zero = none.wilson();
+  EXPECT_EQ(zero.lo, 0.0);
+  EXPECT_FALSE(std::signbit(zero.lo));
+  EXPECT_GT(zero.hi, 0.0);
+  EXPECT_LE(zero.hi, 1.0);
 }
 
 TEST(Percent, FormatsRounded) {
