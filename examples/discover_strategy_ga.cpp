@@ -8,6 +8,7 @@
 // per-generation log: the population usually converges on a window-
 // reduction or payload-injection species within a handful of generations.
 #include <cstdio>
+#include <iostream>
 
 #include "eval/rates.h"
 #include "geneva/ga.h"
@@ -27,16 +28,12 @@ int main() {
   config.generations = 15;
   config.convergence_patience = 6;
 
-  Logger logger(LogLevel::kInfo, [](LogLevel, std::string_view msg) {
-    std::printf("  %.*s\n", static_cast<int>(msg.size()), msg.data());
-  });
-
   GeneticAlgorithm ga(genes, config,
                       make_supervised_fitness(country, protocol,
                                               /*trials=*/20,
                                               /*base_seed=*/2026,
                                               /*quarantine=*/nullptr),
-                      Rng(7), logger);
+                      Rng(7), &std::cout);
   const Individual best = ga.run();
 
   std::printf("\nbest strategy: %s\n", best.strategy.to_string().c_str());

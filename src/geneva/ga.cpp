@@ -1,6 +1,7 @@
 #include "geneva/ga.h"
 
 #include <algorithm>
+#include <ostream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -19,12 +20,13 @@ constexpr double kMutationRate = 0.9;
 constexpr std::size_t kTournamentSize = 3;
 
 GeneticAlgorithm::GeneticAlgorithm(GeneConfig genes, GaConfig config,
-                                   FitnessFn fitness, Rng rng, Logger logger)
+                                   FitnessFn fitness, Rng rng,
+                                   std::ostream* log)
     : genes_(std::move(genes)),
       config_(config),
       fitness_(std::move(fitness)),
       rng_(rng),
-      logger_(std::move(logger)) {}
+      log_(log) {}
 
 void GeneticAlgorithm::seed(Strategy strategy) {
   Individual ind;
@@ -173,15 +175,19 @@ Individual GeneticAlgorithm::run() {
     history_.push_back({gen, eval_.best_fitness, eval_.mean_fitness,
                         population_.front().strategy.to_string(),
                         eval_.cache_hits, eval_.evaluations});
-    logger_.logf(LogLevel::kInfo, "gen ", gen, " best=",
-                 population_.front().fitness,
-                 " strategy=", population_.front().strategy.to_string());
+    if (log_ != nullptr) {
+      *log_ << "  gen " << gen << " best=" << population_.front().fitness
+            << " strategy=" << population_.front().strategy.to_string()
+            << "\n";
+    }
 
     if (population_.front().fitness > best_so_far_) {
       best_so_far_ = population_.front().fitness;
       stale_ = 0;
     } else if (++stale_ >= config_.convergence_patience) {
-      logger_.logf(LogLevel::kInfo, "converged at generation ", gen);
+      if (log_ != nullptr) {
+        *log_ << "  converged at generation " << gen << "\n";
+      }
       // Mark the campaign complete so a checkpoint taken after this run
       // resumes as a no-op instead of re-recording this generation.
       gen_next_ = config_.generations;

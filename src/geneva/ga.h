@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "geneva/fitness_cache.h"
 #include "geneva/mutation.h"
 #include "geneva/strategy.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/snapshot.h"
 
@@ -57,8 +57,10 @@ struct GenerationStats {
 
 class GeneticAlgorithm {
  public:
+  /// With a `log` stream, run() writes one "  gen ..." line per generation
+  /// and a "  converged at generation N" line to it; null means silent.
   GeneticAlgorithm(GeneConfig genes, GaConfig config, FitnessFn fitness,
-                   Rng rng, Logger logger = Logger::silent());
+                   Rng rng, std::ostream* log = nullptr);
 
   /// Runs the full evolution; returns the best individual found. Throws
   /// std::invalid_argument when the population is empty (population size 0
@@ -139,7 +141,7 @@ class GeneticAlgorithm {
   GaConfig config_;
   FitnessFn fitness_;
   Rng rng_;
-  Logger logger_;
+  std::ostream* log_;
   std::shared_ptr<FitnessCache> cache_;
   std::vector<Individual> population_;
   std::vector<GenerationStats> history_;

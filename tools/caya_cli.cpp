@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -437,9 +438,6 @@ int cmd_evolve(Args& args) {
             checkpoints.flags());
   checkpoints.validate();
 
-  Logger logger(LogLevel::kInfo, [](LogLevel, std::string_view msg) {
-    std::printf("  %.*s\n", static_cast<int>(msg.size()), msg.data());
-  });
   const std::vector<ImpairmentProfile> fitness_profiles =
       robust ? all_profiles() : std::vector<ImpairmentProfile>{};
   // Supervised fitness: errored trials are retried/counted inside the
@@ -456,7 +454,7 @@ int cmd_evolve(Args& args) {
       country, protocol, 20, seed, quarantine, SupervisionPolicy{},
       fitness_profiles);
   GeneticAlgorithm ga(GeneConfig{}, config, std::move(fitness), Rng(seed),
-                      logger);
+                      &std::cout);
   // Elites and re-discovered genomes skip their trial batches entirely.
   auto cache = std::make_shared<FitnessCache>(
       fitness_cache_digest(country, protocol, 20, seed, fitness_profiles));
