@@ -72,7 +72,7 @@ void grow(Rng& rng, std::size_t depth, ActionTree& tree) {
     child(0.4);
   } else if (!must_leaf && roll < 78) {
     const std::size_t at = tree.size();
-    tree.push_back({.kind = ActionKind::kFragment});
+    tree.push_back({.kind = ActionKind::kFragment, .proto = Proto::kTcp});
     child(0.4);
     child(0.4);
     // Drawn after the children, in two statements, so that the draw order
@@ -80,7 +80,8 @@ void grow(Rng& rng, std::size_t depth, ActionTree& tree) {
     tree[at].in_order = rng.chance(0.7);
     tree[at].offset = 1 + rng.index(16);
   } else {
-    tree.push_back({.kind = roll < 88 ? ActionKind::kDrop : ActionKind::kSend});
+    tree.push_back(
+        {.kind = roll < 88 ? ActionKind::kDrop : ActionKind::kSend});
   }
 }
 

@@ -147,8 +147,9 @@ TEST(Action, CopiedStrategyIsIndependent) {
 }
 
 TEST(Action, SizeCountsNodes) {
-  EXPECT_EQ(action_size(parse_action("duplicate(tamper{TCP:flags:replace:R},)")),
-            2u);
+  EXPECT_EQ(
+      action_size(parse_action("duplicate(tamper{TCP:flags:replace:R},)")),
+      2u);
   // Send nodes add nothing.
   EXPECT_EQ(action_size(parse_action("duplicate")), 1u);
   EXPECT_EQ(action_size(parse_action("send")), 0u);
