@@ -15,7 +15,7 @@ namespace caya {
 
 struct TriggeredAction {
   Trigger trigger;
-  ActionTree tree;  // preorder; a lone send node is a plain send rule
+  ActionTree tree;  // preorder, never empty; a lone send is a plain send rule
 
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] std::size_t size() const { return 1 + action_size(tree); }
