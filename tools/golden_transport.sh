@@ -6,15 +6,18 @@
 # pcap bytes, and also asserts --jobs invariance (--jobs 1 vs --jobs 4 must
 # print byte-identical reports). It also md5s short `caya evolve` campaigns
 # (report + per-generation history): evolution is the one workload that
-# drives every tamper field and corrupt draw the GA can reach. A checked-in
-# manifest captured on a known-good commit lets CI prove a packet-path
-# change didn't alter wire behavior.
+# drives every tamper field and corrupt draw the GA can reach. Last, it md5s
+# the stdout of the bench programs that regenerate the paper's tables and
+# figures, at their built-in trial counts and seeds. A checked-in manifest
+# captured on a known-good commit lets CI prove a packet-path change didn't
+# alter wire behavior or a paper number.
 #
 # Usage:
 #   tools/golden_transport.sh capture [manifest]   # write manifest
 #   tools/golden_transport.sh check   [manifest]   # re-run, diff manifest
 #
 # Env: CAYA (default build/tools/caya), CAYA_GOLDEN_TRIALS (default 20).
+# The bench programs are taken from the same build tree as CAYA.
 set -euo pipefail
 
 mode="${1:-check}"
@@ -30,6 +33,7 @@ if [[ ! -x "$caya" ]]; then
   echo "error: caya binary not found at '$caya' (set CAYA=...)" >&2
   exit 2
 fi
+bench_dir="$(dirname "$(dirname "$caya")")/bench"
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -41,6 +45,15 @@ published=(1 2 5 6 8)
 # country:protocol pairs evolved under seeds 1 and 7.
 evolved=(china:http china:dns china:ftp china:smtp china:https
          kazakhstan:http iran:https)
+# Every bench program except bench_checkpoint, bench_hostile_ingress and
+# bench_sec8_overhead, which print wall-clock timings.
+benches=(bench_ablation_sweeps bench_clientside_baseline
+         bench_fig1_waterfalls_china bench_fig2_waterfalls_kazakhstan
+         bench_fig3_multibox bench_ga_discovery bench_robustness_sweeps
+         bench_sec3_clientside_generalization bench_sec4_dns_retries
+         bench_sec4_residual bench_sec5_kazakh_ablations
+         bench_sec5_resync_model bench_sec7_client_compat
+         bench_table1_vantage bench_table2_success_rates)
 
 run_case() {
   local country="$1" id="$2" out="$3" pcap="$4" jobs="$5"
@@ -73,6 +86,10 @@ generate() {
         --population 60 --gens 10 --seed "$seed" \
         --history-out "$dir/$tag.history" > "$dir/$tag.txt"
     done
+  done
+  # The shrink/reseed variables would change what the benches print.
+  for bench in "${benches[@]}"; do
+    env -u CAYA_TRIALS -u CAYA_SEED "$bench_dir/$bench" > "$dir/$bench.txt"
   done
 }
 
