@@ -62,7 +62,6 @@ std::size_t run(std::span<const ActionNode> tree, std::size_t i, Packet pkt,
   if (node.proto == Proto::kTcp) {
     // TCP segmentation: the second segment advances the sequence number.
     b.tcp.seq = pkt.tcp.seq + static_cast<std::uint32_t>(cut);
-    b.tcp_sum_tamper32(pkt.tcp.seq, b.tcp.seq);
   } else {
     // IP fragmentation: fragment offsets are in 8-byte units; the first
     // fragment sets More Fragments.

@@ -108,9 +108,7 @@ void LinkModel::corrupt_packet(Packet& pkt) {
     Bytes& raw = pkt.payload.mutate();
     raw[raw.size() / 2] ^= 0x20;
   } else {
-    const std::uint16_t old = pkt.tcp.window;
     pkt.tcp.window ^= 0x0004;
-    pkt.tcp_sum_tamper(old, pkt.tcp.window);
   }
 }
 

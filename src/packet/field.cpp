@@ -14,7 +14,6 @@ namespace {
 
 using enum Proto;
 using enum FieldForm;
-using enum ChecksumRule;
 
 struct Access {
   std::optional<std::uint64_t> (*get)(const Packet&);
@@ -58,9 +57,9 @@ constexpr Access kDnsIdAccess = {
     }};
 
 constexpr Field row(Proto proto, std::string_view name, FieldForm form,
-                    unsigned width, ChecksumRule checksum, Access access,
+                    unsigned width, Access access,
                     bool Packet::*pin = nullptr) {
-  return {proto, name, form, width, checksum, pin, 0, access.get, access.set};
+  return {proto, name, form, width, pin, 0, access.get, access.set};
 }
 
 /// An option's value bytes read as one big-endian integer.
@@ -75,55 +74,48 @@ std::optional<std::uint64_t> option_value(const Packet& pkt) {
 
 template <std::uint8_t kKind>
 constexpr Field option_row(std::string_view name, unsigned bytes) {
-  return {kTcp, name, kOption, 8 * bytes, kInvalidate, nullptr, kKind,
-          option_value<kKind>, nullptr};
+  return {kTcp, name, kOption, 8 * bytes, nullptr, kKind, option_value<kKind>,
+          nullptr};
 }
 
 constexpr Field text_row(Proto proto, std::string_view name, FieldForm form) {
-  return {proto, name, form, 0, kNone, nullptr, 0, nullptr, nullptr};
+  return {proto, name, form, 0, nullptr, 0, nullptr, nullptr};
 }
 
-// Every field Geneva can name, grouped by protocol. Single-field TCP writes
-// keep the checksum memo current via RFC 1624; for TCP flags the
-// data-offset byte is common to the old and new header word, so it cancels
-// in the one's-complement difference and the flag byte alone suffices.
+// Every field Geneva can name, grouped by protocol.
 constexpr std::array kFields = {
-    row(kIp, "version", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::version>),
-    row(kIp, "ihl", kDecimal, 4, kNone, kIpAccess<&Ipv4Header::ihl>),
-    row(kIp, "tos", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::tos>),
-    row(kIp, "len", kDecimal, 16, kNone,
-        kIpAccess<&Ipv4Header::total_length>, &Packet::ip_length_overridden),
-    row(kIp, "id", kDecimal, 16, kNone, kIpAccess<&Ipv4Header::id>),
-    row(kIp, "flags", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::flags>),
-    row(kIp, "frag", kDecimal, 16, kNone, kIpAccess<&Ipv4Header::frag_offset>),
-    row(kIp, "ttl", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::ttl>),
-    row(kIp, "proto", kDecimal, 8, kNone, kIpAccess<&Ipv4Header::protocol>),
-    row(kIp, "chksum", kDecimal, 16, kNone, kIpAccess<&Ipv4Header::checksum>,
+    row(kIp, "version", kDecimal, 8, kIpAccess<&Ipv4Header::version>),
+    row(kIp, "ihl", kDecimal, 4, kIpAccess<&Ipv4Header::ihl>),
+    row(kIp, "tos", kDecimal, 8, kIpAccess<&Ipv4Header::tos>),
+    row(kIp, "len", kDecimal, 16, kIpAccess<&Ipv4Header::total_length>,
+        &Packet::ip_length_overridden),
+    row(kIp, "id", kDecimal, 16, kIpAccess<&Ipv4Header::id>),
+    row(kIp, "flags", kDecimal, 8, kIpAccess<&Ipv4Header::flags>),
+    row(kIp, "frag", kDecimal, 16, kIpAccess<&Ipv4Header::frag_offset>),
+    row(kIp, "ttl", kDecimal, 8, kIpAccess<&Ipv4Header::ttl>),
+    row(kIp, "proto", kDecimal, 8, kIpAccess<&Ipv4Header::protocol>),
+    row(kIp, "chksum", kDecimal, 16, kIpAccess<&Ipv4Header::checksum>,
         &Packet::ip_checksum_overridden),
-    // The addresses are pseudo-header words of the TCP checksum.
-    row(kIp, "src", kAddress, 32, kUpdate, kIpAccess<&Ipv4Header::src>),
-    row(kIp, "dst", kAddress, 32, kUpdate, kIpAccess<&Ipv4Header::dst>),
+    row(kIp, "src", kAddress, 32, kIpAccess<&Ipv4Header::src>),
+    row(kIp, "dst", kAddress, 32, kIpAccess<&Ipv4Header::dst>),
     text_row(kIp, "load", kBytes),
-    row(kTcp, "sport", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::sport>),
-    row(kTcp, "dport", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::dport>),
-    row(kTcp, "seq", kDecimal, 32, kUpdate, kTcpAccess<&TcpHeader::seq>),
-    row(kTcp, "ack", kDecimal, 32, kUpdate, kTcpAccess<&TcpHeader::ack>),
-    // The pinned offset changes the header word: the memo is recomputed.
-    row(kTcp, "dataofs", kDecimal, 4, kInvalidate,
-        kTcpAccess<&TcpHeader::data_offset>, &Packet::tcp_offset_overridden),
-    row(kTcp, "flags", kFlags, 8, kUpdate, kTcpAccess<&TcpHeader::flags>),
-    row(kTcp, "window", kDecimal, 16, kUpdate, kTcpAccess<&TcpHeader::window>),
-    // Pins the *stored* checksum; the memo of the computed one stays valid.
-    row(kTcp, "chksum", kDecimal, 16, kNone, kTcpAccess<&TcpHeader::checksum>,
+    row(kTcp, "sport", kDecimal, 16, kTcpAccess<&TcpHeader::sport>),
+    row(kTcp, "dport", kDecimal, 16, kTcpAccess<&TcpHeader::dport>),
+    row(kTcp, "seq", kDecimal, 32, kTcpAccess<&TcpHeader::seq>),
+    row(kTcp, "ack", kDecimal, 32, kTcpAccess<&TcpHeader::ack>),
+    row(kTcp, "dataofs", kDecimal, 4, kTcpAccess<&TcpHeader::data_offset>,
+        &Packet::tcp_offset_overridden),
+    row(kTcp, "flags", kFlags, 8, kTcpAccess<&TcpHeader::flags>),
+    row(kTcp, "window", kDecimal, 16, kTcpAccess<&TcpHeader::window>),
+    row(kTcp, "chksum", kDecimal, 16, kTcpAccess<&TcpHeader::checksum>,
         &Packet::tcp_checksum_overridden),
-    row(kTcp, "urgptr", kDecimal, 16, kUpdate,
-        kTcpAccess<&TcpHeader::urgent_pointer>),
+    row(kTcp, "urgptr", kDecimal, 16, kTcpAccess<&TcpHeader::urgent_pointer>),
     text_row(kTcp, "load", kBytes),
     option_row<TcpOption::kWindowScale>("options-wscale", 1),
     option_row<TcpOption::kMss>("options-mss", 2),
     option_row<TcpOption::kSackPermitted>("options-sackok", 0),
     option_row<TcpOption::kTimestamps>("options-timestamp", 8),
-    row(kDns, "id", kDecimal, 16, kNone, kDnsIdAccess),
+    row(kDns, "id", kDecimal, 16, kDnsIdAccess),
     text_row(kDns, "qname", kDnsName),
 };
 static_assert(std::ranges::is_sorted(kFields, {}, &Field::proto));
@@ -140,32 +132,11 @@ std::uint64_t parse_number(const Field& field, std::string_view s) {
   return v;
 }
 
-/// Applies the row's pin and checksum rule to a write that changed the
-/// field from `old` to `now`.
-void settle(Packet& pkt, const Field& field, std::uint64_t old,
-            std::uint64_t now) {
-  if (field.pin != nullptr) pkt.*field.pin = true;
-  if (field.checksum == kInvalidate) {
-    pkt.tcp_sum_invalidate();
-  } else if (field.checksum == kUpdate && field.width == 32) {
-    pkt.tcp_sum_tamper32(static_cast<std::uint32_t>(old),
-                         static_cast<std::uint32_t>(now));
-  } else if (field.checksum == kUpdate) {
-    pkt.tcp_sum_tamper(static_cast<std::uint16_t>(old),
-                       static_cast<std::uint16_t>(now));
-  }
-}
-
-/// Writes an integer-valued field (kDecimal, kFlags, kAddress).
+/// Writes an integer-valued field (kDecimal, kFlags, kAddress), pinning it
+/// against recomputation where the row says so.
 void store(Packet& pkt, const Field& field, std::uint64_t value) {
-  const std::uint64_t old = field.get(pkt).value_or(0);
   field.set(pkt, value);
-  settle(pkt, field, old, field.get(pkt).value_or(0));
-}
-
-void set_option(Packet& pkt, const Field& field, Bytes data) {
-  pkt.tcp.set_option(field.option_kind, std::move(data));
-  settle(pkt, field, 0, 0);
+  if (field.pin != nullptr) pkt.*field.pin = true;
 }
 
 void set_qname(Packet& pkt, const std::string& qname) {
@@ -258,7 +229,7 @@ std::string Field::render(const Packet& pkt) const {
 void Field::replace(Packet& pkt, const FieldValue& value) const {
   switch (form) {
     case kBytes:
-      pkt.payload = to_bytes(value.text);  // payload is folded in per query
+      pkt.payload = to_bytes(value.text);
       return;
     case kDnsName:
       set_qname(pkt, value.text);
@@ -266,7 +237,6 @@ void Field::replace(Packet& pkt, const FieldValue& value) const {
     case kOption: {
       if (value.text.empty()) {
         pkt.tcp.remove_option(option_kind);
-        settle(pkt, *this, 0, 0);
         return;
       }
       const std::size_t n = width / 8;
@@ -274,7 +244,7 @@ void Field::replace(Packet& pkt, const FieldValue& value) const {
       for (std::size_t i = 0; i < n; ++i) {
         data[n - 1 - i] = static_cast<std::uint8_t>(value.number >> (8 * i));
       }
-      set_option(pkt, *this, std::move(data));
+      pkt.tcp.set_option(option_kind, std::move(data));
       return;
     }
     case kDecimal:
@@ -298,7 +268,7 @@ void Field::corrupt(Packet& pkt, Rng& rng) const {
       set_qname(pkt, to_hex(rng.bytes(8)) + ".example");
       return;
     case kOption:
-      set_option(pkt, *this, rng.bytes(width / 8));
+      pkt.tcp.set_option(option_kind, rng.bytes(width / 8));
       return;
     case kDecimal:
     case kFlags:

@@ -3,8 +3,8 @@
 // Geneva triggers ("[TCP:flags:SA]") and tamper actions
 // ("tamper{TCP:ack:corrupt}") address packet fields by (protocol, name).
 // Each field is declared once, as one row of a table that says how its value
-// is spelled in the DSL, how many bits it holds and what writing it does to
-// the TCP checksum. The strategy parser resolves every name to its row once;
+// is spelled in the DSL, how many bits it holds and which override flag
+// writing it pins. The strategy parser resolves every name to its row once;
 // rendering, replacing and corrupting a field then never look a name up.
 //
 // tamper semantics from the paper's appendix: writes recompute checksums and
@@ -45,14 +45,6 @@ enum class FieldForm : std::uint8_t {
   kDnsName,  // the query name of a DNS-over-TCP payload
 };
 
-/// What writing a field does to the packet's TCP checksum memo.
-enum class ChecksumRule : std::uint8_t {
-  kNone,        // the field is outside the TCP header and pseudo-header
-                // words the memo covers (the payload is folded in per query)
-  kUpdate,      // RFC 1624: the memo follows the written word's difference
-  kInvalidate,  // the header layout changed: the memo is recomputed
-};
-
 /// A trigger or replace value parsed for its field: the DSL text, printed
 /// back verbatim, and the number it denotes for every form but kBytes and
 /// kDnsName.
@@ -69,7 +61,6 @@ struct Field {
   /// Bits of the value: corrupt draws uniform(0, 2^width - 1), and an
   /// option holds width / 8 value bytes.
   unsigned width;
-  ChecksumRule checksum;
   /// The override flag a write sets, pinning the written checksum, length or
   /// offset against recomputation at serialization; null for none.
   bool Packet::*pin;
@@ -89,7 +80,7 @@ struct Field {
   /// (Geneva's convention).
   [[nodiscard]] std::string render(const Packet& pkt) const;
 
-  /// Writes a parsed value, applying the row's pin and checksum rule.
+  /// Writes a parsed value, applying the row's pin.
   void replace(Packet& pkt, const FieldValue& value) const;
 
   /// Sets the field to random bits of its width ("corrupt" mode). Corrupting

@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "util/arena.h"
-#include "util/checksum.h"
-#include "util/selfcheck.h"
 
 namespace caya {
 
@@ -75,52 +73,10 @@ Packet Packet::parse(std::span<const std::uint8_t> wire) {
 }
 
 std::uint16_t Packet::computed_tcp_checksum() const {
-  if (!tcp_sum_memo_valid) {
-    const TcpHeader::PartialChecksum partial =
-        tcp.partial_checksum(ip.src, ip.dst, !tcp_offset_overridden);
-    tcp_sum_memo = partial.folded;
-    tcp_header_len_memo = partial.header_len;
-    tcp_sum_memo_valid = true;
-  }
-  ChecksumAccumulator acc;
-  acc.add_word_sum(static_cast<std::uint16_t>(~tcp_sum_memo));
-  acc.add_u16(static_cast<std::uint16_t>(tcp_header_len_memo +
-                                         payload.size()));
-  acc.add_word_sum(payload.word_sum());
-  const std::uint16_t computed = acc.finish();
-
-  if (selfcheck_enabled()) {
-    // Full-fold oracle: serialize the segment and checksum the wire bytes
-    // exactly as the pre-memo implementation did.
-    BufferArena::Scoped segment;
-    tcp.serialize_into(*segment, ip.src, ip.dst, payload,
-                       /*compute_checksum=*/true, !tcp_offset_overridden);
-    const auto full =
-        static_cast<std::uint16_t>((*segment)[16] << 8 | (*segment)[17]);
-    if (full != computed) {
-      throw SelfCheckError(
-          "incremental-checksum",
-          summary() + ": incremental=" + std::to_string(computed) +
-              " full-fold=" + std::to_string(full));
-    }
-  }
-  return computed;
-}
-
-void Packet::tcp_sum_tamper(std::uint16_t old_word,
-                            std::uint16_t new_word) noexcept {
-  if (tcp_sum_memo_valid) {
-    tcp_sum_memo = incremental_checksum_update(tcp_sum_memo, old_word,
-                                               new_word);
-  }
-}
-
-void Packet::tcp_sum_tamper32(std::uint32_t old_value,
-                              std::uint32_t new_value) noexcept {
-  if (tcp_sum_memo_valid) {
-    tcp_sum_memo = incremental_checksum_update32(tcp_sum_memo, old_value,
-                                                 new_value);
-  }
+  BufferArena::Scoped segment;
+  tcp.serialize_into(*segment, ip.src, ip.dst, payload,
+                     /*compute_checksum=*/true, !tcp_offset_overridden);
+  return static_cast<std::uint16_t>((*segment)[16] << 8 | (*segment)[17]);
 }
 
 bool Packet::tcp_checksum_valid() const {
@@ -130,13 +86,10 @@ bool Packet::tcp_checksum_valid() const {
 
 bool Packet::ip_checksum_valid() const {
   if (!ip_checksum_overridden) return true;
-  // The segment length is all the IP header needs from the TCP layer; the
-  // memoized header length (or a cheap options pass) avoids serializing the
-  // whole segment just to measure it.
+  // The segment length is all the IP header needs from the TCP layer; an
+  // options pass measures it without serializing the whole segment.
   const std::size_t segment_len =
-      (tcp_sum_memo_valid ? tcp_header_len_memo
-                          : tcp.computed_header_length()) +
-      payload.size();
+      tcp.computed_header_length() + payload.size();
   BufferArena::Scoped hdr;
   ip.serialize_into(*hdr, static_cast<std::uint16_t>(segment_len),
                     /*compute_checksum=*/true, !ip_length_overridden);

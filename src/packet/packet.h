@@ -25,18 +25,6 @@ struct Packet {
   bool tcp_checksum_overridden = false;
   bool tcp_offset_overridden = false;
 
-  // TCP-checksum memo: `tcp_sum_memo` caches the header-side partial
-  // checksum (TcpHeader::partial_checksum); the pseudo-header length word
-  // and the payload's cached word sum are folded in per query, so payload
-  // edits can never stale it. computed_tcp_checksum() fills it, set_field
-  // keeps it current across single-field tampers via RFC 1624
-  // (tcp_sum_tamper*), and any other direct header mutation performed after
-  // a checksum query must call tcp_sum_invalidate(). Public so Packet stays
-  // an aggregate; not part of the packet's logical value.
-  mutable std::uint16_t tcp_sum_memo = 0;
-  mutable std::uint16_t tcp_header_len_memo = 0;
-  mutable bool tcp_sum_memo_valid = false;
-
   [[nodiscard]] std::size_t payload_size() const noexcept {
     return payload.size();
   }
@@ -62,20 +50,12 @@ struct Packet {
   /// Implemented over try_parse — the two can never disagree.
   static Packet parse(std::span<const std::uint8_t> wire);
 
-  /// The TCP checksum a fresh serialization of this packet would carry,
-  /// computed from the header memo + the payload's cached word sum — no
-  /// serialization and no payload scan in steady state. Under CAYA_SELFCHECK
-  /// every result is cross-checked against the full RFC 1071 fold over the
-  /// serialized segment (the oracle); divergence throws SelfCheckError.
+  /// The TCP checksum a fresh serialization of this packet would carry: the
+  /// serializer's RFC 1071 fold over the segment, read back from its bytes.
   [[nodiscard]] std::uint16_t computed_tcp_checksum() const;
 
-  /// RFC 1624 hooks for single-field tampers: keep the checksum memo current
-  /// when one 16-bit word (or one aligned 32-bit field) of the TCP header or
-  /// pseudo-header changes. No-ops while the memo is cold.
-  void tcp_sum_tamper(std::uint16_t old_word, std::uint16_t new_word) noexcept;
-  void tcp_sum_tamper32(std::uint32_t old_value,
-                        std::uint32_t new_value) noexcept;
-  void tcp_sum_invalidate() noexcept { tcp_sum_memo_valid = false; }
+  /// No-op: nothing is cached. perfbench's packet probe still calls it.
+  void tcp_sum_invalidate() noexcept {}
 
   /// True when the TCP checksum on a re-serialization of this packet matches
   /// the stored/pinned checksum. End hosts verify this; most censors do not,

@@ -18,11 +18,6 @@ constexpr std::size_t kMaxFreeReps = 64;
 struct Payload::Rep {
   Bytes data;
   std::atomic<std::uint32_t> refs{1};
-  // Lazily computed folded word-sum of `data`. sum_ is published with
-  // release/acquire through sum_valid_; racing computers write the same
-  // value, so the race is benign.
-  std::atomic<bool> sum_valid{false};
-  std::atomic<std::uint32_t> sum{0};
 };
 
 namespace {
@@ -48,7 +43,6 @@ Payload::Rep* Payload::acquire_rep(Bytes bytes) {
     pool.free.pop_back();
     rep->data = std::move(bytes);
     rep->refs.store(1, std::memory_order_relaxed);
-    rep->sum_valid.store(false, std::memory_order_relaxed);
     return rep;
   }
   auto* rep = new Rep;
@@ -129,8 +123,6 @@ Bytes& Payload::mutate() {
     Rep* old = rep_;
     rep_ = acquire_rep(std::move(fresh));
     release_rep(old);
-  } else {
-    rep_->sum_valid.store(false, std::memory_order_relaxed);
   }
   return rep_->data;
 }
@@ -151,27 +143,6 @@ void Payload::assign(std::span<const std::uint8_t> bytes) {
   Rep* old = rep_;
   rep_ = acquire_rep(std::move(fresh));
   release_rep(old);
-}
-
-std::uint16_t Payload::word_sum() const noexcept {
-  if (rep_ == nullptr) return 0;
-  if (rep_->sum_valid.load(std::memory_order_acquire)) {
-    return static_cast<std::uint16_t>(
-        rep_->sum.load(std::memory_order_relaxed));
-  }
-  // RFC 1071 fold over big-endian 16-bit words, odd byte padded with zero —
-  // matching ChecksumAccumulator exactly.
-  const Bytes& d = rep_->data;
-  std::uint64_t sum = 0;
-  std::size_t i = 0;
-  for (; i + 1 < d.size(); i += 2) {
-    sum += static_cast<std::uint64_t>(d[i]) << 8 | d[i + 1];
-  }
-  if (i < d.size()) sum += static_cast<std::uint64_t>(d[i]) << 8;
-  while (sum >> 16 != 0) sum = (sum & 0xffff) + (sum >> 16);
-  rep_->sum.store(static_cast<std::uint32_t>(sum), std::memory_order_relaxed);
-  rep_->sum_valid.store(true, std::memory_order_release);
-  return static_cast<std::uint16_t>(sum);
 }
 
 bool operator==(const Payload& a, const Payload& b) noexcept {

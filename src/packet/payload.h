@@ -11,8 +11,8 @@
 //
 // Thread model: a Payload value is not thread-safe, but distinct Payload
 // copies sharing one rep may live on different threads (trace events travel
-// with trial results), so the refcount and the cached checksum word-sum are
-// atomic. Release returns buffers to the *destroying* thread's pools.
+// with trial results), so the refcount is atomic. Release returns buffers to
+// the *destroying* thread's pools.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +54,7 @@ class Payload {
   }
 
   /// Detaches from any sharers (copying the bytes into a private arena
-  /// buffer) and returns it for in-place mutation. Invalidates the cached
-  /// checksum word-sum, so only the tamper paths should call this.
+  /// buffer) and returns it for in-place mutation.
   Bytes& mutate();
 
   void clear() noexcept;
@@ -69,12 +68,6 @@ class Payload {
         std::to_address(first),
         static_cast<std::size_t>(std::distance(first, last))));
   }
-
-  /// Folded 16-bit ones-complement word sum of the payload (big-endian
-  /// pairs, odd length zero-padded), cached on the shared rep. Valid to
-  /// splice into a checksum at any even byte offset — and the TCP payload
-  /// always starts at one, since header + options is a multiple of 4.
-  [[nodiscard]] std::uint16_t word_sum() const noexcept;
 
   /// True when both payloads share one underlying buffer (CoW tests).
   [[nodiscard]] bool shares_buffer_with(const Payload& other) const noexcept {

@@ -110,30 +110,6 @@ Bytes TcpHeader::serialize(Ipv4Address src, Ipv4Address dst,
   return out;
 }
 
-TcpHeader::PartialChecksum TcpHeader::partial_checksum(
-    Ipv4Address src, Ipv4Address dst, bool compute_offset) const {
-  BufferArena::Scoped opts;
-  serialize_options_into(*opts);
-  const std::uint8_t offset_words =
-      compute_offset ? static_cast<std::uint8_t>((20 + opts->size()) / 4)
-                     : data_offset;
-  ChecksumAccumulator acc;
-  acc.add_u32(src.value());
-  acc.add_u32(dst.value());
-  acc.add_u16(6);  // zero byte + protocol (TCP), as in tcp_checksum()
-  acc.add_u16(sport);
-  acc.add_u16(dport);
-  acc.add_u32(seq);
-  acc.add_u32(ack);
-  acc.add_u16(static_cast<std::uint16_t>(
-      static_cast<std::uint8_t>(offset_words << 4) << 8 | flags));
-  acc.add_u16(window);
-  // The checksum field itself counts as zero.
-  acc.add_u16(urgent_pointer);
-  acc.add(*opts);
-  return {acc.finish(), static_cast<std::uint16_t>(20 + opts->size())};
-}
-
 DecodeResult<TcpHeader> TcpHeader::try_parse(
     std::span<const std::uint8_t> data) {
   using R = DecodeResult<TcpHeader>;

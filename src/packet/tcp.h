@@ -76,20 +76,6 @@ struct TcpHeader {
                       bool compute_checksum = true,
                       bool compute_offset = true) const;
 
-  /// Partial checksum state for Packet's memo: `folded` is the complemented
-  /// fold over the pseudo-header addresses/protocol plus this header (with
-  /// the checksum field as zero) and its padded options — everything except
-  /// the pseudo-header length word and the payload, which change with the
-  /// payload and are folded in per query. `header_len` is the serialized
-  /// header length (20 + padded options).
-  struct PartialChecksum {
-    std::uint16_t folded = 0;
-    std::uint16_t header_len = 20;
-  };
-  [[nodiscard]] PartialChecksum partial_checksum(Ipv4Address src,
-                                                 Ipv4Address dst,
-                                                 bool compute_offset) const;
-
   /// Non-throwing parse: kTruncated / kBadHeaderLength (data offset < 5) /
   /// kHeaderOffsetOverflow (declared offset past the buffer) /
   /// kOptionOverrun (an option length escaping the option region). On

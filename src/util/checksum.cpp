@@ -30,10 +30,6 @@ void ChecksumAccumulator::add_u32(std::uint32_t v) {
   add_u16(static_cast<std::uint16_t>(v & 0xffff));
 }
 
-void ChecksumAccumulator::add_word_sum(std::uint16_t folded_sum) {
-  sum_ += folded_sum;
-}
-
 std::uint16_t ChecksumAccumulator::finish() const noexcept {
   std::uint64_t sum = sum_;
   if (odd_) sum += static_cast<std::uint64_t>(pending_) << 8;
@@ -45,27 +41,6 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   ChecksumAccumulator acc;
   acc.add(data);
   return acc.finish();
-}
-
-std::uint16_t incremental_checksum_update(std::uint16_t checksum,
-                                          std::uint16_t old_word,
-                                          std::uint16_t new_word) noexcept {
-  std::uint32_t sum = static_cast<std::uint16_t>(~checksum);
-  sum += static_cast<std::uint16_t>(~old_word);
-  sum += new_word;
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xffff);
-}
-
-std::uint16_t incremental_checksum_update32(std::uint16_t checksum,
-                                            std::uint32_t old_value,
-                                            std::uint32_t new_value) noexcept {
-  std::uint16_t c = incremental_checksum_update(
-      checksum, static_cast<std::uint16_t>(old_value >> 16),
-      static_cast<std::uint16_t>(new_value >> 16));
-  return incremental_checksum_update(
-      c, static_cast<std::uint16_t>(old_value & 0xffff),
-      static_cast<std::uint16_t>(new_value & 0xffff));
 }
 
 }  // namespace caya

@@ -15,18 +15,6 @@ namespace caya {
 [[nodiscard]] std::uint16_t internet_checksum(
     std::span<const std::uint8_t> data);
 
-/// RFC 1624 (Eqn. 3) incremental update: the checksum of the same data after
-/// one 16-bit word changed from `old_word` to `new_word`, without re-summing
-/// anything else: HC' = ~(~HC + ~m + m').
-[[nodiscard]] std::uint16_t incremental_checksum_update(
-    std::uint16_t checksum, std::uint16_t old_word,
-    std::uint16_t new_word) noexcept;
-
-/// Same for an aligned 32-bit field (two consecutive 16-bit words).
-[[nodiscard]] std::uint16_t incremental_checksum_update32(
-    std::uint16_t checksum, std::uint32_t old_value,
-    std::uint32_t new_value) noexcept;
-
 /// Incremental accumulator for checksums over multiple regions (e.g. a TCP
 /// pseudo-header followed by the segment bytes).
 class ChecksumAccumulator {
@@ -34,10 +22,6 @@ class ChecksumAccumulator {
   void add(std::span<const std::uint8_t> data);
   void add_u16(std::uint16_t v);
   void add_u32(std::uint32_t v);
-  /// Folds in a pre-computed (folded, non-complemented) word sum of a region,
-  /// e.g. Payload::word_sum(). Only valid when the bytes accumulated so far
-  /// form whole 16-bit words (the region must start at an even offset).
-  void add_word_sum(std::uint16_t folded_sum);
 
   /// Final folded, complemented checksum.
   [[nodiscard]] std::uint16_t finish() const noexcept;

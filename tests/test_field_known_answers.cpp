@@ -6,8 +6,8 @@
 // The test drives fields only through the DSL, never through the field
 // API, so it holds unedited across changes to that API: a trigger on
 // `[proto:field:value]` fires exactly when the field renders as `value`,
-// and a tamper's output is digested from its wire bytes plus the
-// checksum-memo answer.
+// and a tamper's output is digested from its wire bytes plus the TCP
+// checksum a fresh serialization would carry.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,14 +54,10 @@ Packet dns_packet() {
 }
 
 Packet packet_for(std::string_view field) {
-  Packet pkt = field.starts_with("DNS:") ? dns_packet() : tcp_packet();
-  // Warm the checksum memo, as delivery-time validation does, so a tamper
-  // must keep it current (RFC 1624) or drop it.
-  (void)pkt.computed_tcp_checksum();
-  return pkt;
+  return field.starts_with("DNS:") ? dns_packet() : tcp_packet();
 }
 
-// FNV-1a over the wire bytes followed by the memo's TCP checksum.
+// FNV-1a over the wire bytes followed by the computed TCP checksum.
 std::uint64_t digest(const Packet& pkt) {
   std::string bytes = to_string(pkt.serialize());
   const std::uint16_t sum = pkt.computed_tcp_checksum();

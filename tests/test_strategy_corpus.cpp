@@ -5,7 +5,7 @@
 // rounds in which the first is mutated and, with probability 0.4, crossed
 // with the second. A strategy is digested from its DSL string, its node
 // count, and every packet its outbound and inbound rules emit for six probe
-// packets under Rng(s): the wire bytes plus the checksum memo's answer. The
+// packets under Rng(s): the wire bytes plus the computed TCP checksum. The
 // digest of each block of 2 000 strategies was computed once and pinned
 // here, so any change to how a tree is drawn, mutated, crossed, printed or
 // run shows up as a failing block.
@@ -50,16 +50,14 @@ Packet server_packet(std::uint8_t flags, Bytes payload = {}) {
 }
 
 // A SYN+ACK with all four TCP options, an HTTP and a DNS-over-TCP PSH+ACK, a
-// SYN, an ACK and a RST. Each checksum memo is warm, so a tamper must keep
-// it current. (Not a static: a payload must not outlive its thread's
-// buffer arena.)
+// SYN, an ACK and a RST.
 std::vector<Packet> probes() {
   Packet synack = server_packet(tcpflag::kSyn | tcpflag::kAck);
   synack.tcp.set_option(TcpOption::kMss, {0x05, 0xb4});
   synack.tcp.set_option(TcpOption::kSackPermitted, {});
   synack.tcp.set_option(TcpOption::kTimestamps, {0, 0, 1, 2, 0, 0, 3, 4});
   synack.tcp.set_option(TcpOption::kWindowScale, {7});
-  std::vector<Packet> out = {
+  return {
       synack,
       server_packet(tcpflag::kPsh | tcpflag::kAck,
                     to_bytes("GET / HTTP/1.1\r\nHost: example.com\r\n\r\n")),
@@ -72,8 +70,6 @@ std::vector<Packet> probes() {
       server_packet(tcpflag::kAck),
       server_packet(tcpflag::kRst),
   };
-  for (const Packet& pkt : out) (void)pkt.computed_tcp_checksum();
-  return out;
 }
 
 Strategy evolved(std::uint64_t seed, const GeneConfig& genes) {
