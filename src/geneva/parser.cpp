@@ -218,7 +218,15 @@ class Parser {
     if (c2 == std::string::npos) {
       throw ParseError("fragment spec needs proto:offset:inOrder", pos_);
     }
-    const Proto proto = proto_from_string(spec.substr(0, c1));
+    // Geneva fragments at the IP or the TCP layer only.
+    const std::string proto_name = spec.substr(0, c1);
+    Proto proto = Proto::kIp;
+    if (proto_name == to_string(Proto::kTcp)) {
+      proto = Proto::kTcp;
+    } else if (proto_name != to_string(Proto::kIp)) {
+      throw ParseError("fragment protocol must be IP or TCP: " + proto_name,
+                       pos_);
+    }
     const std::string offset_str = spec.substr(c1 + 1, c2 - c1 - 1);
     std::size_t offset = 0;
     auto [ptr, ec] = std::from_chars(

@@ -265,6 +265,19 @@ TEST(CliErrors, TrailingArgumentsAreStructured) {
   std::remove(path.c_str());
 }
 
+TEST(CliErrors, ParseRejectsFragmentOfOtherProtocols) {
+  // A malformed strategy is parse's answer, exit 1, not a usage error.
+  for (const char* proto : {"UDP", "DNS"}) {
+    const CliResult result = run_cli(
+        std::string("parse '[TCP:flags:SA]-fragment{") + proto + ":8:True}-|'");
+    EXPECT_EQ(result.exit_code, 1) << proto;
+    EXPECT_EQ(result.stderr_text.rfind("parse error: ", 0), 0u)
+        << "stderr was: " << result.stderr_text;
+    EXPECT_NE(result.stderr_text.find("(at offset 35)"), std::string::npos)
+        << "stderr was: " << result.stderr_text;
+  }
+}
+
 TEST(CliErrors, MissingOperandIsStructured) {
   expect_structured_error(run_cli("parse"), "missing strategy DSL");
   expect_structured_error(run_cli("library"), "missing library FILE");

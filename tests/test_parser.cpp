@@ -197,6 +197,21 @@ TEST(Parser, FragmentRejectsBadSpec) {
   EXPECT_THROW((void)parse_action("fragment{TCP:8}"), ParseError);
 }
 
+TEST(Parser, FragmentAcceptsOnlyIpAndTcp) {
+  // Only IP and TCP fragment; any other protocol, known to the field table
+  // (DNS) or not (UDP), is a ParseError just past the fragment's braces.
+  for (const std::string bad : {"[TCP:flags:SA]-fragment{UDP:8:True}-|",
+                                "[TCP:flags:SA]-fragment{DNS:8:True}-|"}) {
+    try {
+      (void)parse_strategy(bad);
+      ADD_FAILURE() << "expected ParseError: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.position(), bad.find('}') + 1) << bad;
+    }
+  }
+  EXPECT_EQ(parse_action("fragment{IP:8:True}")[0].proto, Proto::kIp);
+}
+
 TEST(Parser, ParseErrorCarriesPosition) {
   try {
     (void)parse_strategy("[TCP:flags:SA]-explode-|");
