@@ -41,8 +41,10 @@ void Reassembler::assemble(Bytes& out) const {
 }
 
 void Reassembler::clear() {
-  for (auto& [seq, buf] : segments_) {
-    BufferArena::local().release(std::move(buf));
+  // A reassembler in a thread-local pool can be destroyed after this
+  // thread's arena; its buffers then simply free.
+  if (BufferArena* arena = BufferArena::local_if_alive()) {
+    for (auto& [seq, buf] : segments_) arena->release(std::move(buf));
   }
   segments_.clear();
   buffered_bytes_ = 0;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 
-#include "packet/payload.h"
 #include "util/fnv.h"
 
 namespace caya {
@@ -74,14 +73,7 @@ void EnvironmentPool::Lease::keep() {
 }
 
 EnvironmentPool& EnvironmentPool::local() {
-  // Thread-locals die in reverse order of construction, and pooled
-  // environments release payload reps and buffers as they die. Building and
-  // dropping one payload first constructs Payload's rep pool and this
-  // thread's BufferArena, so both outlive the pool.
-  static thread_local EnvironmentPool pool = [] {
-    (void)Payload(Bytes(1));
-    return EnvironmentPool();
-  }();
+  static thread_local EnvironmentPool pool;
   return pool;
 }
 

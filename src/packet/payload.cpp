@@ -13,6 +13,9 @@ namespace {
 /// wrapper deletes leftovers at thread exit.
 constexpr std::size_t kMaxFreeReps = 64;
 
+// Set when this thread's rep pool is destroyed; see release_rep.
+thread_local bool t_rep_pool_destroyed = false;
+
 }  // namespace
 
 struct Payload::Rep {
@@ -26,6 +29,7 @@ struct RepPool {
   std::vector<Payload::Rep*> free;
   ~RepPool() {
     for (auto* rep : free) delete rep;
+    t_rep_pool_destroyed = true;
   }
 };
 
@@ -54,12 +58,14 @@ void Payload::release_rep(Rep* rep) noexcept {
   if (rep == nullptr) return;
   if (rep->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   // Last owner: the buffer goes back to this thread's arena, the header to
-  // this thread's rep pool.
-  BufferArena::local().release(std::move(rep->data));
+  // this thread's rep pool. A payload in static storage is released after
+  // both are destroyed (thread-locals die first) and frees them itself.
+  if (BufferArena* arena = BufferArena::local_if_alive()) {
+    arena->release(std::move(rep->data));
+  }
   rep->data = Bytes();
-  RepPool& pool = rep_pool();
-  if (pool.free.size() < kMaxFreeReps) {
-    pool.free.push_back(rep);
+  if (!t_rep_pool_destroyed && rep_pool().free.size() < kMaxFreeReps) {
+    rep_pool().free.push_back(rep);
   } else {
     delete rep;
   }

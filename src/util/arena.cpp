@@ -11,6 +11,15 @@ std::atomic<std::uint64_t> g_reuses{0};
 std::atomic<std::uint64_t> g_fresh{0};
 std::atomic<std::uint64_t> g_releases{0};
 
+// Set when this thread's arena is destroyed. A trivially destructible
+// thread-local stays readable after the arena itself is gone.
+thread_local bool t_arena_destroyed = false;
+
+struct LocalArena {
+  BufferArena arena;
+  ~LocalArena() { t_arena_destroyed = true; }
+};
+
 }  // namespace
 
 Bytes BufferArena::acquire() {
@@ -38,8 +47,12 @@ void BufferArena::release(Bytes&& buf) noexcept {
 }
 
 BufferArena& BufferArena::local() noexcept {
-  thread_local BufferArena arena;
-  return arena;
+  thread_local LocalArena local;
+  return local.arena;
+}
+
+BufferArena* BufferArena::local_if_alive() noexcept {
+  return t_arena_destroyed ? nullptr : &local();
 }
 
 BufferArena::Stats BufferArena::global_stats() noexcept {

@@ -40,6 +40,11 @@ class BufferArena {
   /// This thread's arena (one pool per worker, never shared across threads).
   [[nodiscard]] static BufferArena& local() noexcept;
 
+  /// Same, or nullptr once this thread's arena has been destroyed. A thread
+  /// destroys its thread-locals before the process destroys its statics, so
+  /// a buffer held in static storage is released after the arena is gone.
+  [[nodiscard]] static BufferArena* local_if_alive() noexcept;
+
   /// Process-wide totals across all thread arenas (relaxed counters, for the
   /// bench's allocation accounting).
   [[nodiscard]] static Stats global_stats() noexcept;

@@ -242,6 +242,22 @@ TEST(EnvPool, MapBatchedMatchesMapAtAnyJobs) {
   }
 }
 
+TEST(EnvPool, ShelvedEnvironmentMayOutliveItsThreadsPools) {
+  // A thread's thread-locals die in reverse order of construction. This
+  // thread builds its environment pool before its first trial builds the
+  // rep pool and buffer arena, so at exit the shelved environment is
+  // destroyed after both and must free its payloads and reassembler
+  // buffers itself.
+  std::thread([] {
+    EnvironmentPool& pool = EnvironmentPool::local();
+    Environment::Config config;  // China/HTTP
+    config.seed = 3;
+    EnvironmentPool::Lease lease = pool.acquire(config);
+    EXPECT_FALSE(lease->run_connection(traced_options(0)).timed_out);
+    lease.keep();
+  }).join();
+}
+
 TEST(EnvPool, OracleEqualWithAndWithoutPooling) {
   // The fuzz oracle recycles CensorSets through the same reset contract;
   // its verdicts must match a fresh thread's, whose recycled-set cache is

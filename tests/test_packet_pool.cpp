@@ -68,6 +68,20 @@ TEST(PacketPool, PacketCopiesShareThePayloadBuffer) {
   EXPECT_EQ(a.payload.size(), b.payload.size());
 }
 
+TEST(PacketPool, PayloadInStaticStorageIsReleasedAfterThePools) {
+  // The main thread destroys its thread-locals, the rep pool and the buffer
+  // arena among them, before the process destroys its statics, so this
+  // payload is released at exit after both pools are gone. Two payloads
+  // released first fill the rep pool's free list, so a release into the
+  // destroyed pool would grow it and free its freed storage again.
+  static const Packet kept = test_packet(to_bytes("outlives the pools"));
+  {
+    const Payload first(to_bytes("first"));
+    const Payload second(to_bytes("second"));
+  }
+  EXPECT_EQ(kept.payload.size(), 18u);
+}
+
 struct Recirculator : PacketEventSink {
   EventLoop* loop = nullptr;
   int remaining = 0;
