@@ -30,8 +30,6 @@ std::string_view to_string(TracePoint point) noexcept {
       return "reordered";
     case TracePoint::kCensorFault:
       return "censor-fault";
-    case TracePoint::kOrchestrator:
-      return "orchestrator";
     case TracePoint::kCensorStage:
       return "censor-stage";
     case TracePoint::kDecodeError:

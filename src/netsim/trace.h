@@ -25,7 +25,6 @@ enum class TracePoint {
   kCorrupted,   // link flipped a bit (checksum left stale)
   kReordered,   // link added jitter delay to this traversal
   kCensorFault, // scheduled middlebox fault fired (flush/stall/restart)
-  kOrchestrator, // serve-runtime health event (no packet; detail in note)
   kCensorStage, // pipeline stage attribution (opt-in; note = box/stage)
   kDecodeError, // ingest bytes failed try_parse; fail-open (note = taxonomy)
 };

@@ -157,20 +157,8 @@ std::vector<Orchestrator::FlowOutcome> Orchestrator::evaluate_span(
 
 void Orchestrator::emit(std::size_t flow, HealthEventKind kind,
                         std::string tier, std::string detail) {
-  HealthEvent event{flow, kind, std::move(tier), std::move(detail)};
-  std::string note{to_string(kind)};
-  note += ' ';
-  note += event.tier;
-  if (!event.detail.empty()) {
-    note += ": ";
-    note += event.detail;
-  }
-  TraceEvent trace_event;
-  trace_event.at = duration::us(flow);
-  trace_event.point = TracePoint::kOrchestrator;
-  trace_event.note = std::move(note);
-  trace_.record(std::move(trace_event));
-  report_.events.push_back(std::move(event));
+  report_.events.push_back(
+      HealthEvent{flow, kind, std::move(tier), std::move(detail)});
 }
 
 void Orchestrator::consume(std::size_t flow, std::size_t tier,
@@ -331,7 +319,6 @@ void Orchestrator::restore_checkpoint(const SnapshotReader& reader) {
     breakers_[t].restore(reader, "breaker." + std::to_string(t));
   }
   report_.events.clear();
-  trace_.clear();
   for (const SnapshotReader::Record* record : reader.all("event")) {
     if (record->fields.size() != 4) {
       throw SnapshotError("malformed serve checkpoint event record");
@@ -345,13 +332,6 @@ void Orchestrator::restore_checkpoint(const SnapshotReader& reader) {
     event.kind = static_cast<HealthEventKind>(kind);
     event.tier = record->fields[2];
     event.detail = record->fields[3];
-    // Mirror into the trace exactly as emit() would have.
-    TraceEvent trace_event;
-    trace_event.at = duration::us(event.flow);
-    trace_event.point = TracePoint::kOrchestrator;
-    trace_event.note = std::string(to_string(event.kind)) + ' ' + event.tier +
-                       (event.detail.empty() ? "" : ": " + event.detail);
-    trace_.record(std::move(trace_event));
     report_.events.push_back(std::move(event));
   }
 }

@@ -27,8 +27,8 @@
 // evaluates the chunk in parallel, and replays it sequentially, discarding
 // and re-evaluating from the first flow whose actual routing differs. The
 // replay is the single source of truth, so every jobs value — and every
-// kill-and-resume from a checkpoint — yields byte-identical events,
-// scoreboards, and traces.
+// kill-and-resume from a checkpoint — yields byte-identical events and
+// scoreboards.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,6 @@
 
 #include "eval/trial.h"
 #include "geneva/library.h"
-#include "netsim/trace.h"
 #include "serve/breaker.h"
 
 namespace caya {
@@ -144,9 +143,6 @@ class Orchestrator {
 
   [[nodiscard]] const ServeReport& report() const noexcept { return report_; }
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
-  /// Health events mirrored into a packet-free netsim trace (TracePoint::
-  /// kOrchestrator, at = flow index in microseconds-of-stream-time).
-  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   [[nodiscard]] const CircuitBreaker& breaker(std::size_t tier) const {
     return breakers_.at(tier);
   }
@@ -196,7 +192,6 @@ class Orchestrator {
   std::size_t active_tier_ = 0;       // tier that served the previous flow
   bool regime_flip_emitted_ = false;
   ServeReport report_;
-  Trace trace_;
   CheckpointHook checkpoint_hook_;
 };
 

@@ -381,17 +381,6 @@ TEST(Orchestrator, RefusesCheckpointFromDifferentConfig) {
       sharded.restore_checkpoint(SnapshotReader::parse(snapshot)));
 }
 
-TEST(Orchestrator, HealthEventsMirrorIntoTrace) {
-  ServeConfig config = small_config();
-  config.regime_flip_at = 64;
-  Orchestrator orch(config, chain_7_6());
-  const ServeReport& report = orch.run();
-  ASSERT_FALSE(report.events.empty());
-  const auto traced = orch.trace().at(TracePoint::kOrchestrator);
-  ASSERT_EQ(traced.size(), report.events.size());
-  EXPECT_EQ(traced.front().at, duration::us(report.events.front().flow));
-}
-
 TEST(Orchestrator, TiersFromLibraryPreserveOrder) {
   StrategyLibrary library;
   library.add({.name = "alpha",
