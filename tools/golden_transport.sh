@@ -6,7 +6,9 @@
 # pcap bytes, and also asserts --jobs invariance (--jobs 1 vs --jobs 4 must
 # print byte-identical reports). It also md5s short `caya evolve` campaigns
 # (report + per-generation history): evolution is the one workload that
-# drives every tamper field and corrupt draw the GA can reach. Last, it md5s
+# drives every tamper field and corrupt draw the GA can reach. It md5s the
+# stdout and report of `caya serve` on a three-tier chain through a regime
+# flip, and the stdout of `caya fuzz` across every censor. Last, it md5s
 # the stdout of the bench programs that regenerate the paper's tables and
 # figures, at their built-in trial counts and seeds. A checked-in manifest
 # captured on a known-good commit lets CI prove a packet-path change didn't
@@ -87,6 +89,15 @@ generate() {
         --history-out "$dir/$tag.history" > "$dir/$tag.txt"
     done
   done
+  # Serve drives every censor's flow table and the substrate pool through
+  # health tracking, breaker trips and failover; fuzz feeds hostile streams
+  # to every censor. Neither prints a timing or a path.
+  "$caya" serve --country china --protocol http --published 7 \
+    --published 6 --published 2 --flows 20000 --regime-flip-at 10000 \
+    --seed 5 --jobs 2 --report-out "$dir/serve_drift_report.txt" \
+    > "$dir/serve_drift.txt"
+  "$caya" fuzz --censor all --iters 2000 --seed 1 --jobs 2 \
+    > "$dir/fuzz_all.txt"
   # The shrink/reseed variables would change what the benches print.
   for bench in "${benches[@]}"; do
     env -u CAYA_TRIALS -u CAYA_SEED "$bench_dir/$bench" > "$dir/$bench.txt"
