@@ -4,8 +4,8 @@
 // Every censor box keeps some state keyed by the directed flow (a TCB, a
 // blackhole expiry, an interception record). The pre-pipeline censors each
 // hand-rolled this with a std::map<FlowKey, ...>; FlowTable replaces those
-// with one open-addressing hash table (FNV-1a over the flow key, linear
-// probing) tuned for the per-packet hot path:
+// with one open-addressing hash table (one 64-bit mix of the flow key's
+// packed words, linear probing) tuned for the per-packet hot path:
 //
 //   * find() is a hash + short probe instead of a red-black-tree descent —
 //     the lookup every censor performs for every packet of every trial.
@@ -31,21 +31,24 @@
 #include "censor/flow.h"
 #include "netsim/endpoint.h"
 #include "packet/packet.h"
-#include "util/fnv.h"
+#include "util/rng.h"
 
 namespace caya {
 
 namespace detail {
 
-/// FNV-1a over the flow key, field by field (never over struct memory:
-/// padding bytes would make the hash nondeterministic).
+/// splitmix64 over the key's two packed words: the addresses side by side,
+/// xored with the ports spread by an odd multiplier. Each packing is
+/// injective and the multiply and splitmix64 are bijections, so keys that
+/// differ in one field always hash apart. Built from the fields, never from
+/// struct memory, whose padding bytes would make the hash nondeterministic.
 [[nodiscard]] inline std::uint64_t flow_key_hash(const FlowKey& key) noexcept {
-  Fnv1a h;
-  h.add_le(key.client_addr, 4);
-  h.add_le(key.client_port, 2);
-  h.add_le(key.server_addr, 4);
-  h.add_le(key.server_port, 2);
-  return h.value();
+  const std::uint64_t addrs =
+      std::uint64_t{key.client_addr} << 32 | key.server_addr;
+  const std::uint64_t ports =
+      std::uint64_t{key.client_port} << 16 | key.server_port;
+  std::uint64_t state = addrs ^ ports * 0x9E3779B97F4A7C15ULL;
+  return splitmix64(state);
 }
 
 }  // namespace detail

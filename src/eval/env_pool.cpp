@@ -3,34 +3,58 @@
 #include <atomic>
 #include <bit>
 
-#include "util/fnv.h"
+#include "util/rng.h"
 
 namespace caya {
 
 namespace {
 
-void hash_double(Fnv1a& h, double v) {
+// One multiply and one xor-shift per 64-bit word. For a fixed word the step
+// is a bijection of the state, and for a fixed state an injection of the
+// word, so configs that differ in any one field always digest apart.
+class WordDigest {
+ public:
+  void add(std::uint64_t word) noexcept {
+    state_ = (state_ ^ word) * 0xbf58476d1ce4e5b9ULL;
+    state_ ^= state_ >> 31;
+  }
   // Bit-pattern hashing: +0.0 / -0.0 digest differently, which is fine —
   // equal configs (the only thing the pool needs) have equal bit patterns.
-  h.add_le(std::bit_cast<std::uint64_t>(v));
-}
-
-void hash_impairments(Fnv1a& h, const Impairments& lane) {
-  hash_double(h, lane.loss);
-  hash_double(h, lane.burst.p_good_to_bad);
-  hash_double(h, lane.burst.p_bad_to_good);
-  hash_double(h, lane.burst.loss_good);
-  hash_double(h, lane.burst.loss_bad);
-  hash_double(h, lane.duplicate);
-  hash_double(h, lane.corrupt);
-  hash_double(h, lane.reorder);
-  h.add_le(static_cast<std::uint64_t>(lane.jitter_min));
-  h.add_le(static_cast<std::uint64_t>(lane.jitter_max));
-  h.add_le(lane.flaps.size());
-  for (const LinkFlap& flap : lane.flaps) {
-    h.add_le(static_cast<std::uint64_t>(flap.at));
-    h.add_le(static_cast<std::uint64_t>(flap.duration));
+  void add(double value) noexcept { add(std::bit_cast<std::uint64_t>(value)); }
+  // What a part's digest adds to its parent's chain; only the whole config's
+  // digest is finalized.
+  [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    std::uint64_t state = state_;
+    return splitmix64(state);
   }
+
+ private:
+  std::uint64_t state_ = 0;
+};
+
+// Each lane is a chain of its own, so the four lanes' multiplies overlap
+// instead of queueing behind one another. The config's chain adds the
+// lane's state as one word, and that state is an injection of each lane
+// field, so a lane field that differs still moves the digest.
+std::uint64_t lane_state(const Impairments& lane) {
+  WordDigest h;
+  h.add(lane.loss);
+  h.add(lane.burst.p_good_to_bad);
+  h.add(lane.burst.p_bad_to_good);
+  h.add(lane.burst.loss_good);
+  h.add(lane.burst.loss_bad);
+  h.add(lane.duplicate);
+  h.add(lane.corrupt);
+  h.add(lane.reorder);
+  h.add(static_cast<std::uint64_t>(lane.jitter_min));
+  h.add(static_cast<std::uint64_t>(lane.jitter_max));
+  h.add(std::uint64_t{lane.flaps.size()});
+  for (const LinkFlap& flap : lane.flaps) {
+    h.add(static_cast<std::uint64_t>(flap.at));
+    h.add(static_cast<std::uint64_t>(flap.duration));
+  }
+  return h.state();
 }
 
 std::atomic<std::uint64_t> g_constructed{0};
@@ -39,28 +63,28 @@ std::atomic<std::uint64_t> g_reused{0};
 }  // namespace
 
 std::uint64_t env_config_digest(const Environment::Config& config) {
-  Fnv1a h;
-  h.add_le(static_cast<std::uint64_t>(config.country));
-  h.add_le(static_cast<std::uint64_t>(config.protocol));
+  WordDigest h;
+  h.add(static_cast<std::uint64_t>(config.country));
+  h.add(static_cast<std::uint64_t>(config.protocol));
   // config.seed deliberately excluded: reset(seed) re-seeds a shelved
   // substrate, so shape equality is seed-independent.
-  h.add_le(config.server_port);
-  h.add_le(static_cast<std::uint64_t>(config.china_architecture));
-  h.add_le(static_cast<std::uint64_t>(config.gfw_regime));
-  h.add_le(static_cast<std::uint64_t>(config.carrier));
+  h.add(std::uint64_t{config.server_port});
+  h.add(static_cast<std::uint64_t>(config.china_architecture));
+  h.add(static_cast<std::uint64_t>(config.gfw_regime));
+  h.add(static_cast<std::uint64_t>(config.carrier));
 
-  h.add_le(config.net.trace_stages ? 1 : 0);
-  hash_impairments(h, config.net.link.client_censor_up);
-  hash_impairments(h, config.net.link.client_censor_down);
-  hash_impairments(h, config.net.link.censor_server_up);
-  hash_impairments(h, config.net.link.censor_server_down);
+  h.add(std::uint64_t{config.net.trace_stages});
+  h.add(lane_state(config.net.link.client_censor_up));
+  h.add(lane_state(config.net.link.client_censor_down));
+  h.add(lane_state(config.net.link.censor_server_up));
+  h.add(lane_state(config.net.link.censor_server_down));
 
   const auto& faults = config.censor_faults.events();
-  h.add_le(faults.size());
+  h.add(std::uint64_t{faults.size()});
   for (const FaultEvent& event : faults) {
-    h.add_le(static_cast<std::uint64_t>(event.at));
-    h.add_le(static_cast<std::uint64_t>(event.kind));
-    h.add_le(static_cast<std::uint64_t>(event.duration));
+    h.add(static_cast<std::uint64_t>(event.at));
+    h.add(static_cast<std::uint64_t>(event.kind));
+    h.add(static_cast<std::uint64_t>(event.duration));
   }
   return h.value();
 }

@@ -28,12 +28,13 @@
 
 namespace caya {
 
-/// FNV-1a digest over every Environment::Config field *except* the seed:
-/// two configs with equal digests describe the same substrate shape, so a
-/// shelved environment built under one can be reset-reused under the other.
-/// (Digest-only keying: a 64-bit FNV collision across the handful of
-/// distinct configs a process ever runs is negligible, the same stance the
-/// fitness cache takes.)
+/// Digest over every Environment::Config field *except* the seed, mixed one
+/// 64-bit word per field: two configs with equal digests describe the same
+/// substrate shape, so a shelved environment built under one can be
+/// reset-reused under the other. (Digest-only keying: a 64-bit collision
+/// across the handful of distinct configs a process ever runs is
+/// negligible, the same stance the fitness cache takes.) An in-memory key
+/// only, never persisted, so its values may change between builds.
 [[nodiscard]] std::uint64_t env_config_digest(
     const Environment::Config& config);
 

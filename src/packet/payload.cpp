@@ -104,8 +104,6 @@ Payload& Payload::operator=(Bytes bytes) {
   return *this;
 }
 
-Payload::~Payload() { release_rep(rep_); }
-
 std::size_t Payload::size() const noexcept {
   return rep_ == nullptr ? 0 : rep_->data.size();
 }

@@ -36,7 +36,10 @@ class Payload {
   Payload& operator=(const Payload& other) noexcept;
   Payload& operator=(Payload&& other) noexcept;
   Payload& operator=(Bytes bytes);
-  ~Payload();
+  // Inline so that destroying an empty or moved-from payload is one branch.
+  ~Payload() {
+    if (rep_ != nullptr) release_rep(rep_);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
