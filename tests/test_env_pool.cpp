@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "eval/parallel.h"
 #include "eval/rates.h"
@@ -145,22 +150,78 @@ TEST(SubstrateReset, RepeatedResetIsStable) {
 }
 
 TEST(EnvPool, DigestIgnoresSeedOnly) {
-  Environment::Config a;
-  a.country = Country::kIran;
-  a.seed = 1;
-  Environment::Config b = a;
-  b.seed = 999;
-  EXPECT_EQ(env_config_digest(a), env_config_digest(b));
+  // Changing any one shape field alone moves the digest, to a value no other
+  // single-field change reaches; changing the seed alone does not.
+  Environment::Config base;
+  base.country = Country::kIran;
+  base.seed = 1;
+  const std::uint64_t digest = env_config_digest(base);
+  Environment::Config reseeded = base;
+  reseeded.seed = 999;
+  EXPECT_EQ(env_config_digest(reseeded), digest);
 
-  Environment::Config c = a;
-  c.protocol = AppProtocol::kFtp;
-  EXPECT_NE(env_config_digest(a), env_config_digest(c));
-  Environment::Config d = a;
-  apply_profile(ImpairmentProfile::kLossy, d);
-  EXPECT_NE(env_config_digest(a), env_config_digest(d));
-  Environment::Config e = a;
-  e.gfw_regime = GfwRegime::kEraHttpsResync;
-  EXPECT_NE(env_config_digest(a), env_config_digest(e));
+  using Edit = std::function<void(Environment::Config&)>;
+  std::vector<std::pair<std::string, Edit>> edits = {
+      {"country", [](auto& c) { c.country = Country::kChina; }},
+      {"protocol", [](auto& c) { c.protocol = AppProtocol::kFtp; }},
+      {"server_port", [](auto& c) { c.server_port = 8080; }},
+      {"china_architecture",
+       [](auto& c) {
+         c.china_architecture = ChinaCensor::Architecture::kSingleBox;
+       }},
+      {"gfw_regime",
+       [](auto& c) { c.gfw_regime = GfwRegime::kEraHttpsResync; }},
+      {"carrier", [](auto& c) { c.carrier = CarrierNetwork::kTMobile; }},
+      {"net.trace_stages", [](auto& c) { c.net.trace_stages = true; }},
+      {"censor fault",
+       [](auto& c) {
+         c.censor_faults.add({.at = duration::ms(40),
+                              .kind = FaultKind::kStall,
+                              .duration = duration::ms(5)});
+       }},
+  };
+  const std::vector<std::pair<std::string, std::function<void(Impairments&)>>>
+      lane_edits = {
+          {"loss", [](auto& l) { l.loss = 0.1; }},
+          {"burst.p_good_to_bad", [](auto& l) { l.burst.p_good_to_bad = 0.1; }},
+          {"burst.p_bad_to_good", [](auto& l) { l.burst.p_bad_to_good = 0.5; }},
+          {"burst.loss_good", [](auto& l) { l.burst.loss_good = 0.01; }},
+          {"burst.loss_bad", [](auto& l) { l.burst.loss_bad = 0.5; }},
+          {"duplicate", [](auto& l) { l.duplicate = 0.1; }},
+          {"corrupt", [](auto& l) { l.corrupt = 0.1; }},
+          {"reorder", [](auto& l) { l.reorder = 0.1; }},
+          {"jitter_min", [](auto& l) { l.jitter_min = duration::ms(1); }},
+          {"jitter_max", [](auto& l) { l.jitter_max = duration::ms(3); }},
+          {"flap",
+           [](auto& l) {
+             l.flaps.push_back({.at = duration::ms(20),
+                                .duration = duration::ms(10)});
+           }},
+      };
+  const std::pair<const char*, Impairments LinkModel::Config::*> lanes[] = {
+      {"client_censor_up", &LinkModel::Config::client_censor_up},
+      {"client_censor_down", &LinkModel::Config::client_censor_down},
+      {"censor_server_up", &LinkModel::Config::censor_server_up},
+      {"censor_server_down", &LinkModel::Config::censor_server_down},
+  };
+  for (const auto& [lane_name, lane] : lanes) {
+    for (const auto& [field, edit] : lane_edits) {
+      edits.emplace_back(std::string(lane_name) + "." + field,
+                         [lane, edit](auto& c) { edit(c.net.link.*lane); });
+    }
+  }
+  ASSERT_EQ(edits.size(), 8u + 4u * 11u);
+
+  std::set<std::uint64_t> seen = {digest};
+  for (const auto& [field, edit] : edits) {
+    Environment::Config changed = base;
+    edit(changed);
+    const std::uint64_t moved = env_config_digest(changed);
+    EXPECT_NE(moved, digest) << field;
+    EXPECT_TRUE(seen.insert(moved).second) << field;
+    changed.seed = 999;
+    EXPECT_EQ(env_config_digest(changed), moved) << field;
+  }
 }
 
 TEST(EnvPool, ZeroConstructionsAfterWarmupInThousandTrialRate) {

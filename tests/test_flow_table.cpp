@@ -4,10 +4,14 @@
 // tombstone probing, growth, and the single key_for orientation rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "censor/core/flow_table.h"
+#include "util/rng.h"
 
 namespace caya {
 namespace {
@@ -188,7 +192,7 @@ TEST(FlowTable, KeyForOrientsBothDirectionsIdentically) {
 
 TEST(FlowTable, HashCoversEveryKeyField) {
   // Keys differing in exactly one field must hash differently (catches a
-  // field accidentally dropped from the FNV mix).
+  // field accidentally dropped from the word mix).
   const FlowKey base = key_n(1);
   FlowKey k = base;
   k.client_addr ^= 1;
@@ -202,6 +206,80 @@ TEST(FlowTable, HashCoversEveryKeyField) {
   k = base;
   k.server_port ^= 1;
   EXPECT_NE(detail::flow_key_hash(base), detail::flow_key_hash(k));
+}
+
+TEST(FlowTable, MatchesMapModelUnderRandomOperations) {
+  // Differential check against a std::map plus an insertion-order log. A
+  // seeded mix of inserts, lookups, erases and resets over 300 keys with a
+  // 48-flow budget makes eviction, tombstones and rehash all occur; the
+  // table must agree with the model on every lookup, size and eviction
+  // count, and on the for_each order.
+  constexpr std::size_t kBudget = 48;
+  std::vector<FlowKey> keys;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    keys.push_back(
+        {.client_addr = 0x0A000000u + i % 17,
+         .client_port = static_cast<std::uint16_t>(40000 + i),
+         .server_addr = 0x5DB8D822u + i % 3,
+         .server_port = static_cast<std::uint16_t>(i % 2 == 0 ? 80 : 443)});
+  }
+  FlowTable<int> table;
+  table.set_flow_budget(kBudget);
+  std::map<FlowKey, int> model;
+  std::vector<FlowKey> order;  // live keys, oldest first
+  std::uint64_t evicted = 0;
+  Rng rng(29);
+  for (int op = 0; op < 20000; ++op) {
+    const FlowKey& key = keys[rng.index(keys.size())];
+    const std::uint64_t roll = rng.uniform(0, 199);
+    if (roll < 90) {
+      const bool absent = !model.contains(key);
+      if (absent) {
+        if (model.size() >= kBudget) {
+          model.erase(order.front());
+          order.erase(order.begin());
+          ++evicted;
+        }
+        model.emplace(key, op);
+        order.push_back(key);
+      }
+      const auto [state, inserted] = table.try_emplace(key, op);
+      ASSERT_EQ(inserted, absent) << op;
+      ASSERT_EQ(*state, model.at(key)) << op;
+    } else if (roll < 150) {
+      // A lookup only: compared below like every other operation's key.
+    } else if (roll < 199) {
+      const bool present = model.erase(key) == 1;
+      if (present) order.erase(std::ranges::find(order, key));
+      ASSERT_EQ(table.erase(key), present) << op;
+    } else {
+      table.reset();
+      model.clear();
+      order.clear();
+    }
+
+    const int* found = table.find(key);
+    const auto it = model.find(key);
+    ASSERT_EQ(found != nullptr, it != model.end()) << op;
+    if (found != nullptr) {
+      ASSERT_EQ(*found, it->second) << op;
+    }
+    ASSERT_EQ(table.size(), model.size()) << op;
+    ASSERT_EQ(table.evicted(), evicted) << op;
+    if (op % 100 == 99) {
+      std::vector<std::pair<FlowKey, int>> scanned;
+      table.for_each([&](const FlowKey& k, const int& v) {
+        scanned.emplace_back(k, v);
+      });
+      ASSERT_EQ(scanned.size(), order.size()) << op;
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        ASSERT_EQ(scanned[i].first, order[i]) << op << " at " << i;
+        ASSERT_EQ(scanned[i].second, model.at(order[i])) << op << " at " << i;
+      }
+    }
+  }
+  EXPECT_GT(evicted, 1000u);
+  EXPECT_GT(table.capacity(), 64u);  // rehashed into a larger index
 }
 
 }  // namespace
