@@ -120,14 +120,25 @@ constexpr std::array kFields = {
 };
 static_assert(std::ranges::is_sorted(kFields, {}, &Field::proto));
 
+[[noreturn]] void reject_number(const Field& field, const std::string& problem,
+                               std::string_view s) {
+  throw std::invalid_argument(problem + " for " +
+                              std::string(to_string(field.proto)) + ":" +
+                              std::string(field.name) + ": " + std::string(s));
+}
+
 std::uint64_t parse_number(const Field& field, std::string_view s) {
   std::uint64_t v = 0;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc() || ptr != s.data() + s.size()) {
-    throw std::invalid_argument("bad numeric value for " +
-                                std::string(to_string(field.proto)) + ":" +
-                                std::string(field.name) + ": " +
-                                std::string(s));
+    reject_number(field, "bad numeric value", s);
+  }
+  // A width-0 option (SACK-permitted) has no value bytes: its number only
+  // means "present", so any value is accepted.
+  if (field.width > 0 && field.width < 64 && v >> field.width != 0) {
+    reject_number(field,
+                  "value out of " + std::to_string(field.width) + "-bit range",
+                  s);
   }
   return v;
 }

@@ -108,10 +108,34 @@ TEST(Parser, RejectsReplaceValueTheFieldCannotHold) {
     EXPECT_EQ(e.position(), 42u);  // just past the tamper's braces
     EXPECT_NE(std::string(e.what()).find("TCP:seq: abc"), std::string::npos);
   }
+  // A number wider than its field is rejected at the same offset, instead of
+  // being cut to the header member (300 used to write a TTL of 44).
+  const std::string wide = "[TCP:flags:SA]-tamper{IP:ttl:replace:300}-|";
+  try {
+    (void)parse_strategy(wide);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.position(), wide.find('}') + 1);
+    EXPECT_NE(std::string(e.what()).find("IP:ttl: 300"), std::string::npos);
+  }
   for (const char* bad :
        {"tamper{TCP:flags:replace:SX}", "tamper{IP:src:replace:10.0.0}",
-        "tamper{TCP:options-mss:replace:1k}", "tamper{DNS:id:replace:-1}"}) {
+        "tamper{TCP:options-mss:replace:1k}", "tamper{DNS:id:replace:-1}",
+        "tamper{TCP:window:replace:70000}", "tamper{IP:ihl:replace:16}",
+        "tamper{TCP:options-wscale:replace:256}",
+        "tamper{TCP:options-mss:replace:65536}",
+        "tamper{DNS:id:replace:65536}",
+        "tamper{TCP:seq:replace:18446744073709551616}"}) {
     EXPECT_THROW((void)parse_action(bad), ParseError) << bad;
+  }
+  // The widest values that fit still parse; SACK-permitted holds no value
+  // bytes, so any number only marks it present.
+  for (const char* good :
+       {"tamper{IP:ttl:replace:255}", "tamper{TCP:window:replace:65535}",
+        "tamper{TCP:seq:replace:4294967295}",
+        "tamper{TCP:options-timestamp:replace:18446744073709551615}",
+        "tamper{TCP:options-sackok:replace:300}"}) {
+    EXPECT_NO_THROW((void)parse_action(good)) << good;
   }
   // Corrupt takes no value, and a payload or DNS name takes any.
   EXPECT_NO_THROW((void)parse_action("tamper{TCP:seq:corrupt:abc}"));
@@ -125,7 +149,8 @@ TEST(Parser, RejectsTriggerValueTheFieldCannotHold) {
   // instead of a rule that never fires.
   for (const std::string bad :
        {"[TCP:seq:abc]-drop-|", "[TCP:flags:PA0]-drop-|",
-        "[IP:src:1.2.3]-drop-|"}) {
+        "[IP:src:1.2.3]-drop-|", "[IP:ttl:300]-drop-|",
+        "[TCP:window:70000]-drop-|", "[TCP:options-mss:65536]-drop-|"}) {
     try {
       (void)parse_strategy(bad);
       ADD_FAILURE() << "expected ParseError: " << bad;
