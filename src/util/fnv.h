@@ -1,7 +1,9 @@
-// FNV-1a, 64-bit: the one hash behind snapshot checksums and library
-// footers, the environment, fitness-cache and strategy digests, and the
-// censors' flow-table slots. Integers are mixed byte by byte, least
-// significant first, so a digest never depends on the host's byte order.
+// FNV-1a, 64-bit: the hash for digests that are persisted or pinned —
+// snapshot checksums and library footers, the fitness-cache digest,
+// species fingerprints and test digests. Integers are mixed byte by byte,
+// least significant first, so a digest never depends on the host's byte
+// order. In-memory keys that are never written out (flow-table slots, the
+// substrate pool's shape digest) use a cheaper word mix.
 #pragma once
 
 #include <cstdint>
