@@ -8,11 +8,12 @@
 # (report + per-generation history): evolution is the one workload that
 # drives every tamper field and corrupt draw the GA can reach. It md5s the
 # stdout and report of `caya serve` on a three-tier chain through a regime
-# flip, and the stdout of `caya fuzz` across every censor. Last, it md5s
-# the stdout of the bench programs that regenerate the paper's tables and
-# figures, at their built-in trial counts and seeds. A checked-in manifest
-# captured on a known-good commit lets CI prove a packet-path change didn't
-# alter wire behavior or a paper number.
+# flip, the stdout of `caya fuzz` across every censor, and the stdout of
+# one client-side `caya run`, one `caya rates` and one faulted `caya sweep`.
+# Last, it md5s the stdout of the bench programs that regenerate the paper's
+# tables and figures, at their built-in trial counts and seeds. A checked-in
+# manifest captured on a known-good commit lets CI prove a packet-path change
+# didn't alter wire behavior or a paper number.
 #
 # Usage:
 #   tools/golden_transport.sh capture [manifest]   # write manifest
@@ -98,6 +99,18 @@ generate() {
     > "$dir/serve_drift.txt"
   "$caya" fuzz --censor all --iters 2000 --seed 1 --jobs 2 \
     > "$dir/fuzz_all.txt"
+  # The success-rate commands not covered above: a client-side strategy on
+  # an impaired link with a Windows client, every protocol under a profile,
+  # and a sweep that loses trials to injected faults (the "# errors" footer).
+  "$caya" run --country china --protocol http --client-side \
+    --strategy "[TCP:flags:A]-duplicate(,tamper{TCP:flags:replace:R}(tamper{IP:ttl:replace:5},))-| \/" \
+    --trials 20 --seed 42 --jobs 2 --profile lossy --os "Windows 10" \
+    --waterfall --stages > "$dir/run_clientside.txt"
+  "$caya" rates --country china --published 2 --trials 40 --seed 9 \
+    --profile bursty --jobs 2 > "$dir/rates_bursty.txt"
+  "$caya" sweep --country china --protocol http --axis burst --published 1 \
+    --published 6 --trials 30 --seed 11 --jobs 2 \
+    --inject-hard-fault-every 7 > "$dir/sweep_faults.txt"
   # The shrink/reseed variables would change what the benches print.
   for bench in "${benches[@]}"; do
     env -u CAYA_TRIALS -u CAYA_SEED "$bench_dir/$bench" > "$dir/$bench.txt"
