@@ -20,17 +20,11 @@ double rate(Country country, AppProtocol proto,
             const std::optional<Strategy>& client_strategy,
             const std::optional<Strategy>& server_strategy,
             std::uint64_t seed) {
-  RateCounter counter;
-  for (int i = 0; i < 80; ++i) {
-    Environment env({.country = country,
-                     .protocol = proto,
-                     .seed = seed + static_cast<std::uint64_t>(i)});
-    ConnectionOptions options;
-    options.client_strategy = client_strategy;
-    options.server_strategy = server_strategy;
-    counter.record(env.run_connection(options).success);
-  }
-  return counter.rate();
+  const TrialCell cell{
+      .config = {.country = country, .protocol = proto, .seed = seed},
+      .conn = {.server_strategy = server_strategy,
+               .client_strategy = client_strategy}};
+  return measure_cells({cell}, 80).front().rate.rate();
 }
 
 int best_server_strategy(Country country, AppProtocol proto) {

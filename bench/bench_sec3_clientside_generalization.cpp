@@ -16,18 +16,12 @@ namespace {
 double success_rate(const std::optional<Strategy>& client_strategy,
                     const std::optional<Strategy>& server_strategy,
                     std::uint64_t seed) {
-  constexpr std::size_t kTrials = 40;
-  RateCounter counter;
-  for (std::size_t i = 0; i < kTrials; ++i) {
-    Environment env({.country = Country::kChina,
-                     .protocol = AppProtocol::kHttp,
-                     .seed = seed + i});
-    ConnectionOptions options;
-    options.client_strategy = client_strategy;
-    options.server_strategy = server_strategy;
-    counter.record(env.run_connection(options).success);
-  }
-  return counter.rate();
+  const TrialCell cell{.config = {.country = Country::kChina,
+                                  .protocol = AppProtocol::kHttp,
+                                  .seed = seed},
+                       .conn = {.server_strategy = server_strategy,
+                                .client_strategy = client_strategy}};
+  return measure_cells({cell}, 40).front().rate.rate();
 }
 
 }  // namespace

@@ -18,18 +18,11 @@ namespace caya {
 namespace {
 
 double success(const std::string& dsl, std::uint64_t seed) {
-  constexpr std::size_t kTrials = 50;
-  RateCounter counter;
-  const Strategy strategy = parse_strategy(dsl);
-  for (std::size_t i = 0; i < kTrials; ++i) {
-    Environment env({.country = Country::kKazakhstan,
-                     .protocol = AppProtocol::kHttp,
-                     .seed = seed + i});
-    ConnectionOptions options;
-    options.server_strategy = strategy;
-    counter.record(env.run_connection(options).success);
-  }
-  return counter.rate();
+  const TrialCell cell{.config = {.country = Country::kKazakhstan,
+                                  .protocol = AppProtocol::kHttp,
+                                  .seed = seed},
+                       .conn = {.server_strategy = parse_strategy(dsl)}};
+  return measure_cells({cell}, 50).front().rate.rate();
 }
 
 void row(const char* label, const std::string& dsl, std::uint64_t seed,

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "eval/env_pool.h"
 #include "util/fnv.h"
 
 namespace caya {
@@ -74,78 +73,36 @@ void apply_profile(ImpairmentProfile profile, Environment::Config& config) {
   }
 }
 
-namespace {
-
-struct TrialOutcome {
-  bool success = false;
-  bool timed_out = false;
-  TrialErrorKind error = TrialErrorKind::kNone;
-  std::size_t attempts = 1;
-};
-
-/// One batch's shared per-trial inputs, built once and borrowed by every
-/// worker: the profile expansion (which materializes a FaultSchedule) and
-/// the ConnectionOptions (which holds a deep Strategy copy) are identical
-/// for every trial of a batch, so paying for them per trial was pure churn.
-struct TrialCell {
-  Environment::Config base_config;  // seed is patched per trial
-  ConnectionOptions conn;
-  std::uint64_t digest = 0;  // substrate shape (pool key / batch key)
-  std::uint64_t base_seed = 1;
-
-  TrialCell(Country country, AppProtocol protocol,
-            const std::optional<Strategy>& strategy,
-            const RateOptions& options,
-            const LinkModel::Config* link_override) {
-    base_config.country = country;
-    base_config.protocol = protocol;
-    apply_profile(options.profile, base_config);
-    if (link_override != nullptr) base_config.net.link = *link_override;
-    digest = env_config_digest(base_config);
-    base_seed = options.base_seed;
-    conn.server_strategy = strategy;
-    conn.client_os = options.client_os;
-  }
-
-  /// Runs the cell's trial `t` (0-based within the cell) under supervision.
-  [[nodiscard]] TrialOutcome run(std::size_t t,
+SupervisedOutcome TrialCell::run(std::size_t t,
                                  const SupervisionPolicy& policy) const {
-    Environment::Config env_config = base_config;
-    env_config.seed = base_seed + t;
-    const SupervisedOutcome outcome =
-        run_supervised_trial(env_config, conn, policy, t);
-    TrialOutcome summary;
-    summary.success = outcome.result.success;
-    summary.timed_out = outcome.result.timed_out;
-    summary.error = outcome.error;
-    summary.attempts = outcome.attempts;
-    return summary;
-  }
-};
+  Environment::Config trial_config = config;
+  trial_config.seed = config.seed + t;
+  return run_supervised_trial(trial_config, conn, policy, t);
+}
+
+namespace {
 
 /// Reduces outcomes[begin, end) in index order. Completed trials (including
 /// timeouts — a starved client IS a censorship result) feed the rate;
 /// errored trials are excluded from it and accounted separately. Quarantine
 /// triggers on a run of consecutive errored trials, scanned in index order
 /// so the verdict does not depend on scheduling.
-RateReport reduce_outcomes(const std::vector<TrialOutcome>& outcomes,
+RateReport reduce_outcomes(const std::vector<SupervisedOutcome>& outcomes,
                            std::size_t begin, std::size_t end) {
   RateReport report;
   std::size_t consecutive_errors = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    const TrialOutcome& outcome = outcomes[i];
+    const SupervisedOutcome& outcome = outcomes[i];
     report.retries += outcome.attempts - 1;
-    const bool errored = outcome.error != TrialErrorKind::kNone &&
-                         outcome.error != TrialErrorKind::kTimeout;
-    if (errored) {
+    if (outcome.errored()) {
       ++report.errors;
       ++report.error_counts[static_cast<std::size_t>(outcome.error)];
       if (++consecutive_errors >= kQuarantineAfter) report.quarantined = true;
       continue;
     }
     consecutive_errors = 0;
-    report.rate.record(outcome.success);
-    if (outcome.timed_out) {
+    report.rate.record(outcome.result.success);
+    if (outcome.result.timed_out) {
       ++report.timeouts;
       ++report.error_counts[static_cast<std::size_t>(
           TrialErrorKind::kTimeout)];
@@ -154,48 +111,67 @@ RateReport reduce_outcomes(const std::vector<TrialOutcome>& outcomes,
   return report;
 }
 
-RateReport run_trials(Country country, AppProtocol protocol,
-                      const std::optional<Strategy>& strategy,
-                      const RateOptions& options) {
-  // Each trial is an independent simulation seeded from base_seed + i, so
-  // the evaluator may run them on any worker; the outcome vector is reduced
-  // in index order, making the counters identical for every jobs value.
-  // Supervision happens inside each trial (retries keyed to the trial
-  // index), so outcomes — and therefore the whole report — are also
-  // identical across jobs values and across checkpoint resumes.
-  const ParallelEvaluator evaluator(options.jobs);
-  const TrialCell cell(country, protocol, strategy, options, nullptr);
-  const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
-      options.trials, [&](std::size_t) { return cell.digest; },
-      [&](std::size_t i) { return cell.run(i, options.supervision); });
-  return reduce_outcomes(outcomes, 0, outcomes.size());
+/// The cell the rate and sweep runners measure: `strategy` on the server,
+/// under options' profile and client OS, trial 0 at options.base_seed.
+TrialCell rate_cell(Country country, AppProtocol protocol,
+                    const std::optional<Strategy>& strategy,
+                    const RateOptions& options) {
+  TrialCell cell;
+  cell.config.country = country;
+  cell.config.protocol = protocol;
+  cell.config.seed = options.base_seed;
+  apply_profile(options.profile, cell.config);
+  cell.conn.server_strategy = strategy;
+  cell.conn.client_os = options.client_os;
+  return cell;
 }
 
 }  // namespace
 
+std::vector<RateReport> measure_cells(const std::vector<TrialCell>& cells,
+                                      std::size_t trials, std::size_t jobs,
+                                      const SupervisionPolicy& policy) {
+  // Each trial is an independent simulation, so the evaluator may run them
+  // on any worker. Keyed by cell, each worker runs a cell's trials
+  // consecutively against a warm pooled environment. Supervision happens
+  // inside each trial (retries keyed to the trial index), so the outcomes,
+  // and every report reduced from them in trial order, are identical for
+  // every jobs value and across checkpoint resumes.
+  const ParallelEvaluator evaluator(jobs);
+  const std::vector<SupervisedOutcome> outcomes = evaluator.map_batched(
+      cells.size() * trials, [&](std::size_t i) { return i / trials; },
+      [&](std::size_t i) { return cells[i / trials].run(i % trials, policy); });
+  std::vector<RateReport> reports;
+  reports.reserve(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    reports.push_back(reduce_outcomes(outcomes, c * trials, (c + 1) * trials));
+  }
+  return reports;
+}
+
 RateCounter measure_rate(Country country, AppProtocol protocol,
                          const std::optional<Strategy>& strategy,
                          const RateOptions& options) {
-  return run_trials(country, protocol, strategy, options).rate;
+  return measure_rate_supervised(country, protocol, strategy, options).rate;
 }
 
 RateReport measure_rate_supervised(Country country, AppProtocol protocol,
                                    const std::optional<Strategy>& strategy,
                                    const RateOptions& options) {
-  return run_trials(country, protocol, strategy, options);
+  return measure_cells({rate_cell(country, protocol, strategy, options)},
+                       options.trials, options.jobs, options.supervision)
+      .front();
 }
 
 TrialErrorKind RateReport::dominant_error() const noexcept {
   TrialErrorKind dominant = TrialErrorKind::kNone;
   std::size_t best = 0;
-  for (std::size_t k = 0; k < kTrialErrorKinds; ++k) {
-    const auto kind = static_cast<TrialErrorKind>(k);
-    if (kind == TrialErrorKind::kNone || kind == TrialErrorKind::kTimeout) {
-      continue;  // not errors: completed trials
-    }
+  // The kinds after kTimeout are the errors.
+  for (std::size_t k = static_cast<std::size_t>(TrialErrorKind::kTimeout) + 1;
+       k < kTrialErrorKinds; ++k) {
     if (error_counts[k] > best) {
       best = error_counts[k];
-      dominant = kind;
+      dominant = static_cast<TrialErrorKind>(k);
     }
   }
   return dominant;
@@ -357,24 +333,6 @@ LinkModel::Config sweep_link_config(SweepAxis axis, double value) {
   return link;
 }
 
-namespace {
-
-SweepPoint sweep_point_from_report(double value, const RateReport& report) {
-  SweepPoint point;
-  point.value = value;
-  point.rate = report.rate;
-  point.timeouts = report.timeouts;
-  point.errors = report.errors;
-  point.retries = report.retries;
-  point.quarantined = report.quarantined;
-  if (report.quarantined) {
-    point.quarantine_reason = std::string(to_string(report.dominant_error()));
-  }
-  return point;
-}
-
-}  // namespace
-
 std::vector<SweepPoint> measure_sweep_cells(
     Country country, AppProtocol protocol,
     const std::vector<std::pair<std::string, std::optional<Strategy>>>&
@@ -384,43 +342,32 @@ std::vector<SweepPoint> measure_sweep_cells(
   if (first + count > strategies.size() * values.size()) {
     throw std::out_of_range("sweep cells out of range");
   }
-  // Flattened batch: every cell's trials feed ONE batch-scheduled map,
-  // keyed by (substrate digest, strategy) so each worker runs a cell's
-  // trials consecutively against a warm pooled environment instead of
-  // bouncing between cell shapes. Per-cell reports are reduced from
-  // contiguous slices of the flat outcome vector in trial order, so every
-  // point is what a cell-by-cell loop would measure, at any jobs value.
-  const std::size_t trials = options.trials;
+  // One batch over every cell, each seeded from base_seed: a point is what
+  // a cell-by-cell loop would measure, whichever batch measured it.
   std::vector<TrialCell> cells;
   cells.reserve(count);
   for (std::size_t c = first; c < first + count; ++c) {
-    const LinkModel::Config link =
-        sweep_link_config(axis, values[c % values.size()]);
-    cells.emplace_back(country, protocol, strategies[c / values.size()].second,
-                       options, &link);
+    TrialCell& cell = cells.emplace_back(rate_cell(
+        country, protocol, strategies[c / values.size()].second, options));
+    cell.config.net.link = sweep_link_config(axis, values[c % values.size()]);
   }
+  const std::vector<RateReport> reports = measure_cells(
+      cells, options.trials, options.jobs, options.supervision);
 
-  const ParallelEvaluator evaluator(options.jobs);
-  const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
-      count * trials,
-      [&](std::size_t i) {
-        const std::size_t c = i / trials;
-        // (env digest, strategy): same-shape cells of the same strategy may
-        // merge into one batch; distinct strategies never do.
-        return cells[c].digest * 1099511628211ull +
-               (first + c) / values.size();
-      },
-      [&](std::size_t i) {
-        return cells[i / trials].run(i % trials, options.supervision);
-      });
-
-  std::vector<SweepPoint> points;
-  points.reserve(count);
+  std::vector<SweepPoint> points(count);
   for (std::size_t c = 0; c < count; ++c) {
-    const RateReport report =
-        reduce_outcomes(outcomes, c * trials, (c + 1) * trials);
-    points.push_back(
-        sweep_point_from_report(values[(first + c) % values.size()], report));
+    const RateReport& report = reports[c];
+    SweepPoint& point = points[c];
+    point.value = values[(first + c) % values.size()];
+    point.rate = report.rate;
+    point.timeouts = report.timeouts;
+    point.errors = report.errors;
+    point.retries = report.retries;
+    point.quarantined = report.quarantined;
+    if (report.quarantined) {
+      point.quarantine_reason =
+          std::string(to_string(report.dominant_error()));
+    }
   }
   return points;
 }

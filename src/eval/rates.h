@@ -47,9 +47,9 @@ struct RateOptions {
   /// from base_seed + index and results are reduced in index order, so
   /// every jobs value yields byte-identical rates.
   std::size_t jobs = 1;
-  /// Retry / fault-injection / quarantine policy for the supervised runners.
-  /// The defaults are inert on a healthy substrate: a batch that raises no
-  /// errors behaves byte-identically to the unsupervised path.
+  /// Retry / fault-injection / quarantine policy for the batch. The
+  /// defaults are inert: a batch that raises no errors measures exactly
+  /// what a loop of fresh Environments would.
   SupervisionPolicy supervision;
 };
 
@@ -81,6 +81,28 @@ struct RateReport {
                               static_cast<double>(n);
   }
 };
+
+/// One cell of a success-rate batch: the substrate and the connection that
+/// all its trials share. Trial t runs under seed config.seed + t with
+/// supervision index t, so it is the same simulation whichever batch,
+/// worker or resumed run executes it.
+struct TrialCell {
+  Environment::Config config;  // config.seed is trial 0's seed
+  ConnectionOptions conn;
+
+  [[nodiscard]] SupervisedOutcome run(
+      std::size_t t, const SupervisionPolicy& policy = {}) const;
+};
+
+/// The rate runner: measures trials [0, trials) of every cell as one batch
+/// sharded across `jobs` workers (1 = serial, 0 = hardware concurrency).
+/// Each cell's report is reduced from its outcomes in trial order, so it
+/// equals the cell measured alone, at any jobs value. Errored trials are
+/// excluded from the rate and counted in the report; a run of
+/// kQuarantineAfter consecutive errored trials marks the cell quarantined.
+[[nodiscard]] std::vector<RateReport> measure_cells(
+    const std::vector<TrialCell>& cells, std::size_t trials,
+    std::size_t jobs = 1, const SupervisionPolicy& policy = {});
 
 /// Shared registry of strategies poisoned by consecutive trial errors.
 /// Thread-safe: the GA's parallel fitness evaluations consult and update it
@@ -144,15 +166,14 @@ inline constexpr double kQuarantinedFitness = -100.0;
 
 /// Runs `trials` independent connections (each on a freshly reset
 /// substrate, so censor state never leaks) and reports the observed success
-/// rate.
+/// rate: measure_cells on one cell seeded from options.base_seed.
 [[nodiscard]] RateCounter measure_rate(Country country, AppProtocol protocol,
                                        const std::optional<Strategy>& strategy,
                                        const RateOptions& options = {});
 
-/// Supervised variant: every trial runs through run_supervised_trial, so a
-/// crashing or injected-fault trial is retried / counted instead of
-/// propagating; the report carries error and coverage accounting. On a
-/// healthy substrate the rate is byte-identical to measure_rate's.
+/// The same batch with its whole report: a crashing or injected-fault trial
+/// is retried / counted instead of propagating, and the report carries the
+/// error and coverage accounting. Its rate is measure_rate's.
 [[nodiscard]] RateReport measure_rate_supervised(
     Country country, AppProtocol protocol,
     const std::optional<Strategy>& strategy, const RateOptions& options = {});

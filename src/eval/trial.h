@@ -48,7 +48,8 @@ struct ConnectionOptions {
 
 /// Structured classification of why a trial did not complete normally.
 /// This is the supervision taxonomy long campaigns key retry/quarantine
-/// decisions on; see run_supervised_trial().
+/// decisions on; see run_supervised_trial(). The kinds after kTimeout are
+/// the errors; kNone and kTimeout are completed trials.
 enum class TrialErrorKind {
   kNone = 0,                // trial completed (success or ordinary failure)
   kTimeout,                 // cut off by the deadline or the event cap
@@ -185,6 +186,12 @@ struct SupervisedOutcome {
   TrialErrorKind error = TrialErrorKind::kNone;
   std::string detail;         // human-readable; includes seed + strategy
   std::size_t attempts = 1;   // 1 = no retry was needed
+
+  /// True when the trial was lost to an error its retries did not clear. A
+  /// timeout is a completed trial: a starved client IS a censorship result.
+  [[nodiscard]] bool errored() const noexcept {
+    return error != TrialErrorKind::kNone && error != TrialErrorKind::kTimeout;
+  }
 };
 
 /// Runs one trial under supervision: exceptions are caught and classified

@@ -69,6 +69,20 @@ Orchestrator::Orchestrator(ServeConfig config, std::vector<ServeTier> tiers)
     report_.tiers[t].name = tiers_[t].name;
     report_.tiers[t].degraded_tier = t + 1 == tiers_.size();
   }
+  // Two cells per tier, one per side of the censor-drift flip.
+  cells_.reserve(2 * tiers_.size());
+  for (const ServeTier& tier : tiers_) {
+    for (const GfwRegime regime :
+         {config_.regime_before, config_.regime_after}) {
+      TrialCell& cell = cells_.emplace_back();
+      cell.config.country = config_.country;
+      cell.config.protocol = config_.protocol;
+      cell.config.seed = config_.base_seed;
+      cell.config.gfw_regime = regime;
+      cell.conn.server_strategy = tier.strategy;
+      cell.conn.client_os = config_.client_os;
+    }
+  }
 }
 
 std::string Orchestrator::config_digest() const {
@@ -117,23 +131,11 @@ std::size_t Orchestrator::route_preview(std::size_t flow) const {
   return tiers_.size() - 1;  // degraded rung always admits
 }
 
-std::vector<Orchestrator::FlowOutcome> Orchestrator::evaluate_span(
-    std::size_t tier, std::size_t first, std::size_t count) {
+std::vector<SupervisedOutcome> Orchestrator::evaluate_span(
+    std::size_t tier, std::size_t first, std::size_t count) const {
   const ParallelEvaluator evaluator(config_.jobs);
-  // Hoisted per-span constants: the ConnectionOptions holds a deep Strategy
-  // copy and the Environment::Config only varies in seed and (across the
-  // regime flip) gfw_regime — building both per flow was pure churn.
-  ConnectionOptions conn;
-  conn.server_strategy = tiers_[tier].strategy;
-  conn.client_os = config_.client_os;
-  Environment::Config base;
-  base.country = config_.country;
-  base.protocol = config_.protocol;
-  const auto regime_of = [this](std::size_t flow) {
-    return (config_.regime_flip_at != ServeConfig::kNoRegimeFlip &&
-            flow >= config_.regime_flip_at)
-               ? config_.regime_after
-               : config_.regime_before;
+  const auto cell_of = [&](std::size_t flow) -> const TrialCell& {
+    return cells_[2 * tier + (after_flip(flow) ? 1 : 0)];
   };
   // Batched by regime: a span straddling the censor-drift flip runs each
   // regime's flows consecutively, so pooled substrates stay warm on both
@@ -141,17 +143,10 @@ std::vector<Orchestrator::FlowOutcome> Orchestrator::evaluate_span(
   return evaluator.map_batched(
       count,
       [&](std::size_t k) {
-        return static_cast<std::uint64_t>(regime_of(first + k));
+        return static_cast<std::uint64_t>(cell_of(first + k).config.gfw_regime);
       },
       [&](std::size_t k) {
-        const std::size_t flow = first + k;
-        Environment::Config env = base;
-        env.seed = config_.base_seed + flow;
-        env.gfw_regime = regime_of(flow);
-        const SupervisedOutcome outcome =
-            run_supervised_trial(env, conn, config_.supervision, flow);
-        return FlowOutcome{outcome.result.success, outcome.result.timed_out,
-                           outcome.error};
+        return cell_of(first + k).run(first + k, config_.supervision);
       });
 }
 
@@ -162,17 +157,16 @@ void Orchestrator::emit(std::size_t flow, HealthEventKind kind,
 }
 
 void Orchestrator::consume(std::size_t flow, std::size_t tier,
-                           const FlowOutcome& outcome) {
+                           const SupervisedOutcome& outcome) {
   TierStats& stats = report_.tiers[tier];
   ++stats.served;
-  const bool errored = outcome.error != TrialErrorKind::kNone &&
-                       outcome.error != TrialErrorKind::kTimeout;
+  const bool errored = outcome.errored();
   // A trial the supervisor could not complete counts as a failed flow for
   // health purposes: a user behind a crashing strategy is just as blocked
   // as a censored one.
-  const bool success = !errored && outcome.success;
+  const bool success = !errored && outcome.result.success;
   if (success) ++stats.successes;
-  if (!errored && outcome.timed_out) ++stats.timeouts;
+  if (!errored && outcome.result.timed_out) ++stats.timeouts;
   if (errored) ++stats.errors;
 
   if (tier + 1 == tiers_.size()) {
@@ -211,12 +205,11 @@ const ServeReport& Orchestrator::run() {
                  config_.flows);
     std::size_t span_begin = next_flow_;
     std::size_t spec_tier = route_preview(span_begin);
-    std::vector<FlowOutcome> outcomes =
+    std::vector<SupervisedOutcome> outcomes =
         evaluate_span(spec_tier, span_begin, chunk_end - span_begin);
 
     for (std::size_t flow = span_begin; flow < chunk_end; ++flow) {
-      if (config_.regime_flip_at != ServeConfig::kNoRegimeFlip &&
-          !regime_flip_emitted_ && flow >= config_.regime_flip_at) {
+      if (!regime_flip_emitted_ && after_flip(flow)) {
         regime_flip_emitted_ = true;
         emit(flow, HealthEventKind::kRegimeFlip, "censor",
              std::string(to_string(config_.regime_before)) + " -> " +

@@ -20,8 +20,8 @@
 // is a reproducible, testable scenario.
 //
 // Determinism: each flow's outcome is a pure function of (tier strategy,
-// flow index) — trials run in fresh Environments seeded from base_seed +
-// flow. Routing is decided by a sequential state machine, while trial
+// flow index) — flow f runs as trial f of its tier's TrialCell, seeded from
+// base_seed + f. Routing is decided by a sequential state machine, while trial
 // batches are evaluated speculatively in fixed-size chunks on the shared
 // thread pool: the orchestrator guesses that the chunk keeps its routing,
 // evaluates the chunk in parallel, and replays it sequentially, discarding
@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "eval/trial.h"
+#include "eval/rates.h"
 #include "geneva/library.h"
 #include "serve/breaker.h"
 
@@ -169,24 +169,23 @@ class Orchestrator {
   void restore_checkpoint(const SnapshotReader& reader);
 
  private:
-  struct FlowOutcome {
-    bool success = false;
-    bool timed_out = false;
-    TrialErrorKind error = TrialErrorKind::kNone;
-  };
-
   [[nodiscard]] std::string config_digest() const;
+  [[nodiscard]] bool after_flip(std::size_t flow) const noexcept {
+    return config_.regime_flip_at != ServeConfig::kNoRegimeFlip &&
+           flow >= config_.regime_flip_at;
+  }
   [[nodiscard]] std::size_t route_preview(std::size_t flow) const;
-  [[nodiscard]] std::vector<FlowOutcome> evaluate_span(std::size_t tier,
-                                                       std::size_t first,
-                                                       std::size_t count);
+  [[nodiscard]] std::vector<SupervisedOutcome> evaluate_span(
+      std::size_t tier, std::size_t first, std::size_t count) const;
   void emit(std::size_t flow, HealthEventKind kind, std::string tier,
             std::string detail);
   void consume(std::size_t flow, std::size_t tier,
-               const FlowOutcome& outcome);
+               const SupervisedOutcome& outcome);
 
   ServeConfig config_;
   std::vector<ServeTier> tiers_;      // includes the final degraded tier
+  /// Flow f on tier t runs as trial f of cells_[2 * t + after_flip(f)].
+  std::vector<TrialCell> cells_;
   std::vector<CircuitBreaker> breakers_;  // one per non-degraded tier
   std::size_t next_flow_ = 0;
   std::size_t active_tier_ = 0;       // tier that served the previous flow

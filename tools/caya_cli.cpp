@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "eval/parallel.h"
 #include "eval/rates.h"
 #include "eval/replay.h"
 #include "eval/strategies.h"
@@ -1003,47 +1002,23 @@ int cmd_run(Args& args) {
     strategy = parse_strategy_arg(entry->dsl);
   }
 
-  // Trials are independent simulations seeded from seed + i, each on a
-  // pooled substrate; shard them across the pool and reduce outcomes in
-  // index order, so any --jobs value prints exactly the --jobs 1 report.
-  // Only trial 0 records a trace (the one the waterfall/pcap outputs show),
-  // so the capture is deterministic too.
-  struct RunOutcome {
-    bool success = false;
-    bool timed_out = false;
-  };
-  const bool want_trace = waterfall || stages || !pcap_path.empty();
-  Trace first_trace;
-  const ParallelEvaluator evaluator(jobs);
-  const std::vector<RunOutcome> outcomes = evaluator.map_batched(
-      trials, [](std::size_t) { return 0; },
-      [&](std::size_t i) {
-        Environment::Config config;
-        config.country = country;
-        config.protocol = protocol;
-        config.seed = seed + i;
-        config.net.trace_stages = stages;
-        apply_profile(profile, config);
-        ConnectionOptions options;
-        if (client_side) {
-          options.client_strategy = strategy;
-        } else {
-          options.server_strategy = strategy;
-        }
-        options.client_os = os;
-        options.record_trace = want_trace && i == 0;
-        const TrialResult result = run_trial(config, options);
-        if (options.record_trace) first_trace = result.trace;
-        return RunOutcome{result.success, result.timed_out};
-      });
-
-  RateCounter counter;
-  std::size_t timeouts = 0;
-  const bool have_trace = want_trace && trials > 0;
-  for (const RunOutcome& outcome : outcomes) {
-    counter.record(outcome.success);
-    if (outcome.timed_out) ++timeouts;
+  // Trial i of the cell runs under seed + i, supervised and sharded across
+  // the pool; the report is reduced in trial order, so any --jobs value
+  // prints exactly the --jobs 1 report.
+  TrialCell cell;
+  cell.config.country = country;
+  cell.config.protocol = protocol;
+  cell.config.seed = seed;
+  cell.config.net.trace_stages = stages;
+  apply_profile(profile, cell.config);
+  if (client_side) {
+    cell.conn.client_strategy = strategy;
+  } else {
+    cell.conn.server_strategy = strategy;
   }
+  cell.conn.client_os = os;
+  const RateReport report = measure_cells({cell}, trials, jobs).front();
+  const RateCounter& counter = report.rate;
 
   const auto interval = counter.wilson();
   std::printf("country   : %s\n", std::string(to_string(country)).c_str());
@@ -1057,11 +1032,24 @@ int cmd_run(Args& args) {
   std::printf("success   : %zu/%zu = %.1f%%  (95%% CI %.1f%%-%.1f%%)\n",
               counter.successes(), counter.trials(), counter.rate() * 100,
               interval.lo * 100, interval.hi * 100);
-  if (timeouts > 0) {
+  if (report.timeouts > 0) {
     std::printf("timed out : %zu/%zu trials hit the deadline/event cap\n",
-                timeouts, counter.trials());
+                report.timeouts, counter.trials());
+  }
+  if (report.errors > 0) {
+    std::printf("errors    : %zu trials lost after retries\n", report.errors);
   }
 
+  // Trial 0 runs once more, recording the trace the waterfall, stage list
+  // and pcap show; a trial is a pure function of its seed, so this is the
+  // trial the batch ran.
+  const bool have_trace = (waterfall || stages || !pcap_path.empty()) &&
+                          trials > 0;
+  Trace first_trace;
+  if (have_trace) {
+    cell.conn.record_trace = true;
+    first_trace = cell.run(0).result.trace;
+  }
   if (waterfall && have_trace) {
     std::printf("\nfirst trial, endpoint view:\n%s",
                 render_waterfall(first_trace).c_str());
