@@ -8,78 +8,41 @@ thread_local bool t_on_pool_worker = false;
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    const std::lock_guard<std::mutex> lock(sleep_mu_);
+    const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  sleep_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::submit(Task task) {
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
-    const std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
+    const std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
   }
-  {
-    const std::lock_guard<std::mutex> lock(sleep_mu_);
-    ++pending_;
-  }
-  sleep_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool ThreadPool::try_take(std::size_t id, Task& out) {
-  {
-    WorkerQueue& own = *queues_[id];
-    const std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      out = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  // Starved: steal the oldest task from the back of another worker's deque.
-  for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-    WorkerQueue& victim = *queues_[(id + offset) % queues_.size()];
-    const std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
+void ThreadPool::worker_loop() {
   t_on_pool_worker = true;
   while (true) {
     Task task;
-    if (try_take(id, task)) {
-      {
-        const std::lock_guard<std::mutex> lock(sleep_mu_);
-        --pending_;
-      }
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (stop_) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleep_cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
-    if (stop_) return;
+    task();
   }
 }
 

@@ -1,5 +1,4 @@
-// A small work-stealing thread pool for the deterministic parallel
-// evaluation engine.
+// A small thread pool for the deterministic parallel evaluation engine.
 //
 // Design constraints, in order:
 //   * Determinism lives in the *callers*: every parallel unit of work in this
@@ -7,9 +6,9 @@
 //     seeded from its own index, so the pool only has to guarantee that each
 //     index runs exactly once — reduction in canonical index order is done by
 //     parallel_for_indexed / ParallelEvaluator, never by completion order.
-//   * Tasks are coarse (a full simulated connection, ~ms), so per-worker
-//     mutex-guarded deques are plenty: a worker pops from the front of its
-//     own deque and steals from the back of a victim's when starved.
+//   * Load balance is the callers' too: parallel_for_indexed submits one
+//     task per shard and the shards share one atomic index cursor, so one
+//     mutex-guarded FIFO queue is all the pool needs.
 //   * Nested parallelism must not deadlock: a parallel_for issued from a
 //     worker thread runs inline on that worker (see on_worker_thread()),
 //     so a parallel GA whose fitness function is itself parallel-capable
@@ -23,7 +22,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -41,17 +39,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task on one of the worker deques (round-robin); a starved
-  /// worker steals it if its owner is busy.
+  /// Enqueues a task; the first idle worker runs it.
   void submit(Task task);
 
-  [[nodiscard]] std::size_t size() const noexcept { return queues_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Tasks a worker took from another worker's deque (monotonic; used by the
-  /// bench to show the stealing path is exercised).
-  [[nodiscard]] std::uint64_t steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: the pool has one queue, so no worker takes another's task.
+  /// Kept because the benchmark reads it as util.pool_steals.
+  [[nodiscard]] std::uint64_t steals() const noexcept { return 0; }
 
   /// True on a thread owned by *any* ThreadPool — parallel loops use this to
   /// fall back to inline execution instead of re-entering a pool they may be
@@ -67,22 +62,13 @@ class ThreadPool {
   [[nodiscard]] static ThreadPool& shared();
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t id);
-  [[nodiscard]] bool try_take(std::size_t id, Task& out);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
-  bool stop_ = false;            // guarded by sleep_mu_
-  std::size_t pending_ = 0;      // guarded by sleep_mu_
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::uint64_t> steals_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Task> tasks_;  // guarded by mu_
+  bool stop_ = false;       // guarded by mu_
 };
 
 /// Runs fn(i) for every i in [0, n) across at most `jobs` workers of the
