@@ -145,7 +145,6 @@ class FlowTable {
   /// Hard cap on live flows (0 = unbounded). The default is far above any
   /// legitimate trial's flow count, so eviction only engages under floods.
   void set_flow_budget(std::size_t max_flows) noexcept { budget_ = max_flows; }
-  [[nodiscard]] std::size_t flow_budget() const noexcept { return budget_; }
 
   /// Flows evicted to stay within the budget, cumulative across reset()
   /// (reset drops the flows, not the ledger).

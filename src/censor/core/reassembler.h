@@ -84,9 +84,6 @@ class Reassembler {
   /// Releases every buffered segment back to this thread's arena.
   void clear();
 
-  [[nodiscard]] std::size_t segment_count() const noexcept {
-    return segments_.size();
-  }
   [[nodiscard]] std::size_t buffered_bytes() const noexcept {
     return buffered_bytes_;
   }

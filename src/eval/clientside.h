@@ -7,8 +7,9 @@
 // checksum-corrupted (25 strategies in the paper; we generate the cross
 // product of flag x invalidation x trigger below).
 //
-// translate_to_server_side() produces the paper's two analogs per strategy:
-// the insertion packet sent before the SYN+ACK and after it.
+// server_analog_before() and server_analog_after() produce the paper's two
+// analogs per strategy: the insertion packet sent before the SYN+ACK and
+// after it.
 #pragma once
 
 #include <string>

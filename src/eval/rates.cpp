@@ -218,15 +218,6 @@ std::size_t Quarantine::released() const {
   return released_;
 }
 
-std::vector<std::string> Quarantine::entries() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> keys;
-  keys.reserve(keys_.size());
-  for (const auto& [key, state] : keys_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 std::vector<Quarantine::Status> Quarantine::statuses() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Status> out;

@@ -74,12 +74,6 @@ struct RateReport {
   [[nodiscard]] std::size_t attempted() const noexcept {
     return rate.trials() + errors;
   }
-  /// Fraction of requested trials that produced a usable result.
-  [[nodiscard]] double coverage() const noexcept {
-    const std::size_t n = attempted();
-    return n == 0 ? 0.0 : static_cast<double>(rate.trials()) /
-                              static_cast<double>(n);
-  }
 };
 
 /// One cell of a success-rate batch: the substrate and the connection that
@@ -134,8 +128,6 @@ class Quarantine {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t released() const;
-  /// Quarantined keys, sorted (deterministic render order).
-  [[nodiscard]] std::vector<std::string> entries() const;
 
   /// Per-key detail for footers and scoreboards, sorted by key.
   struct Status {

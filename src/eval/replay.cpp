@@ -20,8 +20,7 @@ class CountingInjector : public Injector {
 }  // namespace
 
 ReplayResult replay_through_censor(const std::vector<PcapRecord>& records,
-                                   Country country, std::uint64_t seed,
-                                   Trace* trace) {
+                                   Country country, std::uint64_t seed) {
   OfflineFeed feed(pooled_censor_set(country, seed));
   ReplayResult result;
   CountingInjector injector;
@@ -33,17 +32,9 @@ ReplayResult replay_through_censor(const std::vector<PcapRecord>& records,
     auto decoded = Packet::try_parse(records[i].data);
     result.decode.note(decoded.error);
     if (!decoded.ok()) {
-      std::string detail = std::string(to_string(decoded.error)) +
-                           " at offset " +
-                           std::to_string(decoded.error_offset);
-      if (trace != nullptr) {
-        TraceEvent event;
-        event.at = records[i].at;
-        event.point = TracePoint::kDecodeError;
-        event.note = detail;
-        trace->record(std::move(event));
-      }
-      result.events.push_back({i, "decode-error: " + std::move(detail)});
+      result.events.push_back(
+          {i, "decode-error: " + std::string(to_string(decoded.error)) +
+                  " at offset " + std::to_string(decoded.error_offset)});
       continue;
     }
     const Packet& pkt = decoded.value;

@@ -8,7 +8,6 @@
 
 #include "eval/country.h"
 #include "netsim/pcap.h"
-#include "netsim/trace.h"
 #include "packet/decode.h"
 
 namespace caya {
@@ -33,12 +32,11 @@ struct ReplayResult {
 /// Replays the records through a fresh censor for `country`. Direction is
 /// inferred per flow from the first SYN (client side); packets on flows
 /// whose orientation is unknown are assumed client->server. Undecodable
-/// records are accounted in `decode` (fail open), never thrown; when
-/// `trace` is given they are also mirrored as packetless
-/// TracePoint::kDecodeError events (note = taxonomy kind + offset).
+/// records are accounted in `decode` (fail open), never thrown, and logged
+/// as "decode-error: <kind> at offset <n>" events.
 [[nodiscard]] ReplayResult replay_through_censor(
     const std::vector<PcapRecord>& records, Country country,
-    std::uint64_t seed = 1, Trace* trace = nullptr);
+    std::uint64_t seed = 1);
 
 /// Convenience: load the pcap file and replay it. Strict mode throws
 /// std::invalid_argument (with the file offset of the first bad record) on

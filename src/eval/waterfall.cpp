@@ -49,24 +49,10 @@ std::string render_waterfall(const Trace& trace,
 
   std::size_t rows = 0;
   for (const auto& ev : trace.events()) {
-    bool to_server = false;
-    bool from_client = false;
-    switch (ev.point) {
-      case TracePoint::kClientSent:
-        to_server = true;
-        from_client = true;
-        break;
-      case TracePoint::kClientReceived:
-        to_server = false;
-        from_client = false;
-        break;
-      case TracePoint::kCensorInjected:
-        if (!options.include_censor_column) continue;
-        to_server = ev.direction == Direction::kClientToServer;
-        from_client = false;
-        break;
-      default:
-        continue;  // endpoint view only
+    // The endpoint view: what the client sent and what reached it.
+    if (ev.point != TracePoint::kClientSent &&
+        ev.point != TracePoint::kClientReceived) {
+      continue;
     }
     if (++rows > options.max_rows) {
       os << "    ... (truncated)\n";
@@ -74,19 +60,13 @@ std::string render_waterfall(const Trace& trace,
     }
 
     const std::string label = packet_label(ev.packet);
-    std::string note;
-    if (ev.point == TracePoint::kCensorInjected) note = " [censor]";
-
-    if (to_server && from_client) {
-      os << "    | " << label << note << "\n";
+    if (ev.point == TracePoint::kClientSent) {
+      os << "    | " << label << "\n";
       os << "    |" << std::string(kWidth - 2, '-') << ">|\n";
-    } else if (to_server) {
-      os << "    | " << label << note << "\n";
-      os << "    |" << std::string(kWidth / 2 - 2, '-') << ">|  (injected)\n";
     } else {
       const std::size_t pad =
           label.size() + 4 < kWidth ? kWidth - label.size() - 4 : 1;
-      os << "    |" << std::string(pad, ' ') << label << note << "\n";
+      os << "    |" << std::string(pad, ' ') << label << "\n";
       os << "    |<" << std::string(kWidth - 2, '-') << "|\n";
     }
   }

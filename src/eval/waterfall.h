@@ -8,9 +8,6 @@
 namespace caya {
 
 struct WaterfallOptions {
-  /// Render packets as seen at the endpoints (kClientSent/kClientReceived/
-  /// kServerSent...) rather than at the censor.
-  bool include_censor_column = false;
   std::size_t max_rows = 40;
 };
 

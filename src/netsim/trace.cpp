@@ -32,8 +32,6 @@ std::string_view to_string(TracePoint point) noexcept {
       return "censor-fault";
     case TracePoint::kCensorStage:
       return "censor-stage";
-    case TracePoint::kDecodeError:
-      return "decode-error";
   }
   return "?";
 }

@@ -26,7 +26,6 @@ enum class TracePoint {
   kReordered,   // link added jitter delay to this traversal
   kCensorFault, // scheduled middlebox fault fired (flush/stall/restart)
   kCensorStage, // pipeline stage attribution (opt-in; note = box/stage)
-  kDecodeError, // ingest bytes failed try_parse; fail-open (note = taxonomy)
 };
 
 [[nodiscard]] std::string_view to_string(TracePoint point) noexcept;
