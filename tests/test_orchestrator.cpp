@@ -333,6 +333,25 @@ TEST(Orchestrator, JobsValueNeverChangesTheRun) {
   }
 }
 
+TEST(Orchestrator, InjectedFaultsLandOnAbsoluteFlowIndices) {
+  // Flow f is trial f of its tier's cell, so a hard fault on every 7th
+  // flow errors exactly the 22 flows f with (f + 1) % 7 == 0 among 160,
+  // whichever tier serves them and however the chunks were re-speculated.
+  ServeConfig config = small_config();
+  config.regime_flip_at = 64;
+  config.supervision.inject_hard_fault_every = 7;
+  for (const std::size_t jobs : {1u, 4u}) {
+    config.jobs = jobs;
+    Orchestrator orch(config, chain_7_6());
+    const ServeReport& report = orch.run();
+    std::size_t errors = 0;
+    for (const TierStats& stats : report.tiers) errors += stats.errors;
+    EXPECT_EQ(errors, 22u) << "jobs=" << jobs << "\n"
+                           << report_fingerprint(orch);
+    EXPECT_GT(report.mispredictions, 0u) << "jobs=" << jobs;
+  }
+}
+
 TEST(Orchestrator, CheckpointResumeReplaysByteIdentically) {
   ServeConfig config = small_config();
   config.regime_flip_at = 64;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/clientside.h"
 #include "eval/rates.h"
 #include "eval/strategies.h"
 #include "eval/trial.h"
@@ -173,6 +174,66 @@ TEST(ParallelDeterminism, SweepTableIsByteIdentical) {
         SweepAxis::kLoss);
   };
   EXPECT_EQ(render(1), render(8));
+}
+
+/// What a rate report says about a cell, as one comparable string.
+std::string report_summary(const RateReport& report) {
+  return std::to_string(report.rate.successes()) + "/" +
+         std::to_string(report.rate.trials()) +
+         " timeouts=" + std::to_string(report.timeouts) +
+         " errors=" + std::to_string(report.errors) +
+         " retries=" + std::to_string(report.retries) +
+         (report.quarantined ? " quarantined" : "");
+}
+
+TEST(ParallelDeterminism, MeasureCellsMatchFreshEnvironments) {
+  // Six cells of different substrate shapes in one batch: each cell's
+  // report must equal the cell measured alone, at any jobs value, and a
+  // loop of fresh Environments seeded config.seed + t.
+  constexpr std::size_t kTrials = 12;
+  std::vector<TrialCell> cells(6);
+  cells[0].config.seed = 100;
+  cells[0].conn.server_strategy = parsed_strategy(1);
+  cells[1].config.seed = 200;
+  cells[1].conn.client_strategy = clientside_corpus()[0].client_strategy();
+  cells[2].config.country = Country::kKazakhstan;
+  cells[2].config.seed = 300;
+  cells[2].conn.server_strategy = parsed_strategy(9);
+  cells[2].conn.client_os = OsProfile::windows_default();
+  cells[3].config.protocol = AppProtocol::kFtp;
+  cells[3].config.seed = 400;
+  cells[3].config.china_architecture = ChinaCensor::Architecture::kSingleBox;
+  cells[3].conn.server_strategy = parsed_strategy(5);
+  cells[4].config.seed = 500;
+  cells[4].config.carrier = CarrierNetwork::kAtt;
+  cells[4].conn.server_strategy = parsed_strategy(6);
+  cells[5].config.country = Country::kIndia;
+  cells[5].config.seed = 600;
+  apply_profile(ImpairmentProfile::kLossy, cells[5].config);
+  cells[5].conn.server_strategy = parsed_strategy(8);
+
+  const std::vector<RateReport> serial = measure_cells(cells, kTrials, 1);
+  const std::vector<RateReport> sharded = measure_cells(cells, kTrials, 4);
+  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(sharded.size(), cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::string expected = report_summary(serial[c]);
+    EXPECT_EQ(report_summary(sharded[c]), expected) << "cell " << c;
+    EXPECT_EQ(report_summary(measure_cells({cells[c]}, kTrials).front()),
+              expected)
+        << "cell " << c;
+
+    RateReport fresh;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      Environment::Config config = cells[c].config;
+      config.seed += t;
+      Environment env(config);
+      const TrialResult result = env.run_connection(cells[c].conn);
+      fresh.rate.record(result.success);
+      if (result.timed_out) ++fresh.timeouts;
+    }
+    EXPECT_EQ(report_summary(fresh), expected) << "cell " << c;
+  }
 }
 
 TEST(ParallelDeterminism, GaHistoryIsIdenticalFieldByField) {
