@@ -20,10 +20,12 @@ double rate(Country country, AppProtocol proto,
             const std::optional<Strategy>& client_strategy,
             const std::optional<Strategy>& server_strategy,
             std::uint64_t seed) {
-  const TrialCell cell{
-      .config = {.country = country, .protocol = proto, .seed = seed},
-      .conn = {.server_strategy = server_strategy,
-               .client_strategy = client_strategy}};
+  TrialCell cell;
+  cell.config.country = country;
+  cell.config.protocol = proto;
+  cell.config.seed = seed;
+  cell.conn.server_strategy = server_strategy;
+  cell.conn.client_strategy = client_strategy;
   return measure_cells({cell}, 80).front().rate.rate();
 }
 

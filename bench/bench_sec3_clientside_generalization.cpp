@@ -16,11 +16,12 @@ namespace {
 double success_rate(const std::optional<Strategy>& client_strategy,
                     const std::optional<Strategy>& server_strategy,
                     std::uint64_t seed) {
-  const TrialCell cell{.config = {.country = Country::kChina,
-                                  .protocol = AppProtocol::kHttp,
-                                  .seed = seed},
-                       .conn = {.server_strategy = server_strategy,
-                                .client_strategy = client_strategy}};
+  TrialCell cell;
+  cell.config.country = Country::kChina;
+  cell.config.protocol = AppProtocol::kHttp;
+  cell.config.seed = seed;
+  cell.conn.server_strategy = server_strategy;
+  cell.conn.client_strategy = client_strategy;
   return measure_cells({cell}, 40).front().rate.rate();
 }
 

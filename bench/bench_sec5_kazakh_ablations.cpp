@@ -18,10 +18,11 @@ namespace caya {
 namespace {
 
 double success(const std::string& dsl, std::uint64_t seed) {
-  const TrialCell cell{.config = {.country = Country::kKazakhstan,
-                                  .protocol = AppProtocol::kHttp,
-                                  .seed = seed},
-                       .conn = {.server_strategy = parse_strategy(dsl)}};
+  TrialCell cell;
+  cell.config.country = Country::kKazakhstan;
+  cell.config.protocol = AppProtocol::kHttp;
+  cell.config.seed = seed;
+  cell.conn.server_strategy = parse_strategy(dsl);
   return measure_cells({cell}, 50).front().rate.rate();
 }
 
