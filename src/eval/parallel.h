@@ -4,7 +4,7 @@
 // for trial i is seeded from (base_seed + i) and forks its own RNG streams,
 // so trials may run on any thread in any order without perturbing each
 // other. ParallelEvaluator shards such index-addressed work across the
-// shared work-stealing pool and reduces results *in canonical index order*,
+// shared thread pool and reduces results *in canonical index order*,
 // which makes the output bit-for-bit independent of completion order:
 // jobs=8 produces byte-identical tables, histories, and pcaps to jobs=1.
 //

@@ -82,27 +82,38 @@ SupervisedOutcome TrialCell::run(std::size_t t,
 
 namespace {
 
+/// What a RateReport reads of one trial. A batch keeps one per trial until
+/// it is reduced: 16 bytes, where a whole SupervisedOutcome (result, trace
+/// and error detail) is over 100.
+struct TrialOutcome {
+  bool success = false;
+  bool timed_out = false;
+  bool errored = false;
+  TrialErrorKind error = TrialErrorKind::kNone;
+  std::size_t attempts = 1;
+};
+
 /// Reduces outcomes[begin, end) in index order. Completed trials (including
 /// timeouts — a starved client IS a censorship result) feed the rate;
 /// errored trials are excluded from it and accounted separately. Quarantine
 /// triggers on a run of consecutive errored trials, scanned in index order
 /// so the verdict does not depend on scheduling.
-RateReport reduce_outcomes(const std::vector<SupervisedOutcome>& outcomes,
+RateReport reduce_outcomes(const std::vector<TrialOutcome>& outcomes,
                            std::size_t begin, std::size_t end) {
   RateReport report;
   std::size_t consecutive_errors = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    const SupervisedOutcome& outcome = outcomes[i];
+    const TrialOutcome& outcome = outcomes[i];
     report.retries += outcome.attempts - 1;
-    if (outcome.errored()) {
+    if (outcome.errored) {
       ++report.errors;
       ++report.error_counts[static_cast<std::size_t>(outcome.error)];
       if (++consecutive_errors >= kQuarantineAfter) report.quarantined = true;
       continue;
     }
     consecutive_errors = 0;
-    report.rate.record(outcome.result.success);
-    if (outcome.result.timed_out) {
+    report.rate.record(outcome.success);
+    if (outcome.timed_out) {
       ++report.timeouts;
       ++report.error_counts[static_cast<std::size_t>(
           TrialErrorKind::kTimeout)];
@@ -138,9 +149,15 @@ std::vector<RateReport> measure_cells(const std::vector<TrialCell>& cells,
   // and every report reduced from them in trial order, are identical for
   // every jobs value and across checkpoint resumes.
   const ParallelEvaluator evaluator(jobs);
-  const std::vector<SupervisedOutcome> outcomes = evaluator.map_batched(
+  const std::vector<TrialOutcome> outcomes = evaluator.map_batched(
       cells.size() * trials, [&](std::size_t i) { return i / trials; },
-      [&](std::size_t i) { return cells[i / trials].run(i % trials, policy); });
+      [&](std::size_t i) {
+        const SupervisedOutcome outcome =
+            cells[i / trials].run(i % trials, policy);
+        return TrialOutcome{outcome.result.success, outcome.result.timed_out,
+                            outcome.errored(), outcome.error,
+                            outcome.attempts};
+      });
   std::vector<RateReport> reports;
   reports.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {

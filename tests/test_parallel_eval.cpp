@@ -267,8 +267,8 @@ TEST(ParallelDeterminism, GaHistoryIsIdenticalFieldByField) {
 }
 
 TEST(ParallelDeterminism, TracePcapIsByteIdentical) {
-  // Mirrors `caya run --pcap`: trials sharded across the pool, only trial 0
-  // records the trace the pcap is written from.
+  // Trials sharded across the pool, only trial 0 records its trace: the
+  // pcap must not depend on which worker's pooled substrate ran it.
   auto capture = [](std::size_t jobs) {
     const ParallelEvaluator evaluator(jobs);
     const std::vector<Trace> traces = evaluator.map_batched(
