@@ -175,8 +175,12 @@ RateCounter measure_rate(Country country, AppProtocol protocol,
 RateReport measure_rate_supervised(Country country, AppProtocol protocol,
                                    const std::optional<Strategy>& strategy,
                                    const RateOptions& options) {
-  return measure_cells({rate_cell(country, protocol, strategy, options)},
-                       options.trials, options.jobs, options.supervision)
+  // Moved in, not listed in braces: an initializer list would copy the
+  // cell's Strategy once more on every fitness evaluation.
+  std::vector<TrialCell> cells;
+  cells.push_back(rate_cell(country, protocol, strategy, options));
+  return measure_cells(cells, options.trials, options.jobs,
+                       options.supervision)
       .front();
 }
 
