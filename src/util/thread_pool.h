@@ -64,11 +64,11 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Task> tasks_;  // guarded by mu_
   bool stop_ = false;       // guarded by mu_
+  std::vector<std::thread> workers_;  // after what the workers use
 };
 
 /// Runs fn(i) for every i in [0, n) across at most `jobs` workers of the
