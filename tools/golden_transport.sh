@@ -3,17 +3,19 @@
 #
 # Runs `caya run` for the published strategy set across all five censors,
 # md5s the full report output (waterfall + censor stages) and the censor-view
-# pcap bytes, and also asserts --jobs invariance (--jobs 1 vs --jobs 4 must
-# print byte-identical reports). It also md5s short `caya evolve` campaigns
-# (report + per-generation history): evolution is the one workload that
-# drives every tamper field and corrupt draw the GA can reach. It md5s the
-# stdout and report of `caya serve` on a three-tier chain through a regime
-# flip, the stdout of `caya fuzz` across every censor, and the stdout of
-# one client-side `caya run`, one `caya rates` and one faulted `caya sweep`.
-# Last, it md5s the stdout of the bench programs that regenerate the paper's
-# tables and figures, at their built-in trial counts and seeds. A checked-in
-# manifest captured on a known-good commit lets CI prove a packet-path change
-# didn't alter wire behavior or a paper number.
+# pcap bytes, does the same for one China run of each dialogue protocol
+# (DNS, FTP on a lossy link, SMTP, HTTPS), and also asserts --jobs
+# invariance (--jobs 1 vs --jobs 4 must print byte-identical reports). It
+# also md5s short `caya evolve` campaigns (report + per-generation history):
+# evolution is the one workload that drives every tamper field and corrupt
+# draw the GA can reach. It md5s the stdout and report of `caya serve` on a
+# three-tier chain through a regime flip, the stdout of `caya fuzz` across
+# every censor, and the stdout of one client-side `caya run`, one
+# `caya rates` and one faulted `caya sweep`. Last, it md5s the stdout of the
+# bench programs that regenerate the paper's tables and figures, at their
+# built-in trial counts and seeds. A checked-in manifest captured on a
+# known-good commit lets CI prove a packet-path change didn't alter wire
+# behavior or a paper number.
 #
 # Usage:
 #   tools/golden_transport.sh capture [manifest]   # write manifest
@@ -59,10 +61,11 @@ benches=(bench_ablation_sweeps bench_clientside_baseline
          bench_table1_vantage bench_table2_success_rates)
 
 run_case() {
-  local country="$1" id="$2" out="$3" pcap="$4" jobs="$5"
-  "$caya" run --country "$country" --protocol http --published "$id" \
+  local country="$1" protocol="$2" id="$3" out="$4" pcap="$5" jobs="$6"
+  shift 6
+  "$caya" run --country "$country" --protocol "$protocol" --published "$id" \
     --trials "$trials" --seed 42 --jobs "$jobs" \
-    --waterfall --stages --pcap "$pcap" > "$out"
+    --waterfall --stages --pcap "$pcap" "$@" > "$out"
   # The report echoes the pcap path; normalize it so the md5 only covers
   # behavior, not the temp directory name.
   sed -i "s|$pcap|PCAP|" "$out"
@@ -73,14 +76,22 @@ generate() {
   for country in "${countries[@]}"; do
     for id in "${published[@]}"; do
       local tag="${country}_pub${id}"
-      run_case "$country" "$id" "$dir/$tag.txt" "$dir/$tag.pcap" 1
+      run_case "$country" http "$id" "$dir/$tag.txt" "$dir/$tag.pcap" 1
     done
   done
   # --jobs invariance: same report regardless of sharding.
-  run_case china 1 "$dir/jobs1.txt" "$dir/jobs1.pcap" 1
-  run_case china 1 "$dir/jobs4.txt" "$dir/jobs4.pcap" 4
+  run_case china http 1 "$dir/jobs1.txt" "$dir/jobs1.pcap" 1
+  run_case china http 1 "$dir/jobs4.txt" "$dir/jobs4.pcap" 4
   diff "$dir/jobs1.txt" "$dir/jobs4.txt"
   cmp "$dir/jobs1.pcap" "$dir/jobs4.pcap"
+  # The dialogue protocols carry their forbidden bytes several round trips
+  # into the connection; the lossy FTP case reaches retransmission and
+  # out-of-order delivery.
+  run_case china dns 5 "$dir/dialogue_dns.txt" "$dir/dialogue_dns.pcap" 1
+  run_case china ftp 5 "$dir/dialogue_ftp_lossy.txt" \
+    "$dir/dialogue_ftp_lossy.pcap" 1 --profile lossy
+  run_case china smtp 6 "$dir/dialogue_smtp.txt" "$dir/dialogue_smtp.pcap" 1
+  run_case china https 2 "$dir/dialogue_https.txt" "$dir/dialogue_https.pcap" 1
   for seed in 1 7; do
     for pair in "${evolved[@]}"; do
       local country="${pair%%:*}" protocol="${pair##*:}"
