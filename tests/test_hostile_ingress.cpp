@@ -7,6 +7,7 @@
 // the StateStats ledger, and keep failing OPEN — bystander flows sail
 // through a flooded censor untouched.
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "fuzz/mutator.h"
 #include "fuzz/oracle.h"
 #include "packet/tcp_flags.h"
+#include "util/rng.h"
 
 namespace caya {
 namespace {
@@ -94,6 +96,110 @@ TEST(ReassemblerBudget, SegmentAndByteBudgetsHold) {
   // Zero-length segments are ignored (they cannot advance reassembly).
   EXPECT_TRUE(bytes_bound.add_segment(500, {}));
   EXPECT_EQ(bytes_bound.buffered_bytes(), 32u);
+}
+
+/// The prefix a std::map of seq -> bytes assembles from `base`: exact-seq
+/// chaining, stopping at the first gap or once past the byte cap.
+Bytes model_assemble(const std::map<std::uint32_t, Bytes>& segments,
+                     std::uint32_t base) {
+  Bytes out;
+  std::uint32_t next = base;
+  for (auto it = segments.find(next); it != segments.end();
+       it = segments.find(next)) {
+    out.insert(out.end(), it->second.begin(), it->second.end());
+    next += static_cast<std::uint32_t>(it->second.size());
+    if (out.size() > Reassembler::kByteCap) break;
+  }
+  return out;
+}
+
+TEST(Reassembler, MatchesMapModelUnderRandomSegments) {
+  // Differential check against a std::map of seq -> bytes under a seeded mix
+  // of segments near the base (overlaps, exact-seq overwrites, gaps),
+  // contiguous runs long enough to reach the byte cap, far-away floods
+  // against small budgets, rebases (some across the 2^32 wrap) and clears.
+  // add_segment's verdict, buffered_bytes() and assemble() must agree with
+  // the model after every operation.
+  Reassembler reassembler;
+  std::map<std::uint32_t, Bytes> model;
+  std::uint32_t base = 0;
+  std::size_t max_segments = Reassembler::kDefaultMaxSegments;
+  std::size_t max_bytes = Reassembler::kDefaultMaxBytes;
+  std::size_t model_bytes = 0;
+  std::size_t cap_hits = 0;
+  std::size_t refused = 0;
+  Rng rng(31);
+  for (int op = 0; op < 6000; ++op) {
+    const std::uint64_t roll = rng.uniform(0, 999);
+    if (roll < 970) {
+      std::uint32_t seq = 0;
+      std::size_t len = 0;
+      if (roll < 400) {  // near the base: overlaps, overwrites, gaps
+        seq = base + static_cast<std::uint32_t>(rng.index(160));
+        len = rng.index(41);  // 0..40; empty segments are ignored
+      } else if (roll < 850) {  // extends the assembled prefix
+        seq = base + static_cast<std::uint32_t>(
+                         model_assemble(model, base).size());
+        len = 1 + rng.index(3000);
+      } else {  // far away: floods the budgets
+        seq = base + 100000 + static_cast<std::uint32_t>(rng.index(1 << 20));
+        len = 1 + rng.index(300);
+      }
+      Bytes payload = rng.bytes(len);
+      bool accepted = true;
+      if (!payload.empty()) {
+        const auto it = model.find(seq);
+        if (it != model.end()) {
+          const std::size_t without_old = model_bytes - it->second.size();
+          accepted = without_old + payload.size() <= max_bytes;
+          if (accepted) {
+            model_bytes = without_old + payload.size();
+            it->second = payload;
+          }
+        } else {
+          accepted = model.size() < max_segments &&
+                     model_bytes + payload.size() <= max_bytes;
+          if (accepted) {
+            model_bytes += payload.size();
+            model.emplace(seq, payload);
+          }
+        }
+      }
+      if (!accepted) ++refused;
+      ASSERT_EQ(reassembler.add_segment(seq, payload), accepted) << op;
+    } else if (roll < 980) {
+      // Rebase, a fifth of the time just below the wrap.
+      base = rng.chance(0.2)
+                 ? 0xffffff00u + static_cast<std::uint32_t>(rng.index(256))
+                 : static_cast<std::uint32_t>(rng.uniform(0, 0xffffffffu));
+      reassembler.rebase(base);
+      model.clear();
+      model_bytes = 0;
+    } else if (roll < 990) {
+      reassembler.clear();
+      model.clear();
+      model_bytes = 0;
+    } else {
+      // Budgets change only on an empty reassembler, as a censor sets them
+      // on a fresh flow.
+      const bool tight = rng.chance(0.5);
+      max_segments = tight ? 2 + rng.index(30) : Reassembler::kDefaultMaxSegments;
+      max_bytes = tight ? 64 + rng.index(4000) : Reassembler::kDefaultMaxBytes;
+      reassembler.clear();
+      model.clear();
+      model_bytes = 0;
+      reassembler.set_budgets(max_segments, max_bytes);
+    }
+    ASSERT_EQ(reassembler.buffered_bytes(), model_bytes) << op;
+    ASSERT_EQ(reassembler.base(), base) << op;
+    const Bytes expected = model_assemble(model, base);
+    if (expected.size() > Reassembler::kByteCap) ++cap_hits;
+    Bytes assembled;
+    reassembler.assemble(assembled);
+    ASSERT_EQ(assembled, expected) << op;
+  }
+  EXPECT_GT(cap_hits, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 // A SYN flood 2000 flows past the budget: every censor's state stays at or
