@@ -18,7 +18,7 @@ double measure_with_tries(int tries, std::uint64_t seed) {
                      .protocol = AppProtocol::kDnsOverTcp,
                      .seed = seed + i});
     // Re-plumb the trial manually so we can control max_tries.
-    const ClientRequest request = client_request(Country::kChina);
+    const CountryMessages& messages = country_messages(Country::kChina);
     const Ipv4Address answer = Ipv4Address::parse("198.51.100.7");
     Engine engine(parsed_strategy(1), Rng(seed + i));
     env.network().set_server_processor(&engine);
@@ -30,8 +30,8 @@ double measure_with_tries(int tries, std::uint64_t seed) {
     config.server_addr = eval_server_addr();
     config.client_port = 41000;
     config.server_port = 53;
-    DnsClient client(env.loop(), env.network(), config, request.dns_qname,
-                     answer, tries);
+    DnsClient client(env.loop(), env.network(), config, messages.dns, answer,
+                     tries);
     client.on_new_attempt = [&server] { server.reopen(); };
     env.network().set_server(&server);
     client.start();

@@ -1,11 +1,26 @@
 #include "apps/dns_app.h"
 
+#include <stdexcept>
+
+#include "util/arena.h"
+
 namespace caya {
 
-TcpEndpoint& EndpointSlots::replace(std::unique_ptr<TcpEndpoint> next) {
-  slots_.at(used_) = std::move(next);  // std::out_of_range when all used
+TcpEndpoint& EndpointSlots::replace(EventLoop& loop,
+                                    TcpEndpoint::Config config,
+                                    TransmitFn transmit) {
+  if (used_ == kCapacity) {
+    throw std::out_of_range("EndpointSlots: every slot is used");
+  }
   if (used_ > 0) current().disarm();
-  return *slots_[used_++];
+  return slots_[used_++].emplace(loop, std::move(config), std::move(transmit));
+}
+
+DnsQueries::DnsQueries(std::string_view name) : qname(name) {
+  for (std::size_t i = 0; i < by_attempt.size(); ++i) {
+    const auto id = static_cast<std::uint16_t>(0x1000 + i + 1);
+    by_attempt[i] = build_dns_query({.id = id, .qname = qname});
+  }
 }
 
 DnsServer::DnsServer(EventLoop& loop, Network& net, Ipv4Address addr,
@@ -15,11 +30,11 @@ DnsServer::DnsServer(EventLoop& loop, Network& net, Ipv4Address addr,
 }
 
 void DnsServer::make_conn() {
-  TcpEndpoint& conn = conns_.replace(std::make_unique<TcpEndpoint>(
+  TcpEndpoint& conn = conns_.replace(
       loop_,
       TcpEndpoint::Config{.local_addr = addr_, .local_port = port_,
                           .isn = 50000},
-      [this](Packet pkt) { net_.send_from_server(std::move(pkt)); }));
+      [this](Packet pkt) { net_.send_from_server(std::move(pkt)); });
   conn.on_data = [this](const Bytes&) { on_bytes(); };
   conn.listen();
   answered_ = false;
@@ -32,24 +47,27 @@ void DnsServer::deliver(const Packet& pkt) { endpoint().deliver(pkt); }
 void DnsServer::on_bytes() {
   if (answered_) return;
   TcpEndpoint& conn = endpoint();
-  const auto qname = parse_dns_qname(std::span(conn.received()));
-  if (!qname) return;  // incomplete query
+  const auto query = try_parse_dns_qname(conn.received());
+  if (!query.ok()) return;  // incomplete query
   answered_ = true;
-  // Echo the query ID: re-parse the first two bytes past the length prefix.
+  // Echo the query ID and name: the first two bytes past the length prefix
+  // are the ID. The answer is written into a leased buffer.
   const auto& buf = conn.received();
   const std::uint16_t id =
       static_cast<std::uint16_t>(buf[2] << 8 | buf[3]);
-  conn.send_data(
-      build_dns_response({.id = id, .qname = *qname, .address = answer_}));
+  BufferArena::Scoped response;
+  build_dns_response_into(
+      *response, {.id = id, .qname = query.value, .address = answer_});
+  conn.send_data(*response);
 }
 
 DnsClient::DnsClient(EventLoop& loop, Network& net, ClientAppConfig config,
-                     std::string qname, Ipv4Address expected_answer,
+                     const DnsQueries& queries, Ipv4Address expected_answer,
                      int max_tries)
     : loop_(loop),
       net_(net),
       config_(config),
-      qname_(std::move(qname)),
+      queries_(queries),
       expected_(expected_answer),
       max_tries_(max_tries) {}
 
@@ -63,22 +81,21 @@ void DnsClient::attempt() {
   ++attempt_;
   if (on_new_attempt) on_new_attempt();
 
-  TcpEndpoint::Config cfg{
-      .local_addr = config_.client_addr,
-      .local_port = static_cast<std::uint16_t>(config_.client_port + attempt_),
-      .remote_addr = config_.server_addr,
-      .remote_port = config_.server_port,
-      .isn = config_.isn + static_cast<std::uint32_t>(attempt_) * 10000,
-      .os = config_.os};
   TcpEndpoint& conn = conns_.replace(
-      std::make_unique<TcpEndpoint>(loop_, cfg, [this](Packet pkt) {
-        net_.send_from_client(std::move(pkt));
-      }));
+      loop_,
+      TcpEndpoint::Config{
+          .local_addr = config_.client_addr,
+          .local_port =
+              static_cast<std::uint16_t>(config_.client_port + attempt_),
+          .remote_addr = config_.server_addr,
+          .remote_port = config_.server_port,
+          .isn = config_.isn + static_cast<std::uint32_t>(attempt_) * 10000,
+          .os = config_.os},
+      [this](Packet pkt) { net_.send_from_client(std::move(pkt)); });
   net_.set_client(this);
 
-  const std::uint16_t id = static_cast<std::uint16_t>(0x1000 + attempt_);
-  conn.on_established = [this, id] {
-    endpoint().send_data(build_dns_query({.id = id, .qname = qname_}));
+  conn.on_established = [this, query = attempt_ - 1] {
+    endpoint().send_data(queries_.by_attempt.at(query));
   };
   conn.on_data = [this](const Bytes&) { on_bytes(); };
   conn.on_reset = [this] {
@@ -93,9 +110,9 @@ void DnsClient::deliver(const Packet& pkt) {
 }
 
 void DnsClient::on_bytes() {
-  const auto response = parse_dns_response(std::span(endpoint().received()));
+  const auto response = parse_dns_response(endpoint().received());
   if (!response) return;
-  if (response->qname == qname_ && response->address == expected_) {
+  if (response->qname == queries_.qname && response->address == expected_) {
     success_ = true;
   }
 }

@@ -9,8 +9,9 @@
 #pragma once
 
 #include <array>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "packet/dns.h"
 #include "apps/http.h"  // ClientAppConfig
@@ -19,24 +20,34 @@
 
 namespace caya {
 
-/// The TCP endpoints one app has made, newest current. A replaced endpoint
-/// is disarmed but kept alive: its retransmit callback may still be queued
-/// on the loop, and the harness clears the loop before it destroys the app.
-/// The fixed capacity keeps that free of allocation.
+/// The TCP endpoints one app has made, newest current, held by value. A
+/// replaced endpoint is disarmed but kept alive: its retransmit callback may
+/// still be queued on the loop, and the harness clears the loop before it
+/// destroys the app. The fixed capacity keeps that free of allocation.
 class EndpointSlots {
  public:
   /// The server's first connection plus one per retry of a 5-try client.
   static constexpr std::size_t kCapacity = 6;
 
-  /// Disarms the current endpoint and makes `next` current. Throws
-  /// std::out_of_range when all slots are used.
-  TcpEndpoint& replace(std::unique_ptr<TcpEndpoint> next);
+  /// Disarms the current endpoint and makes a new one, built from these
+  /// arguments, current. Throws std::out_of_range when all slots are used.
+  TcpEndpoint& replace(EventLoop& loop, TcpEndpoint::Config config,
+                       TransmitFn transmit);
   [[nodiscard]] bool empty() const noexcept { return used_ == 0; }
   [[nodiscard]] TcpEndpoint& current() noexcept { return *slots_[used_ - 1]; }
 
  private:
-  std::array<std::unique_ptr<TcpEndpoint>, kCapacity> slots_;
+  std::array<std::optional<TcpEndpoint>, kCapacity> slots_;
   std::size_t used_ = 0;
+};
+
+/// A client's queries for one name, one per attempt its slots allow:
+/// attempt k sends ID 0x1000 + k. Built once, then handed out as views.
+struct DnsQueries {
+  explicit DnsQueries(std::string_view qname);
+
+  std::string qname;
+  std::array<Bytes, EndpointSlots::kCapacity> by_attempt;
 };
 
 class DnsServer : public Endpoint {
@@ -64,8 +75,10 @@ class DnsServer : public Endpoint {
 
 class DnsClient : public Endpoint {
  public:
+  /// Sends `queries` (which must outlive the client) one attempt at a time.
   DnsClient(EventLoop& loop, Network& net, ClientAppConfig config,
-            std::string qname, Ipv4Address expected_answer, int max_tries = 3);
+            const DnsQueries& queries, Ipv4Address expected_answer,
+            int max_tries = 3);
 
   void start();
   void deliver(const Packet& pkt) override;
@@ -85,7 +98,7 @@ class DnsClient : public Endpoint {
   EventLoop& loop_;
   Network& net_;
   ClientAppConfig config_;
-  std::string qname_;
+  const DnsQueries& queries_;
   Ipv4Address expected_;
   int max_tries_;
   int attempt_ = 0;

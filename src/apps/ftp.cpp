@@ -2,20 +2,28 @@
 
 namespace caya {
 
-std::vector<std::string> LineBuffer::update(const Bytes& stream) {
-  std::vector<std::string> out;
-  while (true) {
-    // Find the next CRLF past what we've already consumed.
-    std::size_t i = consumed_;
-    while (i + 1 < stream.size() &&
-           !(stream[i] == '\r' && stream[i + 1] == '\n')) {
-      ++i;
-    }
-    if (i + 1 >= stream.size()) return out;
-    out.emplace_back(stream.begin() + static_cast<std::ptrdiff_t>(consumed_),
-                     stream.begin() + static_cast<std::ptrdiff_t>(i));
-    consumed_ = i + 2;
+std::optional<std::string_view> LineBuffer::next(
+    std::span<const std::uint8_t> stream) {
+  // Find the next CRLF past what we've already consumed.
+  std::size_t i = consumed_;
+  while (i + 1 < stream.size() &&
+         !(stream[i] == '\r' && stream[i + 1] == '\n')) {
+    ++i;
   }
+  if (i + 1 >= stream.size()) return std::nullopt;
+  const std::string_view line =
+      text_view(stream.subspan(consumed_, i - consumed_));
+  consumed_ = i + 2;
+  return line;
+}
+
+Bytes ftp_retr_command(std::string_view filename) {
+  ByteWriter w;
+  w.reserve(5 + filename.size() + 2);
+  w.raw(std::string_view("RETR "));
+  w.raw(filename);
+  w.raw(std::string_view("\r\n"));
+  return w.take();
 }
 
 FtpServer::FtpServer(EventLoop& loop, Network& net, Ipv4Address addr,
@@ -24,33 +32,33 @@ FtpServer::FtpServer(EventLoop& loop, Network& net, Ipv4Address addr,
             {.local_addr = addr, .local_port = port, .isn = 50000},
             [&net](Packet pkt) { net.send_from_server(std::move(pkt)); }) {
   conn_.on_established = [this] {
-    conn_.send_data(to_bytes("220 caya FTP server ready\r\n"));
+    conn_.send_data(byte_view("220 caya FTP server ready\r\n"));
   };
   conn_.on_data = [this](const Bytes&) {
-    for (const auto& line : lines_.update(conn_.received())) on_line(line);
+    while (const auto line = lines_.next(conn_.received())) on_line(*line);
   };
   conn_.listen();
 }
 
-void FtpServer::on_line(const std::string& line) {
-  if (line.rfind("USER", 0) == 0) {
-    conn_.send_data(to_bytes("331 Please specify the password\r\n"));
-  } else if (line.rfind("PASS", 0) == 0) {
-    conn_.send_data(to_bytes("230 Login successful\r\n"));
-  } else if (line.rfind("RETR", 0) == 0) {
+void FtpServer::on_line(std::string_view line) {
+  if (line.starts_with("USER")) {
+    conn_.send_data(byte_view("331 Please specify the password\r\n"));
+  } else if (line.starts_with("PASS")) {
+    conn_.send_data(byte_view("230 Login successful\r\n"));
+  } else if (line.starts_with("RETR")) {
     retr_seen_ = true;
     conn_.send_data(
-        to_bytes("150 Opening BINARY mode data connection\r\n"
-                 "226 Transfer complete\r\n"));
-  } else if (line.rfind("QUIT", 0) == 0) {
-    conn_.send_data(to_bytes("221 Goodbye\r\n"));
+        byte_view("150 Opening BINARY mode data connection\r\n"
+                  "226 Transfer complete\r\n"));
+  } else if (line.starts_with("QUIT")) {
+    conn_.send_data(byte_view("221 Goodbye\r\n"));
   } else {
-    conn_.send_data(to_bytes("500 Unknown command\r\n"));
+    conn_.send_data(byte_view("500 Unknown command\r\n"));
   }
 }
 
 FtpClient::FtpClient(EventLoop& loop, Network& net, ClientAppConfig config,
-                     std::string filename)
+                     std::span<const std::uint8_t> retr_command)
     : conn_(loop,
             {.local_addr = config.client_addr,
              .local_port = config.client_port,
@@ -59,23 +67,23 @@ FtpClient::FtpClient(EventLoop& loop, Network& net, ClientAppConfig config,
              .isn = config.isn,
              .os = config.os},
             [&net](Packet pkt) { net.send_from_client(std::move(pkt)); }),
-      filename_(std::move(filename)) {
+      retr_command_(retr_command) {
   conn_.on_data = [this](const Bytes&) {
-    for (const auto& line : lines_.update(conn_.received())) on_line(line);
+    while (const auto line = lines_.next(conn_.received())) on_line(*line);
   };
   conn_.on_reset = [this] { reset_ = true; };
 }
 
 void FtpClient::start() { conn_.connect(); }
 
-void FtpClient::on_line(const std::string& line) {
-  if (line.rfind("220", 0) == 0) {
-    conn_.send_data(to_bytes("USER anonymous\r\n"));
-  } else if (line.rfind("331", 0) == 0) {
-    conn_.send_data(to_bytes("PASS guest\r\n"));
-  } else if (line.rfind("230", 0) == 0) {
-    conn_.send_data(to_bytes("RETR " + filename_ + "\r\n"));
-  } else if (line.rfind("226", 0) == 0) {
+void FtpClient::on_line(std::string_view line) {
+  if (line.starts_with("220")) {
+    conn_.send_data(byte_view("USER anonymous\r\n"));
+  } else if (line.starts_with("331")) {
+    conn_.send_data(byte_view("PASS guest\r\n"));
+  } else if (line.starts_with("230")) {
+    conn_.send_data(retr_command_);
+  } else if (line.starts_with("226")) {
     complete_ = true;
   }
 }

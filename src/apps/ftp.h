@@ -7,8 +7,9 @@
 // up so differently for FTP than for HTTP.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <optional>
+#include <span>
+#include <string_view>
 
 #include "apps/http.h"  // ClientAppConfig
 #include "netsim/network.h"
@@ -19,12 +20,17 @@ namespace caya {
 /// Splits complete CRLF-terminated lines out of an accumulating stream.
 class LineBuffer {
  public:
-  /// Feeds the total stream seen so far; returns newly completed lines.
-  std::vector<std::string> update(const Bytes& stream);
+  /// Given the total stream seen so far, the next complete line not yet
+  /// returned, without its CRLF and viewed in place in `stream`; nullopt
+  /// until another line is complete.
+  std::optional<std::string_view> next(std::span<const std::uint8_t> stream);
 
  private:
   std::size_t consumed_ = 0;
 };
+
+/// "RETR <filename>\r\n": the command that carries the censored keyword.
+[[nodiscard]] Bytes ftp_retr_command(std::string_view filename);
 
 class FtpServer : public Endpoint {
  public:
@@ -36,7 +42,7 @@ class FtpServer : public Endpoint {
   [[nodiscard]] bool retr_seen() const noexcept { return retr_seen_; }
 
  private:
-  void on_line(const std::string& line);
+  void on_line(std::string_view line);
 
   TcpEndpoint conn_;
   LineBuffer lines_;
@@ -45,10 +51,10 @@ class FtpServer : public Endpoint {
 
 class FtpClient : public Endpoint {
  public:
-  /// Logs in anonymously and issues "RETR <filename>"; `filename` carries
-  /// the censored keyword (e.g. "ultrasurf").
+  /// Logs in anonymously and sends `retr_command` (a view; see
+  /// ftp_retr_command), whose filename carries the censored keyword.
   FtpClient(EventLoop& loop, Network& net, ClientAppConfig config,
-            std::string filename);
+            std::span<const std::uint8_t> retr_command);
 
   void start();
   void deliver(const Packet& pkt) override { conn_.deliver(pkt); }
@@ -59,11 +65,11 @@ class FtpClient : public Endpoint {
   [[nodiscard]] TcpEndpoint& endpoint() noexcept { return conn_; }
 
  private:
-  void on_line(const std::string& line);
+  void on_line(std::string_view line);
 
   TcpEndpoint conn_;
   LineBuffer lines_;
-  std::string filename_;
+  std::span<const std::uint8_t> retr_command_;
   bool complete_ = false;
   bool reset_ = false;
 };

@@ -1,31 +1,59 @@
 #include "apps/http.h"
 
+#include <algorithm>
+#include <string>
+
 namespace caya {
 
+HttpMessages::HttpMessages(std::string_view host, std::string_view path,
+                           std::string_view body) {
+  const std::string content_length = std::to_string(body.size());
+  constexpr std::string_view kRequest[] = {
+      "GET ", " HTTP/1.1\r\nHost: ",
+      "\r\nUser-Agent: caya/1.0\r\nAccept: */*\r\n\r\n"};
+  constexpr std::string_view kResponse[] = {
+      "HTTP/1.1 200 OK\r\nContent-Length: ",
+      "\r\nConnection: keep-alive\r\n\r\n"};
+  ByteWriter req;
+  req.reserve(kRequest[0].size() + path.size() + kRequest[1].size() +
+              host.size() + kRequest[2].size());
+  req.raw(kRequest[0]);
+  req.raw(path);
+  req.raw(kRequest[1]);
+  req.raw(host);
+  req.raw(kRequest[2]);
+  request = req.take();
+  ByteWriter resp;
+  resp.reserve(kResponse[0].size() + content_length.size() +
+               kResponse[1].size() + body.size());
+  resp.raw(kResponse[0]);
+  resp.raw(content_length);
+  resp.raw(kResponse[1]);
+  resp.raw(body);
+  response = resp.take();
+}
+
 HttpServer::HttpServer(EventLoop& loop, Network& net, Ipv4Address addr,
-                       std::uint16_t port, std::string body)
+                       std::uint16_t port,
+                       std::span<const std::uint8_t> response)
     : conn_(loop,
             {.local_addr = addr, .local_port = port, .isn = 50000},
             [&net](Packet pkt) { net.send_from_server(std::move(pkt)); }),
-      body_(std::move(body)),
-      response_("HTTP/1.1 200 OK\r\nContent-Length: " +
-                std::to_string(body_.size()) +
-                "\r\nConnection: keep-alive\r\n\r\n" + body_) {
+      response_(response) {
   conn_.on_data = [this](const Bytes&) { on_bytes(); };
   conn_.listen();
 }
 
 void HttpServer::on_bytes() {
   if (request_seen_) return;
-  const std::string text = to_string(conn_.received());
-  if (text.find("\r\n\r\n") == std::string::npos) return;  // incomplete
+  if (!contains(conn_.received(), "\r\n\r\n")) return;  // incomplete
   request_seen_ = true;
-  conn_.send_data(to_bytes(response_));
+  conn_.send_data(response_);
 }
 
 HttpClient::HttpClient(EventLoop& loop, Network& net, ClientAppConfig config,
-                       std::string host, std::string path,
-                       std::string expected_response)
+                       std::span<const std::uint8_t> request,
+                       std::span<const std::uint8_t> expected_response)
     : conn_(loop,
             {.local_addr = config.client_addr,
              .local_port = config.client_port,
@@ -34,19 +62,10 @@ HttpClient::HttpClient(EventLoop& loop, Network& net, ClientAppConfig config,
              .isn = config.isn,
              .os = config.os},
             [&net](Packet pkt) { net.send_from_client(std::move(pkt)); }),
-      host_(std::move(host)),
-      path_(std::move(path)),
-      expected_(std::move(expected_response)) {
-  conn_.on_established = [this] { conn_.send_data(to_bytes(request_line())); };
-  conn_.on_data = [this](const Bytes&) {
-    response_ = to_string(conn_.received());
-  };
+      request_(request),
+      expected_(expected_response) {
+  conn_.on_established = [this] { conn_.send_data(request_); };
   conn_.on_reset = [this] { reset_ = true; };
-}
-
-std::string HttpClient::request_line() const {
-  return "GET " + path_ + " HTTP/1.1\r\nHost: " + host_ +
-         "\r\nUser-Agent: caya/1.0\r\nAccept: */*\r\n\r\n";
 }
 
 void HttpClient::start() { conn_.connect(); }
@@ -54,7 +73,7 @@ void HttpClient::start() { conn_.connect(); }
 bool HttpClient::succeeded() const {
   // Paper's criterion: connection not forcibly torn down and the client
   // received the correct, unaltered data.
-  return !reset_ && response_ == expected_;
+  return !reset_ && std::ranges::equal(conn_.received(), expected_);
 }
 
 }  // namespace caya

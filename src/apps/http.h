@@ -6,8 +6,8 @@
 // connection both count as censorship.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 
 #include "netsim/network.h"
 #include "tcpstack/tcp_endpoint.h"
@@ -16,62 +16,64 @@ namespace caya {
 
 /// Endpoint placement shared by all client apps.
 struct ClientAppConfig {
-  Ipv4Address client_addr = Ipv4Address::parse("10.0.0.2");
-  Ipv4Address server_addr = Ipv4Address::parse("93.184.216.34");
+  Ipv4Address client_addr = Ipv4Address(10, 0, 0, 2);
+  Ipv4Address server_addr = Ipv4Address(93, 184, 216, 34);
   std::uint16_t client_port = 40000;
   std::uint16_t server_port = 80;
   OsProfile os = OsProfile::linux_default();
   std::uint32_t isn = 1000;
 };
 
+/// The two messages of one HTTP exchange. Built once, then handed to the
+/// client and server as views: the apps keep no copy, so the messages must
+/// outlive them.
+struct HttpMessages {
+  /// `path` may carry the censored keyword ("/?q=ultrasurf"); `host` is the
+  /// Host header (the trigger in India/Iran/Kazakhstan).
+  HttpMessages(std::string_view host, std::string_view path,
+               std::string_view body);
+
+  Bytes request;   // the GET
+  Bytes response;  // 200 OK carrying the body
+};
+
 class HttpServer : public Endpoint {
  public:
+  /// Sends `response` once a request's headers are complete.
   HttpServer(EventLoop& loop, Network& net, Ipv4Address addr,
-             std::uint16_t port, std::string body);
+             std::uint16_t port, std::span<const std::uint8_t> response);
 
   void deliver(const Packet& pkt) override { conn_.deliver(pkt); }
   [[nodiscard]] TcpEndpoint& endpoint() noexcept { return conn_; }
-  [[nodiscard]] const std::string& body() const noexcept { return body_; }
-  /// The full response the server will send — built once at construction.
-  [[nodiscard]] const std::string& expected_response() const noexcept {
-    return response_;
-  }
   [[nodiscard]] bool request_seen() const noexcept { return request_seen_; }
 
  private:
   void on_bytes();
 
   TcpEndpoint conn_;
-  std::string body_;
-  std::string response_;
+  std::span<const std::uint8_t> response_;
   bool request_seen_ = false;
 };
 
 class HttpClient : public Endpoint {
  public:
-  /// `path` may carry the censored keyword ("/?q=ultrasurf"); `host` is the
-  /// Host header (the trigger in India/Iran/Kazakhstan).
+  /// Sends `request` once connected; succeeds on receiving exactly
+  /// `expected_response`.
   HttpClient(EventLoop& loop, Network& net, ClientAppConfig config,
-             std::string host, std::string path,
-             std::string expected_response);
+             std::span<const std::uint8_t> request,
+             std::span<const std::uint8_t> expected_response);
 
   void start();
   void deliver(const Packet& pkt) override { conn_.deliver(pkt); }
 
   [[nodiscard]] bool succeeded() const;
   [[nodiscard]] bool was_reset() const noexcept { return reset_; }
-  [[nodiscard]] const std::string& response() const noexcept {
-    return response_;
-  }
   [[nodiscard]] TcpEndpoint& endpoint() noexcept { return conn_; }
-  [[nodiscard]] std::string request_line() const;
 
  private:
   TcpEndpoint conn_;
-  std::string host_;
-  std::string path_;
-  std::string expected_;
-  std::string response_;
+  std::span<const std::uint8_t> request_;
+  std::span<const std::uint8_t> expected_;
   bool reset_ = false;
 };
 

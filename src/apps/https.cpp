@@ -1,25 +1,31 @@
 #include "apps/https.h"
 
+#include <algorithm>
+
 namespace caya {
 
 HttpsServer::HttpsServer(EventLoop& loop, Network& net, Ipv4Address addr,
-                         std::uint16_t port)
+                         std::uint16_t port,
+                         std::span<const std::uint8_t> server_hello)
     : conn_(loop,
             {.local_addr = addr, .local_port = port, .isn = 50000},
-            [&net](Packet pkt) { net.send_from_server(std::move(pkt)); }) {
+            [&net](Packet pkt) { net.send_from_server(std::move(pkt)); }),
+      server_hello_(server_hello) {
   conn_.on_data = [this](const Bytes&) { on_bytes(); };
   conn_.listen();
 }
 
 void HttpsServer::on_bytes() {
   if (hello_seen_) return;
-  if (!parse_sni(std::span(conn_.received()))) return;  // incomplete hello
+  if (!parse_sni(conn_.received())) return;  // incomplete hello
   hello_seen_ = true;
-  conn_.send_data(build_server_hello());
+  conn_.send_data(server_hello_);
 }
 
 HttpsClient::HttpsClient(EventLoop& loop, Network& net,
-                         ClientAppConfig config, std::string sni)
+                         ClientAppConfig config,
+                         std::span<const std::uint8_t> client_hello,
+                         std::span<const std::uint8_t> server_hello)
     : conn_(loop,
             {.local_addr = config.client_addr,
              .local_port = config.client_port,
@@ -28,15 +34,16 @@ HttpsClient::HttpsClient(EventLoop& loop, Network& net,
              .isn = config.isn,
              .os = config.os},
             [&net](Packet pkt) { net.send_from_client(std::move(pkt)); }),
-      sni_(std::move(sni)) {
-  conn_.on_established = [this] { conn_.send_data(build_client_hello(sni_)); };
+      client_hello_(client_hello),
+      server_hello_(server_hello) {
+  conn_.on_established = [this] { conn_.send_data(client_hello_); };
   conn_.on_reset = [this] { reset_ = true; };
 }
 
 void HttpsClient::start() { conn_.connect(); }
 
 bool HttpsClient::succeeded() const {
-  return !reset_ && conn_.received() == build_server_hello();
+  return !reset_ && std::ranges::equal(conn_.received(), server_hello_);
 }
 
 }  // namespace caya

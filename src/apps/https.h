@@ -3,7 +3,7 @@
 // the trigger surface for HTTPS censorship in China and Iran (§4.2).
 #pragma once
 
-#include <string>
+#include <span>
 
 #include "apps/http.h"
 #include "apps/tls.h"
@@ -12,8 +12,10 @@ namespace caya {
 
 class HttpsServer : public Endpoint {
  public:
+  /// Sends `server_hello` (a view; build_server_hello() built once) when a
+  /// complete ClientHello has arrived.
   HttpsServer(EventLoop& loop, Network& net, Ipv4Address addr,
-              std::uint16_t port);
+              std::uint16_t port, std::span<const std::uint8_t> server_hello);
 
   void deliver(const Packet& pkt) override { conn_.deliver(pkt); }
   [[nodiscard]] TcpEndpoint& endpoint() noexcept { return conn_; }
@@ -23,13 +25,17 @@ class HttpsServer : public Endpoint {
   void on_bytes();
 
   TcpEndpoint conn_;
+  std::span<const std::uint8_t> server_hello_;
   bool hello_seen_ = false;
 };
 
 class HttpsClient : public Endpoint {
  public:
+  /// Sends `client_hello` (a view; build_client_hello() built once) and
+  /// expects `server_hello` back.
   HttpsClient(EventLoop& loop, Network& net, ClientAppConfig config,
-              std::string sni);
+              std::span<const std::uint8_t> client_hello,
+              std::span<const std::uint8_t> server_hello);
 
   void start();
   void deliver(const Packet& pkt) override { conn_.deliver(pkt); }
@@ -42,7 +48,8 @@ class HttpsClient : public Endpoint {
 
  private:
   TcpEndpoint conn_;
-  std::string sni_;
+  std::span<const std::uint8_t> client_hello_;
+  std::span<const std::uint8_t> server_hello_;
   bool reset_ = false;
 };
 

@@ -2,47 +2,56 @@
 
 namespace caya {
 
+Bytes smtp_rcpt_command(std::string_view recipient) {
+  ByteWriter w;
+  w.reserve(9 + recipient.size() + 3);
+  w.raw(std::string_view("RCPT TO:<"));
+  w.raw(recipient);
+  w.raw(std::string_view(">\r\n"));
+  return w.take();
+}
+
 SmtpServer::SmtpServer(EventLoop& loop, Network& net, Ipv4Address addr,
                        std::uint16_t port)
     : conn_(loop,
             {.local_addr = addr, .local_port = port, .isn = 50000},
             [&net](Packet pkt) { net.send_from_server(std::move(pkt)); }) {
   conn_.on_established = [this] {
-    conn_.send_data(to_bytes("220 mail.example.com ESMTP caya\r\n"));
+    conn_.send_data(byte_view("220 mail.example.com ESMTP caya\r\n"));
   };
   conn_.on_data = [this](const Bytes&) {
-    for (const auto& line : lines_.update(conn_.received())) on_line(line);
+    while (const auto line = lines_.next(conn_.received())) on_line(*line);
   };
   conn_.listen();
 }
 
-void SmtpServer::on_line(const std::string& line) {
+void SmtpServer::on_line(std::string_view line) {
   if (in_data_) {
     if (line == ".") {
       in_data_ = false;
       accepted_ = true;
-      conn_.send_data(to_bytes("250 OK: queued\r\n"));
+      conn_.send_data(byte_view("250 OK: queued\r\n"));
     }
     return;
   }
-  if (line.rfind("HELO", 0) == 0 || line.rfind("EHLO", 0) == 0) {
-    conn_.send_data(to_bytes("250 mail.example.com\r\n"));
-  } else if (line.rfind("MAIL FROM:", 0) == 0) {
-    conn_.send_data(to_bytes("250 sender OK\r\n"));
-  } else if (line.rfind("RCPT TO:", 0) == 0) {
-    conn_.send_data(to_bytes("250 recipient OK\r\n"));
-  } else if (line.rfind("DATA", 0) == 0) {
+  if (line.starts_with("HELO") || line.starts_with("EHLO")) {
+    conn_.send_data(byte_view("250 mail.example.com\r\n"));
+  } else if (line.starts_with("MAIL FROM:")) {
+    conn_.send_data(byte_view("250 sender OK\r\n"));
+  } else if (line.starts_with("RCPT TO:")) {
+    conn_.send_data(byte_view("250 recipient OK\r\n"));
+  } else if (line.starts_with("DATA")) {
     in_data_ = true;
-    conn_.send_data(to_bytes("354 End data with <CR><LF>.<CR><LF>\r\n"));
-  } else if (line.rfind("QUIT", 0) == 0) {
-    conn_.send_data(to_bytes("221 Bye\r\n"));
+    conn_.send_data(byte_view("354 End data with <CR><LF>.<CR><LF>\r\n"));
+  } else if (line.starts_with("QUIT")) {
+    conn_.send_data(byte_view("221 Bye\r\n"));
   } else {
-    conn_.send_data(to_bytes("502 Command not implemented\r\n"));
+    conn_.send_data(byte_view("502 Command not implemented\r\n"));
   }
 }
 
 SmtpClient::SmtpClient(EventLoop& loop, Network& net, ClientAppConfig config,
-                       std::string recipient)
+                       std::span<const std::uint8_t> rcpt_command)
     : conn_(loop,
             {.local_addr = config.client_addr,
              .local_port = config.client_port,
@@ -51,49 +60,49 @@ SmtpClient::SmtpClient(EventLoop& loop, Network& net, ClientAppConfig config,
              .isn = config.isn,
              .os = config.os},
             [&net](Packet pkt) { net.send_from_client(std::move(pkt)); }),
-      recipient_(std::move(recipient)) {
+      rcpt_command_(rcpt_command) {
   conn_.on_data = [this](const Bytes&) {
-    for (const auto& line : lines_.update(conn_.received())) on_line(line);
+    while (const auto line = lines_.next(conn_.received())) on_line(*line);
   };
   conn_.on_reset = [this] { reset_ = true; };
 }
 
 void SmtpClient::start() { conn_.connect(); }
 
-void SmtpClient::on_line(const std::string& line) {
+void SmtpClient::on_line(std::string_view line) {
   switch (state_) {
     case State::kGreeting:
-      if (line.rfind("220", 0) == 0) {
-        conn_.send_data(to_bytes("HELO client.example\r\n"));
+      if (line.starts_with("220")) {
+        conn_.send_data(byte_view("HELO client.example\r\n"));
         state_ = State::kHelo;
       }
       return;
     case State::kHelo:
-      if (line.rfind("250", 0) == 0) {
-        conn_.send_data(to_bytes("MAIL FROM:<user@example.com>\r\n"));
+      if (line.starts_with("250")) {
+        conn_.send_data(byte_view("MAIL FROM:<user@example.com>\r\n"));
         state_ = State::kMailFrom;
       }
       return;
     case State::kMailFrom:
-      if (line.rfind("250", 0) == 0) {
-        conn_.send_data(to_bytes("RCPT TO:<" + recipient_ + ">\r\n"));
+      if (line.starts_with("250")) {
+        conn_.send_data(rcpt_command_);
         state_ = State::kRcptTo;
       }
       return;
     case State::kRcptTo:
-      if (line.rfind("250", 0) == 0) {
-        conn_.send_data(to_bytes("DATA\r\n"));
+      if (line.starts_with("250")) {
+        conn_.send_data(byte_view("DATA\r\n"));
         state_ = State::kData;
       }
       return;
     case State::kData:
-      if (line.rfind("354", 0) == 0) {
-        conn_.send_data(to_bytes("Subject: hello\r\n\r\nhi there\r\n.\r\n"));
+      if (line.starts_with("354")) {
+        conn_.send_data(byte_view("Subject: hello\r\n\r\nhi there\r\n.\r\n"));
         state_ = State::kBody;
       }
       return;
     case State::kBody:
-      if (line.rfind("250", 0) == 0) {
+      if (line.starts_with("250")) {
         done_ = true;
         state_ = State::kDone;
       }

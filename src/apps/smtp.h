@@ -5,7 +5,8 @@
 // the RCPT TO command several round-trips into the connection.
 #pragma once
 
-#include <string>
+#include <span>
+#include <string_view>
 
 #include "apps/ftp.h"  // LineBuffer
 #include "apps/http.h"  // ClientAppConfig
@@ -13,6 +14,9 @@
 #include "tcpstack/tcp_endpoint.h"
 
 namespace caya {
+
+/// "RCPT TO:<recipient>\r\n": the command that carries the censored address.
+[[nodiscard]] Bytes smtp_rcpt_command(std::string_view recipient);
 
 class SmtpServer : public Endpoint {
  public:
@@ -24,7 +28,7 @@ class SmtpServer : public Endpoint {
   [[nodiscard]] bool message_accepted() const noexcept { return accepted_; }
 
  private:
-  void on_line(const std::string& line);
+  void on_line(std::string_view line);
 
   TcpEndpoint conn_;
   LineBuffer lines_;
@@ -34,8 +38,9 @@ class SmtpServer : public Endpoint {
 
 class SmtpClient : public Endpoint {
  public:
+  /// Sends `rcpt_command` (a view; see smtp_rcpt_command) as its RCPT TO.
   SmtpClient(EventLoop& loop, Network& net, ClientAppConfig config,
-             std::string recipient);
+             std::span<const std::uint8_t> rcpt_command);
 
   void start();
   void deliver(const Packet& pkt) override { conn_.deliver(pkt); }
@@ -55,11 +60,11 @@ class SmtpClient : public Endpoint {
     kBody,
     kDone,
   };
-  void on_line(const std::string& line);
+  void on_line(std::string_view line);
 
   TcpEndpoint conn_;
   LineBuffer lines_;
-  std::string recipient_;
+  std::span<const std::uint8_t> rcpt_command_;
   State state_ = State::kGreeting;
   bool done_ = false;
   bool reset_ = false;

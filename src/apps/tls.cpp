@@ -16,66 +16,60 @@ void put_u24(ByteWriter& w, std::uint32_t v) {
 }  // namespace
 
 Bytes build_client_hello(std::string_view sni) {
-  // server_name extension body.
-  ByteWriter name;
-  name.u16(static_cast<std::uint16_t>(sni.size() + 3));  // server name list
-  name.u8(0);                                            // type: host_name
-  name.u16(static_cast<std::uint16_t>(sni.size()));
-  name.raw(sni);
+  // Sizes, innermost first: the server_name extension body, the extension,
+  // the ClientHello body, the handshake message.
+  const std::size_t name_len = 2 + 1 + 2 + sni.size();
+  const std::size_t ext_len = 4 + name_len;
+  const std::size_t body_len = 2 + 32 + 1 + 2 + 4 + 1 + 1 + 2 + ext_len;
+  const std::size_t handshake_len = 4 + body_len;
 
-  ByteWriter ext;
-  ext.u16(kExtServerName);
-  ext.u16(static_cast<std::uint16_t>(name.size()));
-  ext.raw(std::span(name.bytes()));
-
-  ByteWriter body;  // ClientHello body
-  body.u16(kTls12);
-  for (int i = 0; i < 32; ++i) body.u8(static_cast<std::uint8_t>(i));  // random
-  body.u8(0);                          // session id length
-  body.u16(4);                         // cipher suites length
-  body.u16(0x1301);                    // TLS_AES_128_GCM_SHA256
-  body.u16(0xc02f);                    // ECDHE-RSA-AES128-GCM-SHA256
-  body.u8(1);                          // compression methods length
-  body.u8(0);                          // null compression
-  body.u16(static_cast<std::uint16_t>(ext.size()));
-  body.raw(std::span(ext.bytes()));
-
-  ByteWriter handshake;
-  handshake.u8(kHandshakeClientHello);
-  put_u24(handshake, static_cast<std::uint32_t>(body.size()));
-  handshake.raw(std::span(body.bytes()));
-
-  ByteWriter record;
-  record.u8(kRecordHandshake);
-  record.u16(kTls12);
-  record.u16(static_cast<std::uint16_t>(handshake.size()));
-  record.raw(std::span(handshake.bytes()));
-  return record.take();
+  ByteWriter w;
+  w.reserve(5 + handshake_len);
+  w.u8(kRecordHandshake);
+  w.u16(kTls12);
+  w.u16(static_cast<std::uint16_t>(handshake_len));
+  w.u8(kHandshakeClientHello);
+  put_u24(w, static_cast<std::uint32_t>(body_len));
+  w.u16(kTls12);
+  for (int i = 0; i < 32; ++i) w.u8(static_cast<std::uint8_t>(i));  // random
+  w.u8(0);       // session id length
+  w.u16(4);      // cipher suites length
+  w.u16(0x1301);  // TLS_AES_128_GCM_SHA256
+  w.u16(0xc02f);  // ECDHE-RSA-AES128-GCM-SHA256
+  w.u8(1);       // compression methods length
+  w.u8(0);       // null compression
+  w.u16(static_cast<std::uint16_t>(ext_len));
+  w.u16(kExtServerName);
+  w.u16(static_cast<std::uint16_t>(name_len));
+  w.u16(static_cast<std::uint16_t>(sni.size() + 3));  // server name list
+  w.u8(0);                                            // type: host_name
+  w.u16(static_cast<std::uint16_t>(sni.size()));
+  w.raw(sni);
+  return w.take();
 }
 
 Bytes build_server_hello() {
-  ByteWriter body;
-  body.u16(kTls12);
-  for (int i = 0; i < 32; ++i) body.u8(0xa5);  // random
-  body.u8(0);                                  // session id length
-  body.u16(0x1301);                            // chosen cipher
-  body.u8(0);                                  // null compression
-  body.u16(0);                                 // no extensions
+  const std::size_t body_len = 2 + 32 + 1 + 2 + 1 + 2;
+  const std::size_t handshake_len = 4 + body_len;
 
-  ByteWriter handshake;
-  handshake.u8(kHandshakeServerHello);
-  put_u24(handshake, static_cast<std::uint32_t>(body.size()));
-  handshake.raw(std::span(body.bytes()));
-
-  ByteWriter record;
-  record.u8(kRecordHandshake);
-  record.u16(kTls12);
-  record.u16(static_cast<std::uint16_t>(handshake.size()));
-  record.raw(std::span(handshake.bytes()));
-  return record.take();
+  ByteWriter w;
+  w.reserve(5 + handshake_len);
+  w.u8(kRecordHandshake);
+  w.u16(kTls12);
+  w.u16(static_cast<std::uint16_t>(handshake_len));
+  w.u8(kHandshakeServerHello);
+  put_u24(w, static_cast<std::uint32_t>(body_len));
+  w.u16(kTls12);
+  for (int i = 0; i < 32; ++i) w.u8(0xa5);  // random
+  w.u8(0);                                  // session id length
+  w.u16(0x1301);                            // chosen cipher
+  w.u8(0);                                  // null compression
+  w.u16(0);                                 // no extensions
+  return w.take();
 }
 
-std::optional<std::string> parse_sni(std::span<const std::uint8_t> stream) {
+std::optional<std::string_view> parse_sni(
+    std::span<const std::uint8_t> stream) {
   try {
     ByteReader r(stream);
     if (r.u8() != kRecordHandshake) return std::nullopt;
@@ -102,8 +96,9 @@ std::optional<std::string> parse_sni(std::span<const std::uint8_t> stream) {
         (void)r.u16();  // server name list length
         (void)r.u8();   // name type
         const std::uint16_t name_len = r.u16();
-        const Bytes name = r.raw(name_len);
-        return to_string(name);
+        const std::size_t at = r.pos();
+        r.skip(name_len);
+        return text_view(stream.subspan(at, name_len));
       }
       r.skip(ext_len);
       consumed += ext_len;

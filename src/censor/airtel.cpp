@@ -4,12 +4,16 @@
 
 namespace caya {
 
-std::string AirtelCensor::block_page() {
-  const std::string body =
-      "<html><body>This website has been blocked as per instructions of "
-      "the Department of Telecommunications.</body></html>";
-  return "HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(body.size()) +
-         "\r\n\r\n" + body;
+std::string_view AirtelCensor::block_page() {
+  // Built once per process; every injection copies it into a leased buffer.
+  static const std::string page = [] {
+    const std::string body =
+        "<html><body>This website has been blocked as per instructions of "
+        "the Department of Telecommunications.</body></html>";
+    return "HTTP/1.1 200 OK\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\n\r\n" + body;
+  }();
+  return page;
 }
 
 Verdict AirtelCensor::on_packet(const Packet& pkt, Direction dir,

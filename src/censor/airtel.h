@@ -43,7 +43,7 @@ class AirtelCensor : public Middlebox {
   [[nodiscard]] std::size_t censored_count() const noexcept {
     return censored_count_;
   }
-  [[nodiscard]] static std::string block_page();
+  [[nodiscard]] static std::string_view block_page();
 
  private:
   TriggerStage trigger_;

@@ -10,17 +10,19 @@
 // (GfwBoxParams::p_reassembly), so the RNG consumption order is part of the
 // box's pinned behaviour.
 //
-// Segment buffers are leased from the per-thread BufferArena and returned
-// on clear()/rebase()/destruction, so steady-state reassembly across a
-// campaign allocates nothing; the assembled prefix is written into a
-// caller-provided scratch buffer (callers pass a BufferArena::Scoped).
+// Segments live in a SegmentMap: a seq-sorted record per segment and the
+// segment bytes, in one buffer leased from a BufferArena (the box's own, or
+// the thread's) and returned on clear()/rebase()/destruction, so
+// steady-state reassembly across a campaign allocates nothing; the
+// assembled prefix is written into a caller-provided scratch buffer
+// (callers pass a BufferArena::Scoped).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 
 #include "util/bytes.h"
+#include "util/segment_map.h"
 
 namespace caya {
 
@@ -30,33 +32,11 @@ class Reassembler {
   /// this many bytes.
   static constexpr std::size_t kByteCap = 65536;
 
-  Reassembler() = default;
-  ~Reassembler() { clear(); }
-
-  Reassembler(Reassembler&& other) noexcept
-      : base_(other.base_),
-        max_segments_(other.max_segments_),
-        max_bytes_(other.max_bytes_),
-        buffered_bytes_(other.buffered_bytes_),
-        segments_(std::move(other.segments_)) {
-    other.segments_.clear();
-    other.buffered_bytes_ = 0;
-  }
-  Reassembler& operator=(Reassembler&& other) noexcept {
-    if (this != &other) {
-      clear();
-      base_ = other.base_;
-      max_segments_ = other.max_segments_;
-      max_bytes_ = other.max_bytes_;
-      buffered_bytes_ = other.buffered_bytes_;
-      segments_ = std::move(other.segments_);
-      other.segments_.clear();
-      other.buffered_bytes_ = 0;
-    }
-    return *this;
-  }
-  Reassembler(const Reassembler&) = delete;
-  Reassembler& operator=(const Reassembler&) = delete;
+  /// Leases from `storage`, or from the thread's arena when null.
+  explicit Reassembler(BufferArena* storage = nullptr) noexcept
+      : segments_(storage) {}
+  Reassembler(Reassembler&&) noexcept = default;
+  Reassembler& operator=(Reassembler&&) noexcept = default;
 
   /// Buffers one segment (later copies of the same seq overwrite). Takes a
   /// span so both Bytes and copy-on-write Payload buffers bind without a
@@ -85,7 +65,7 @@ class Reassembler {
   void clear();
 
   [[nodiscard]] std::size_t buffered_bytes() const noexcept {
-    return buffered_bytes_;
+    return segments_.live_bytes();
   }
 
   /// Hard per-flow state budgets (segment count / buffered bytes). Defaults
@@ -109,8 +89,7 @@ class Reassembler {
   std::uint32_t base_ = 0;
   std::size_t max_segments_ = kDefaultMaxSegments;
   std::size_t max_bytes_ = kDefaultMaxBytes;
-  std::size_t buffered_bytes_ = 0;
-  std::map<std::uint32_t, Bytes> segments_;  // seq -> arena-leased payload
+  SegmentMap segments_;
 };
 
 }  // namespace caya

@@ -46,12 +46,12 @@ void bidirectional_rst_ack(Injector& inject, const FlowKey& flow,
 }
 
 void block_page(Injector& inject, const Packet& trigger, Direction toward,
-                std::uint32_t seq, std::uint32_t ack,
-                const std::string& page) {
+                std::uint32_t seq, std::uint32_t ack, std::string_view page) {
   Packet pkt = make_tcp_packet(trigger.ip.dst, trigger.tcp.dport,
                                trigger.ip.src, trigger.tcp.sport,
                                tcpflag::kFin | tcpflag::kPsh | tcpflag::kAck,
-                               seq, ack, to_bytes(page));
+                               seq, ack);
+  pkt.payload.assign(byte_view(page));
   inject.inject(std::move(pkt), toward);
 }
 

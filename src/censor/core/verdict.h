@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "censor/core/flow_table.h"
 #include "censor/flow.h"
@@ -52,7 +53,7 @@ void bidirectional_rst_ack(Injector& inject, const FlowKey& flow,
 /// derivation (ack-sequenced for the stateless boxes), so they are passed
 /// through verbatim.
 void block_page(Injector& inject, const Packet& trigger, Direction toward,
-                std::uint32_t seq, std::uint32_t ack, const std::string& page);
+                std::uint32_t seq, std::uint32_t ack, std::string_view page);
 
 /// The follow-up RST+ACK some injectors send after a block page.
 void follow_up_rst(Injector& inject, const Packet& trigger, Direction toward,

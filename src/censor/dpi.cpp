@@ -6,37 +6,50 @@
 namespace caya {
 
 namespace {
-bool starts_with(std::span<const std::uint8_t> data, std::string_view prefix) {
-  if (data.size() < prefix.size()) return false;
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    if (data[i] != static_cast<std::uint8_t>(prefix[i])) return false;
-  }
-  return true;
+
+bool is_request_start(std::string_view text) {
+  return text.starts_with("GET ") || text.starts_with("POST ");
 }
 
-std::string first_line(std::span<const std::uint8_t> data) {
-  std::string line;
-  for (std::uint8_t b : data) {
-    if (b == '\r' || b == '\n') break;
-    line.push_back(static_cast<char>(b));
+/// True when some CRLF-delimited line of `text` (the last may lack its CRLF)
+/// starts with `command` and contains `needle`.
+bool command_line_match(std::string_view text, std::string_view command,
+                        std::string_view needle) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find("\r\n", pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view line = text.substr(pos, eol - pos);
+    if (line.starts_with(command) && line.find(needle) != line.npos) {
+      return true;
+    }
+    pos = eol + 2;
   }
-  return line;
+  return false;
 }
+
 }  // namespace
 
 bool http_keyword_match(std::span<const std::uint8_t> data,
                         const ForbiddenContent& content) {
-  if (!starts_with(data, "GET ") && !starts_with(data, "POST ")) return false;
-  const std::string request_line = first_line(data);
-  return request_line.find(content.http_keyword) != std::string::npos;
+  const std::string_view text = text_view(data);
+  if (!is_request_start(text)) return false;
+  // The request line ends at the first CR or LF.
+  const std::string_view request_line =
+      text.substr(0, text.find_first_of("\r\n"));
+  return request_line.find(content.http_keyword) != std::string_view::npos;
 }
 
 bool http_host_match(std::span<const std::uint8_t> data,
                      const ForbiddenContent& content) {
-  if (!starts_with(data, "GET ") && !starts_with(data, "POST ")) return false;
-  const std::string text = to_string(data);
+  const std::string_view text = text_view(data);
+  if (!is_request_start(text)) return false;
+  constexpr std::string_view kHost = "Host: ";
   for (const auto& host : content.blocked_hosts) {
-    if (text.find("Host: " + host) != std::string::npos) return true;
+    for (std::size_t at = text.find(kHost); at != std::string_view::npos;
+         at = text.find(kHost, at + 1)) {
+      if (text.substr(at + kHost.size()).starts_with(host)) return true;
+    }
   }
   return false;
 }
@@ -49,43 +62,20 @@ bool sni_match(std::span<const std::uint8_t> data,
 
 bool dns_match(std::span<const std::uint8_t> data,
                const ForbiddenContent& content) {
-  const auto qname = parse_dns_qname(data);
-  return qname.has_value() && *qname == content.blocked_qname;
+  const auto qname = try_parse_dns_qname(data);
+  return qname.ok() && qname.value == content.blocked_qname;
 }
 
 bool ftp_match(std::span<const std::uint8_t> data,
                const ForbiddenContent& content) {
   // Scan each complete line for a RETR carrying the keyword.
-  const std::string text = to_string(data);
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find("\r\n", pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    if (line.rfind("RETR ", 0) == 0 &&
-        line.find(content.ftp_keyword) != std::string::npos) {
-      return true;
-    }
-    pos = eol + 2;
-  }
-  return false;
+  return command_line_match(text_view(data), "RETR ", content.ftp_keyword);
 }
 
 bool smtp_match(std::span<const std::uint8_t> data,
                 const ForbiddenContent& content) {
-  const std::string text = to_string(data);
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find("\r\n", pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    if (line.rfind("RCPT TO:", 0) == 0 &&
-        line.find(content.smtp_recipient) != std::string::npos) {
-      return true;
-    }
-    pos = eol + 2;
-  }
-  return false;
+  return command_line_match(text_view(data), "RCPT TO:",
+                            content.smtp_recipient);
 }
 
 bool protocol_match(AppProtocol proto, std::span<const std::uint8_t> data,

@@ -232,6 +232,7 @@ void GfwBox::on_client_packet(const Packet& pkt, Injector& inject) {
     Tcb tcb;
     tcb.client_isn = pkt.tcp.seq;
     tcb.expected_client_seq = pkt.tcp.seq + 1;
+    tcb.reassembly = Reassembler(&reassembly_storage_);
     tcb.reassembly.rebase(pkt.tcp.seq + 1);
     tcb.can_reassemble = rng_.chance(params_.p_reassembly);
     tcb.missed = rng_.chance(params_.p_miss);

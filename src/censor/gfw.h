@@ -40,6 +40,7 @@
 #include "censor/flow.h"
 #include "netsim/middlebox.h"
 #include "netsim/time.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace caya {
@@ -113,6 +114,9 @@ enum class GfwRegime {
 class GfwBox : public Middlebox {
  public:
   GfwBox(GfwBoxParams params, ForbiddenContent content, Rng rng);
+  // Flows lease reassembly storage from the box by address.
+  GfwBox(const GfwBox&) = delete;
+  GfwBox& operator=(const GfwBox&) = delete;
 
   Verdict on_packet(const Packet& pkt, Direction dir,
                     Injector& inject) override;
@@ -182,6 +186,11 @@ class GfwBox : public Middlebox {
   Rng rng_;
   std::string name_;
   TriggerStage trigger_;
+  /// Where the flows' reassemblers lease from. The box's own, not the
+  /// thread's: a substrate resting in a pool keeps its last trial's flows,
+  /// and their leases must not come out of what the running substrate
+  /// draws on. Declared before flows_, so it outlives them.
+  BufferArena reassembly_storage_;
   FlowTable<Tcb> flows_;
   ResidualTimers residual_;
   std::size_t censored_count_ = 0;

@@ -5,31 +5,27 @@
 namespace caya {
 
 namespace {
-bool starts_with(std::span<const std::uint8_t> data, std::string_view prefix) {
-  if (data.size() < prefix.size()) return false;
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    if (data[i] != static_cast<std::uint8_t>(prefix[i])) return false;
-  }
-  return true;
-}
-
 /// "Well-formed up to the dot": GET, a path, and the 'HTTP1.' marker. The
 /// paper found the minimal working payload is "GET / HTTP1." and that the
 /// strategy fails without the trailing dot.
 bool benign_get_prefix(std::span<const std::uint8_t> data) {
-  if (!starts_with(data, "GET ")) return false;
-  const std::string text = to_string(data);
-  return text.find(" HTTP1.") != std::string::npos ||
-         text.find(" HTTP/1.") != std::string::npos;
+  const std::string_view text = text_view(data);
+  if (!text.starts_with("GET ")) return false;
+  return text.find(" HTTP1.") != std::string_view::npos ||
+         text.find(" HTTP/1.") != std::string_view::npos;
 }
 }  // namespace
 
-std::string KazakhstanCensor::block_page() {
-  const std::string body =
-      "<html><body>This site is blocked by order of the authorized "
-      "state body.</body></html>";
-  return "HTTP/1.1 200 OK\r\nContent-Length: " + std::to_string(body.size()) +
-         "\r\n\r\n" + body;
+std::string_view KazakhstanCensor::block_page() {
+  // Built once per process; every injection copies it into a leased buffer.
+  static const std::string page = [] {
+    const std::string body =
+        "<html><body>This site is blocked by order of the authorized "
+        "state body.</body></html>";
+    return "HTTP/1.1 200 OK\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\n\r\n" + body;
+  }();
+  return page;
 }
 
 void KazakhstanCensor::inspect_server_handshake(FlowState& flow,

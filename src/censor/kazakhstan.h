@@ -71,7 +71,7 @@ class KazakhstanCensor : public Middlebox {
   [[nodiscard]] std::size_t probe_responses() const noexcept {
     return probe_responses_;
   }
-  [[nodiscard]] static std::string block_page();
+  [[nodiscard]] static std::string_view block_page();
 
  private:
   struct FlowState {

@@ -1,5 +1,11 @@
 #include "eval/country.h"
 
+#include <array>
+
+#include "apps/ftp.h"
+#include "apps/smtp.h"
+#include "apps/tls.h"
+
 namespace caya {
 
 ForbiddenContent forbidden_content(Country country) {
@@ -60,6 +66,25 @@ ClientRequest client_request(Country country) {
       break;
   }
   return req;
+}
+
+CountryMessages::CountryMessages(const ClientRequest& request)
+    : http(request.http_host, request.http_path,
+           "<html><body>the real content</body></html>"),
+      client_hello(build_client_hello(request.sni)),
+      server_hello(build_server_hello()),
+      dns(request.dns_qname),
+      ftp_retr(ftp_retr_command(request.ftp_filename)),
+      smtp_rcpt(smtp_rcpt_command(request.smtp_recipient)) {}
+
+const CountryMessages& country_messages(Country country) {
+  static const std::array<CountryMessages, 5> table = {
+      CountryMessages(client_request(Country::kChina)),
+      CountryMessages(client_request(Country::kIndia)),
+      CountryMessages(client_request(Country::kIran)),
+      CountryMessages(client_request(Country::kKazakhstan)),
+      CountryMessages(client_request(Country::kTurkmenistan))};
+  return table.at(static_cast<std::size_t>(country));
 }
 
 std::vector<AppProtocol> censored_protocols(Country country) {

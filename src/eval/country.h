@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/dns_app.h"
+#include "apps/http.h"
 #include "apps/protocol.h"
 #include "censor/dpi.h"
 #include "eval/strategies.h"
@@ -27,6 +29,21 @@ struct ClientRequest {
 
 /// The matching forbidden request an unmodified client would issue there.
 [[nodiscard]] ClientRequest client_request(Country country);
+
+/// Every message a trial's apps send in one country, built from its
+/// ClientRequest once per process, on first use, and shared read-only by
+/// every substrate and thread. The apps take them as views.
+struct CountryMessages {
+  explicit CountryMessages(const ClientRequest& request);
+
+  HttpMessages http;
+  Bytes client_hello;
+  Bytes server_hello;
+  DnsQueries dns;
+  Bytes ftp_retr;
+  Bytes smtp_rcpt;
+};
+[[nodiscard]] const CountryMessages& country_messages(Country country);
 
 /// Protocols for which the country censors (and the paper reports results).
 [[nodiscard]] std::vector<AppProtocol> censored_protocols(Country country);

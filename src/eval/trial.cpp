@@ -25,14 +25,15 @@ bool is_retryable(TrialErrorKind kind) noexcept {
          kind == TrialErrorKind::kInjectedFault;
 }
 
-Ipv4Address eval_client_addr() { return Ipv4Address::parse("101.6.8.2"); }
-Ipv4Address eval_server_addr() {
-  return Ipv4Address::parse("93.184.216.34");
-}
+namespace {
+
+/// The A record every DNS trial's server answers with.
+constexpr Ipv4Address kDnsAnswer(198, 51, 100, 7);
+
+}  // namespace
 
 Environment::Environment(Config config)
     : config_(std::move(config)),
-      request_(client_request(config_.country)),
       rng_(config_.seed),
       net_(std::make_unique<Network>(loop_, config_.net, rng_.fork())),
       censors_(config_.country, rng_, config_.china_architecture,
@@ -73,7 +74,7 @@ bool Environment::run_bounded(Time deadline, std::size_t max_events) {
 }
 
 TrialResult Environment::run_connection(const ConnectionOptions& options) {
-  const ClientRequest& request = request_;
+  const CountryMessages& messages = country_messages(config_.country);
   const std::size_t censored_before = censors_.censored_total();
 
   net_->trace().clear();
@@ -110,7 +111,6 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
   app_config.isn = next_isn_ += 7001;
 
   TrialResult result;
-  const Ipv4Address dns_answer = Ipv4Address::parse("198.51.100.7");
 
   auto finish = [&](bool success, bool reset) {
     result.success = success;
@@ -149,23 +149,24 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
   switch (config_.protocol) {
     case AppProtocol::kHttp: {
       HttpServer server(loop_, *net_, eval_server_addr(), server_port_,
-                        "<html><body>the real content</body></html>");
-      HttpClient client(loop_, *net_, app_config, request.http_host,
-                        request.http_path, server.expected_response());
+                        messages.http.response);
+      HttpClient client(loop_, *net_, app_config, messages.http.request,
+                        messages.http.response);
       run_tcp(server, client);
       break;
     }
     case AppProtocol::kHttps: {
-      HttpsServer server(loop_, *net_, eval_server_addr(), server_port_);
-      HttpsClient client(loop_, *net_, app_config, request.sni);
+      HttpsServer server(loop_, *net_, eval_server_addr(), server_port_,
+                         messages.server_hello);
+      HttpsClient client(loop_, *net_, app_config, messages.client_hello,
+                         messages.server_hello);
       run_tcp(server, client);
       break;
     }
     case AppProtocol::kDnsOverTcp: {
       DnsServer server(loop_, *net_, eval_server_addr(), server_port_,
-                       dns_answer);
-      DnsClient client(loop_, *net_, app_config, request.dns_qname,
-                       dns_answer);
+                       kDnsAnswer);
+      DnsClient client(loop_, *net_, app_config, messages.dns, kDnsAnswer);
       // RFC 7766 retries reconnect to the same server; a client that ran
       // out of retries counts as reset.
       client.on_new_attempt = [&server] { server.reopen(); };
@@ -175,13 +176,13 @@ TrialResult Environment::run_connection(const ConnectionOptions& options) {
     }
     case AppProtocol::kFtp: {
       FtpServer server(loop_, *net_, eval_server_addr(), server_port_);
-      FtpClient client(loop_, *net_, app_config, request.ftp_filename);
+      FtpClient client(loop_, *net_, app_config, messages.ftp_retr);
       run_tcp(server, client);
       break;
     }
     case AppProtocol::kSmtp: {
       SmtpServer server(loop_, *net_, eval_server_addr(), server_port_);
-      SmtpClient client(loop_, *net_, app_config, request.smtp_recipient);
+      SmtpClient client(loop_, *net_, app_config, messages.smtp_rcpt);
       run_tcp(server, client);
       break;
     }

@@ -127,7 +127,6 @@ class Environment {
   bool run_bounded(Time deadline, std::size_t max_events);
 
   Config config_;
-  ClientRequest request_;  // per-country, built once (strings are hot-path)
   Rng rng_;
   EventLoop loop_;
   std::unique_ptr<Network> net_;  // forks rng_ before censors_ does
@@ -204,7 +203,11 @@ struct SupervisedOutcome {
     const SupervisionPolicy& policy, std::size_t trial_index);
 
 /// Canonical addresses used throughout the evaluation.
-[[nodiscard]] Ipv4Address eval_client_addr();
-[[nodiscard]] Ipv4Address eval_server_addr();
+[[nodiscard]] constexpr Ipv4Address eval_client_addr() noexcept {
+  return Ipv4Address(101, 6, 8, 2);
+}
+[[nodiscard]] constexpr Ipv4Address eval_server_addr() noexcept {
+  return Ipv4Address(93, 184, 216, 34);
+}
 
 }  // namespace caya

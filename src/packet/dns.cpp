@@ -1,6 +1,26 @@
 #include "packet/dns.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace caya {
+
+DnsName::DnsName(std::string_view text) {
+  if (text.size() > kMaxLength) {
+    throw std::length_error("DNS name longer than 255 octets");
+  }
+  text.copy(text_.data(), text.size());
+  size_ = text.size();
+}
+
+bool DnsName::append_label(std::span<const std::uint8_t> label) noexcept {
+  const std::size_t dot = size_ == 0 ? 0 : 1;
+  if (size_ + dot + label.size() > kMaxLength) return false;
+  if (dot != 0) text_[size_] = '.';
+  std::copy(label.begin(), label.end(), text_.begin() + size_ + dot);
+  size_ += dot + label.size();
+  return true;
+}
 
 namespace {
 
@@ -18,17 +38,20 @@ void write_qname(ByteWriter& w, std::string_view qname) {
   w.u8(0);
 }
 
-// Names may not exceed 255 octets on the wire (RFC 1035 §2.3.4); the cap
-// also bounds the work a compression-loop payload can extract per name.
-constexpr std::size_t kMaxNameLength = 255;
+/// Wire length of `qname` as write_qname encodes it: a length octet per
+/// label plus the terminating zero.
+std::size_t qname_wire_length(std::string_view qname) {
+  return qname.size() + 2;
+}
 
 // Decodes a (possibly compressed) name from the message `msg` starting at
 // offset `at`. On success `next` is the offset just past the name's in-place
 // encoding — after the terminating zero octet, or after the first pointer's
 // two bytes when one was followed. `error_offset` (relative to `msg`) is set
-// on failure.
+// on failure. Names may not exceed 255 octets (RFC 1035 §2.3.4); the cap
+// also bounds the work a compression-loop payload can extract per name.
 DecodeError read_name(std::span<const std::uint8_t> msg, std::size_t at,
-                      std::string& name, std::size_t& next,
+                      DnsName& name, std::size_t& next,
                       std::size_t& error_offset) {
   name.clear();
   next = at;
@@ -73,12 +96,10 @@ DecodeError read_name(std::span<const std::uint8_t> msg, std::size_t at,
       error_offset = pos;
       return DecodeError::kTruncated;
     }
-    if (name.size() + len + 1 > kMaxNameLength) {
+    if (!name.append_label(msg.subspan(pos + 1, len))) {
       error_offset = pos;
       return DecodeError::kBadLabel;
     }
-    if (!name.empty()) name.push_back('.');
-    name.append(reinterpret_cast<const char*>(msg.data() + pos + 1), len);
     pos += 1 + len;
   }
 }
@@ -103,17 +124,13 @@ DecodeError open_message(std::span<const std::uint8_t> stream,
   return DecodeError::kNone;
 }
 
-Bytes with_length_prefix(const Bytes& message) {
-  ByteWriter w;
-  w.u16(static_cast<std::uint16_t>(message.size()));
-  w.raw(std::span(message));
-  return w.take();
-}
-
 }  // namespace
 
 Bytes build_dns_query(const DnsQuery& query) {
+  const std::size_t length = 12 + qname_wire_length(query.qname) + 4;
   ByteWriter w;
+  w.reserve(2 + length);
+  w.u16(static_cast<std::uint16_t>(length));  // RFC 1035 §4.2.2 prefix
   w.u16(query.id);
   w.u16(0x0100);  // flags: standard query, recursion desired
   w.u16(1);       // QDCOUNT
@@ -123,11 +140,15 @@ Bytes build_dns_query(const DnsQuery& query) {
   write_qname(w, query.qname);
   w.u16(1);  // QTYPE A
   w.u16(1);  // QCLASS IN
-  return with_length_prefix(w.bytes());
+  return w.take();
 }
 
-Bytes build_dns_response(const DnsResponse& response) {
-  ByteWriter w;
+void build_dns_response_into(Bytes& out, const DnsResponse& response) {
+  const std::size_t name = qname_wire_length(response.qname);
+  const std::size_t length = 12 + name + 4 + name + 14;
+  ByteWriter w(std::move(out));
+  w.reserve(2 + length);
+  w.u16(static_cast<std::uint16_t>(length));  // RFC 1035 §4.2.2 prefix
   w.u16(response.id);
   w.u16(0x8180);  // flags: response, recursion available
   w.u16(1);       // QDCOUNT
@@ -144,12 +165,18 @@ Bytes build_dns_response(const DnsResponse& response) {
   w.u32(60);
   w.u16(4);
   w.u32(response.address.value());
-  return with_length_prefix(w.bytes());
+  out = w.take();
 }
 
-DecodeResult<std::string> try_parse_dns_qname(
+Bytes build_dns_response(const DnsResponse& response) {
+  Bytes out;
+  build_dns_response_into(out, response);
+  return out;
+}
+
+DecodeResult<DnsName> try_parse_dns_qname(
     std::span<const std::uint8_t> stream) {
-  using R = DecodeResult<std::string>;
+  using R = DecodeResult<DnsName>;
   std::span<const std::uint8_t> msg;
   std::size_t error_offset = 0;
   if (const DecodeError err = open_message(stream, msg, error_offset);
@@ -204,7 +231,7 @@ DecodeResult<DnsResponse> try_parse_dns_response(
     at += 4;
   }
   if (ancount == 0) return R::failure(DecodeError::kBadRecord, 2 + 6);
-  std::string answer_name;
+  DnsName answer_name;
   if (const DecodeError err =
           read_name(msg, at, answer_name, at, error_offset);
       err != DecodeError::kNone) {
@@ -227,9 +254,9 @@ DecodeResult<DnsResponse> try_parse_dns_response(
 
 std::optional<std::string> parse_dns_qname(
     std::span<const std::uint8_t> stream) {
-  auto result = try_parse_dns_qname(stream);
+  const auto result = try_parse_dns_qname(stream);
   if (!result.ok()) return std::nullopt;
-  return std::move(result.value);
+  return std::string(result.value.view());
 }
 
 std::optional<DnsResponse> parse_dns_response(

@@ -2,7 +2,9 @@
 // two-byte length prefix on the TCP stream.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -12,22 +14,61 @@
 
 namespace caya {
 
+/// A name in dotted form, held inline: RFC 1035 §2.3.4 caps a name at 255
+/// octets, so decoding one never allocates.
+class DnsName {
+ public:
+  static constexpr std::size_t kMaxLength = 255;
+
+  DnsName() = default;
+  /// Throws std::length_error past kMaxLength.
+  DnsName(std::string_view text);  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  DnsName(const char* text) : DnsName(std::string_view(text)) {}
+
+  [[nodiscard]] std::string_view view() const noexcept {
+    return {text_.data(), size_};
+  }
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  operator std::string_view() const noexcept { return view(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Appends one label, dot-separated from the last; false, changing
+  /// nothing, when the name would pass kMaxLength.
+  bool append_label(std::span<const std::uint8_t> label) noexcept;
+  void clear() noexcept { size_ = 0; }
+
+  friend bool operator==(const DnsName& a, std::string_view b) noexcept {
+    return a.view() == b;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const DnsName& name) {
+    return os << name.view();
+  }
+
+ private:
+  std::array<char, kMaxLength> text_{};
+  std::size_t size_ = 0;
+};
+
 struct DnsQuery {
   std::uint16_t id = 0;
-  std::string qname;  // e.g. "www.wikipedia.org"
+  std::string_view qname;  // e.g. "www.wikipedia.org"
 };
 
 struct DnsResponse {
   std::uint16_t id = 0;
-  std::string qname;
+  DnsName qname;
   Ipv4Address address;  // single A record
 };
 
-/// Length-prefixed A-record query message.
+/// Length-prefixed A-record query message, in one exactly reserved buffer.
 [[nodiscard]] Bytes build_dns_query(const DnsQuery& query);
 
-/// Length-prefixed response echoing the question plus one A record.
+/// Length-prefixed response echoing the question plus one A record. The
+/// `_into` form writes `out` (cleared first, capacity kept), so a server
+/// can answer into a leased buffer.
 [[nodiscard]] Bytes build_dns_response(const DnsResponse& response);
+void build_dns_response_into(Bytes& out, const DnsResponse& response);
 
 /// Compression-pointer (RFC 1035 §4.1.4) jump budget: following more than
 /// this many pointers while decoding one name is reported as kPointerLoop.
@@ -40,7 +81,7 @@ inline constexpr int kDnsPointerJumpBudget = 16;
 /// kTruncated (short header/label), kBadLength (length prefix or pointer
 /// target lying about the buffer), kBadLabel (reserved label tag or a name
 /// over 255 octets), kPointerLoop (jump budget exhausted).
-[[nodiscard]] DecodeResult<std::string> try_parse_dns_qname(
+[[nodiscard]] DecodeResult<DnsName> try_parse_dns_qname(
     std::span<const std::uint8_t> stream);
 
 /// Non-throwing response parse; semantically foreign messages (not a

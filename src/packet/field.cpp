@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "packet/dns.h"
+#include "util/arena.h"
 
 namespace caya {
 
@@ -65,10 +66,10 @@ constexpr Field row(Proto proto, std::string_view name, FieldForm form,
 /// An option's value bytes read as one big-endian integer.
 template <std::uint8_t kKind>
 std::optional<std::uint64_t> option_value(const Packet& pkt) {
-  const TcpOption* opt = pkt.tcp.find_option(kKind);
-  if (opt == nullptr) return std::nullopt;
+  const auto value = pkt.tcp.find_option(kKind);
+  if (!value) return std::nullopt;
   std::uint64_t v = 0;
-  for (std::uint8_t b : opt->data) v = v << 8 | b;
+  for (std::uint8_t b : *value) v = v << 8 | b;
   return v;
 }
 
@@ -240,7 +241,7 @@ std::string Field::render(const Packet& pkt) const {
 void Field::replace(Packet& pkt, const FieldValue& value) const {
   switch (form) {
     case kBytes:
-      pkt.payload = to_bytes(value.text);
+      pkt.payload.assign(byte_view(value.text));
       return;
     case kDnsName:
       set_qname(pkt, value.text);
@@ -251,11 +252,12 @@ void Field::replace(Packet& pkt, const FieldValue& value) const {
         return;
       }
       const std::size_t n = width / 8;
-      Bytes data(n);
+      std::array<std::uint8_t, 8> data{};
       for (std::size_t i = 0; i < n; ++i) {
         data[n - 1 - i] = static_cast<std::uint8_t>(value.number >> (8 * i));
       }
-      pkt.tcp.set_option(option_kind, std::move(data));
+      // An option that does not fit the 40-byte area is not written.
+      (void)pkt.tcp.set_option(option_kind, std::span(data).first(n));
       return;
     }
     case kDecimal:
@@ -272,15 +274,22 @@ void Field::corrupt(Packet& pkt, Rng& rng) const {
     case kBytes: {
       const std::size_t n =
           pkt.payload.empty() ? 4 + rng.index(12) : pkt.payload.size();
-      pkt.payload = rng.bytes(n);
+      Bytes random = BufferArena::local().acquire();
+      random.resize(n);
+      rng.fill(random);
+      pkt.payload = std::move(random);
       return;
     }
     case kDnsName:
       set_qname(pkt, to_hex(rng.bytes(8)) + ".example");
       return;
-    case kOption:
-      pkt.tcp.set_option(option_kind, rng.bytes(width / 8));
+    case kOption: {
+      std::array<std::uint8_t, 8> data{};
+      const auto value = std::span(data).first(width / 8);
+      rng.fill(value);
+      (void)pkt.tcp.set_option(option_kind, value);
       return;
+    }
     case kDecimal:
     case kFlags:
     case kAddress:

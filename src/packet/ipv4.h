@@ -16,6 +16,11 @@ class Ipv4Address {
   constexpr Ipv4Address() = default;
   constexpr explicit Ipv4Address(std::uint32_t value) noexcept
       : value_(value) {}
+  /// The dotted quad a.b.c.d.
+  constexpr Ipv4Address(std::uint8_t a, std::uint8_t b, std::uint8_t c,
+                        std::uint8_t d) noexcept
+      : value_(std::uint32_t{a} << 24 | std::uint32_t{b} << 16 |
+               std::uint32_t{c} << 8 | d) {}
   /// Parses "a.b.c.d"; throws std::invalid_argument on malformed input.
   static Ipv4Address parse(std::string_view dotted);
 

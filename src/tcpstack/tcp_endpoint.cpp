@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "tcpstack/seq.h"
+#include "util/arena.h"
 
 namespace caya {
 
@@ -40,7 +41,19 @@ std::string_view to_string(TcpState state) noexcept {
 }
 
 TcpEndpoint::TcpEndpoint(EventLoop& loop, Config config, TransmitFn transmit)
-    : loop_(loop), config_(std::move(config)), transmit_(std::move(transmit)) {}
+    : loop_(loop),
+      config_(std::move(config)),
+      transmit_(std::move(transmit)),
+      send_buffer_(BufferArena::local().acquire()),
+      received_(BufferArena::local().acquire()) {}
+
+TcpEndpoint::~TcpEndpoint() {
+  // An endpoint that outlives this thread's arena frees its buffers itself.
+  if (BufferArena* arena = BufferArena::local_if_alive()) {
+    arena->release(std::move(send_buffer_));
+    arena->release(std::move(received_));
+  }
+}
 
 void TcpEndpoint::connect() {
   iss_ = config_.isn;
@@ -54,7 +67,7 @@ void TcpEndpoint::connect() {
 
 void TcpEndpoint::listen() { state_ = TcpState::kListen; }
 
-void TcpEndpoint::send_data(Bytes data) {
+void TcpEndpoint::send_data(std::span<const std::uint8_t> data) {
   send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) {
     try_send();
@@ -291,14 +304,10 @@ void TcpEndpoint::accept_payload(const Packet& pkt) {
       send_segment(tcpflag::kAck, snd_nxt_, rcv_nxt_);
     } else if (seq_gt(seg_seq, rcv_nxt_)) {
       // Out of order: stash and send a duplicate ACK.
-      out_of_order_[seg_seq] = pkt.payload;
+      out_of_order_.assign(seg_seq, pkt.payload);
       send_segment(tcpflag::kAck, snd_nxt_, rcv_nxt_);
     } else {
-      const std::uint32_t skip = rcv_nxt_ - seg_seq;
-      Bytes fresh(pkt.payload.begin() + skip, pkt.payload.end());
-      rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
-      received_.insert(received_.end(), fresh.begin(), fresh.end());
-      if (on_data) on_data(fresh);
+      deliver_in_order(std::span(pkt.payload).subspan(rcv_nxt_ - seg_seq));
       flush_out_of_order();
       advanced = true;
     }
@@ -325,28 +334,35 @@ void TcpEndpoint::accept_payload(const Packet& pkt) {
   }
 }
 
+void TcpEndpoint::deliver_in_order(std::span<const std::uint8_t> fresh) {
+  rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
+  received_.insert(received_.end(), fresh.begin(), fresh.end());
+  if (on_data) {
+    BufferArena::Scoped copy;
+    copy->assign(fresh.begin(), fresh.end());
+    on_data(*copy);
+  }
+}
+
 void TcpEndpoint::flush_out_of_order() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (auto it = out_of_order_.begin(); it != out_of_order_.end();) {
-      const std::uint32_t seg_seq = it->first;
-      const auto len = static_cast<std::uint32_t>(it->second.size());
+    for (std::size_t i = 0; i < out_of_order_.size();) {
+      const std::uint32_t seg_seq = out_of_order_.seq_at(i);
+      const std::span<const std::uint8_t> seg = out_of_order_.bytes_at(i);
+      const auto len = static_cast<std::uint32_t>(seg.size());
       if (seq_le(seg_seq + len, rcv_nxt_)) {
-        it = out_of_order_.erase(it);
+        out_of_order_.erase_at(i);
         continue;
       }
       if (seq_le(seg_seq, rcv_nxt_)) {
-        const std::uint32_t skip = rcv_nxt_ - seg_seq;
-        Bytes fresh(it->second.begin() + skip, it->second.end());
-        rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
-        received_.insert(received_.end(), fresh.begin(), fresh.end());
-        if (on_data) on_data(fresh);
-        it = out_of_order_.erase(it);
+        deliver_in_order(seg.subspan(rcv_nxt_ - seg_seq));
+        out_of_order_.erase_at(i);
         progressed = true;
         continue;
       }
-      ++it;
+      ++i;
     }
   }
 }
@@ -379,10 +395,8 @@ void TcpEndpoint::try_send() {
     const std::uint32_t chunk =
         std::min({unsent, allowed, static_cast<std::uint32_t>(kMss)});
     if (chunk == 0) break;
-    Bytes payload(send_buffer_.begin() + offset,
-                  send_buffer_.begin() + offset + chunk);
     send_segment(tcpflag::kPsh | tcpflag::kAck, snd_nxt_, rcv_nxt_,
-                 std::move(payload));
+                 std::span(send_buffer_).subspan(offset, chunk));
     snd_nxt_ += chunk;
     sent = true;
   }
@@ -425,7 +439,8 @@ void TcpEndpoint::update_peer_window(const Packet& pkt) {
 }
 
 void TcpEndpoint::send_segment(std::uint8_t flags, std::uint32_t seq,
-                               std::uint32_t ack, Bytes payload,
+                               std::uint32_t ack,
+                               std::span<const std::uint8_t> payload,
                                bool advertise_options) {
   // The §5 verification hook shifts only data segments (the paper's
   // experiments adjust the sequence number of the forbidden request).
@@ -433,7 +448,10 @@ void TcpEndpoint::send_segment(std::uint8_t flags, std::uint32_t seq,
       payload.empty() ? 0 : static_cast<std::uint32_t>(seq_shift_);
   Packet pkt = make_tcp_packet(config_.local_addr, config_.local_port,
                                config_.remote_addr, config_.remote_port, flags,
-                               seq + shift, ack, std::move(payload));
+                               seq + shift, ack);
+  // The segment is cut into a leased buffer; the packet's last copy
+  // returns it.
+  pkt.payload.assign(payload);
   pkt.ip.ttl = config_.ttl;
   pkt.tcp.window = config_.advertised_window;
   if (advertise_options) {
@@ -506,10 +524,8 @@ void TcpEndpoint::retransmit_pending() {
         static_cast<std::uint32_t>(send_buffer_.size()) - offset;
     const std::uint32_t chunk =
         std::min(unacked, static_cast<std::uint32_t>(kMss));
-    Bytes payload(send_buffer_.begin() + offset,
-                  send_buffer_.begin() + offset + chunk);
     send_segment(tcpflag::kPsh | tcpflag::kAck, snd_una_, rcv_nxt_,
-                 std::move(payload));
+                 std::span(send_buffer_).subspan(offset, chunk));
   } else if (fin_sent_ && snd_una_ + 1 == snd_nxt_) {
     send_segment(tcpflag::kFin | tcpflag::kAck, snd_una_, rcv_nxt_);
   }

@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "netsim/endpoint.h"
@@ -27,6 +27,7 @@
 #include "packet/packet.h"
 #include "tcpstack/os_profile.h"
 #include "util/bytes.h"
+#include "util/segment_map.h"
 
 namespace caya {
 
@@ -62,14 +63,20 @@ class TcpEndpoint : public Endpoint {
     int max_retransmits = 4;
   };
 
+  /// Leases the send and receive buffers from this thread's BufferArena;
+  /// the destructor returns them.
   TcpEndpoint(EventLoop& loop, Config config, TransmitFn transmit);
+  ~TcpEndpoint() override;
+  TcpEndpoint(const TcpEndpoint&) = delete;
+  TcpEndpoint& operator=(const TcpEndpoint&) = delete;
 
   /// Active open: sends a SYN.
   void connect();
   /// Passive open: waits for a SYN.
   void listen();
-  /// Queues application data; transmits as the send window allows.
-  void send_data(Bytes data);
+  /// Queues a copy of application data; transmits as the send window
+  /// allows. The caller keeps ownership of `data`.
+  void send_data(std::span<const std::uint8_t> data);
   /// Graceful close: FIN after all queued data.
   void close();
   /// Hard close: sends a RST and goes to CLOSED.
@@ -83,7 +90,8 @@ class TcpEndpoint : public Endpoint {
 
   // ---- Callbacks to the application layer ----
   std::function<void()> on_established;
-  std::function<void(const Bytes&)> on_data;   // newly in-order bytes
+  /// Newly in-order bytes, in a buffer leased for the call.
+  std::function<void(const Bytes&)> on_data;
   std::function<void()> on_remote_close;        // FIN received
   std::function<void()> on_reset;               // connection reset / gave up
 
@@ -113,7 +121,8 @@ class TcpEndpoint : public Endpoint {
 
  private:
   void send_segment(std::uint8_t flags, std::uint32_t seq, std::uint32_t ack,
-                    Bytes payload = {}, bool advertise_options = false);
+                    std::span<const std::uint8_t> payload = {},
+                    bool advertise_options = false);
   void send_rst(std::uint32_t seq, std::uint32_t ack, bool with_ack);
   void enter_established();
   void handle_listen(const Packet& pkt);
@@ -121,6 +130,8 @@ class TcpEndpoint : public Endpoint {
   void handle_syn_received(const Packet& pkt);
   void handle_synchronized(const Packet& pkt);
   void accept_payload(const Packet& pkt);
+  /// Appends `fresh` to the stream and hands it to on_data.
+  void deliver_in_order(std::span<const std::uint8_t> fresh);
   void flush_out_of_order();
   void try_send();
   void arm_retransmit_timer();
@@ -136,7 +147,7 @@ class TcpEndpoint : public Endpoint {
   TransmitFn transmit_;
   TcpState state_ = TcpState::kClosed;
 
-  // Send state. send_buffer_ holds every application byte not yet
+  // Send state. send_buffer_ (leased) holds every application byte not yet
   // acknowledged (sent and unsent alike); send_base_seq_ is the sequence
   // number of send_buffer_[0].
   std::uint32_t iss_ = 0;
@@ -154,8 +165,8 @@ class TcpEndpoint : public Endpoint {
   // Receive state.
   std::uint32_t irs_ = 0;
   std::uint32_t rcv_nxt_ = 0;
-  Bytes received_;
-  std::map<std::uint32_t, Payload> out_of_order_;  // shares the packet buffer
+  Bytes received_;              // leased
+  SegmentMap out_of_order_;     // seq -> bytes past rcv_nxt_
 
   // Timers.
   std::uint64_t timer_generation_ = 0;

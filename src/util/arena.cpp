@@ -35,13 +35,18 @@ Bytes BufferArena::acquire() {
   }
   ++stats_.fresh;
   g_fresh.fetch_add(1, std::memory_order_relaxed);
-  return Bytes{};
+  Bytes buf;
+  buf.reserve(kMinCapacity);
+  return buf;
 }
 
 void BufferArena::release(Bytes&& buf) noexcept {
   ++stats_.releases;
   g_releases.fetch_add(1, std::memory_order_relaxed);
-  if (free_.size() >= kMaxFree) return;  // buf frees normally
+  // buf frees normally when the list is full, or when it is smaller than
+  // the floor (a Payload built from a caller's Bytes releases that buffer
+  // here): every buffer on the list holds kMinCapacity bytes.
+  if (free_.size() >= kMaxFree || buf.capacity() < kMinCapacity) return;
   if (free_.capacity() < kMaxFree) free_.reserve(kMaxFree);
   free_.push_back(std::move(buf));
 }

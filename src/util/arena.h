@@ -28,11 +28,20 @@ class BufferArena {
     std::uint64_t releases = 0;  // buffers returned
   };
 
-  /// Hands out an empty buffer (recycled when possible). The caller owns it
-  /// until release(); capacity from earlier uses is retained.
+  /// Every buffer acquire() hands out holds at least this many bytes: any
+  /// message, segment or reassembled stream a Table 2 trial handles. So a
+  /// recycled buffer does not grow on the warm-trial paths, whichever use
+  /// it served before. Larger uses grow a buffer once, and it keeps that
+  /// capacity.
+  static constexpr std::size_t kMinCapacity = 512;
+
+  /// Hands out an empty buffer (recycled when possible) with at least
+  /// kMinCapacity bytes reserved. The caller owns it until release();
+  /// capacity from earlier uses is retained.
   [[nodiscard]] Bytes acquire();
 
-  /// Returns a buffer to the free list for reuse on this thread.
+  /// Returns a buffer to the free list for reuse on this thread. A buffer
+  /// below kMinCapacity, or one past a full list, is freed instead.
   void release(Bytes&& buf) noexcept;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -83,13 +83,6 @@ class ByteReader {
     auto hi = static_cast<std::uint32_t>(u16()) << 16;
     return hi | u16();
   }
-  [[nodiscard]] Bytes raw(std::size_t n) {
-    need(n);
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
   void skip(std::size_t n) {
     need(n);
     pos_ += n;
@@ -127,6 +120,18 @@ class ByteReader {
 
 /// Converts a string to bytes (no encoding applied).
 [[nodiscard]] Bytes to_bytes(std::string_view s);
+
+/// The bytes of `s`, viewed in place (no copy, no encoding applied).
+[[nodiscard]] inline std::span<const std::uint8_t> byte_view(
+    std::string_view s) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+/// `data` viewed as text, in place.
+[[nodiscard]] inline std::string_view text_view(
+    std::span<const std::uint8_t> data) noexcept {
+  return {reinterpret_cast<const char*>(data.data()), data.size()};
+}
 
 /// True if `haystack` contains `needle` as a raw byte subsequence.
 [[nodiscard]] bool contains(std::span<const std::uint8_t> haystack,

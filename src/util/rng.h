@@ -106,10 +106,14 @@ class Rng {
     return c[index(c.size())];
   }
 
+  /// Fills `out` with independent uniform random bytes (one draw each).
+  void fill(std::span<std::uint8_t> out) {
+    for (auto& b : out) b = static_cast<std::uint8_t>(uniform(0, 255));
+  }
   /// n independent uniform random bytes (one draw each).
   [[nodiscard]] Bytes bytes(std::size_t n) {
     Bytes out(n);
-    for (auto& b : out) b = static_cast<std::uint8_t>(uniform(0, 255));
+    fill(out);
     return out;
   }
 

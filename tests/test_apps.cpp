@@ -3,6 +3,9 @@
 // and strategies are later layered on.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "apps/dns_app.h"
 #include "apps/ftp.h"
 #include "apps/http.h"
@@ -14,6 +17,7 @@ namespace {
 
 const Ipv4Address kClient = Ipv4Address::parse("10.0.0.2");
 const Ipv4Address kServer = Ipv4Address::parse("93.184.216.34");
+const DnsQueries queries("www.wikipedia.org");
 
 struct World {
   EventLoop loop;
@@ -26,39 +30,49 @@ struct World {
   }
 };
 
+/// Every line `buf` yields from `stream` now, in order.
+std::vector<std::string_view> drain(LineBuffer& buf, const Bytes& stream) {
+  std::vector<std::string_view> lines;
+  while (const auto line = buf.next(stream)) lines.push_back(*line);
+  return lines;
+}
+
 TEST(LineBuffer, SplitsCompleteLines) {
   LineBuffer buf;
   Bytes stream = to_bytes("220 hello\r\n331 pass");
-  auto lines = buf.update(stream);
+  auto lines = drain(buf, stream);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "220 hello");
   // Completing the second line (stream grows) yields only the new line.
   stream = to_bytes("220 hello\r\n331 pass\r\n");
-  lines = buf.update(stream);
+  lines = drain(buf, stream);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "331 pass");
 }
 
 TEST(LineBuffer, MultipleLinesAtOnce) {
   LineBuffer buf;
-  const auto lines = buf.update(to_bytes("a\r\nb\r\nc\r\n"));
+  const Bytes stream = to_bytes("a\r\nb\r\nc\r\n");
+  const auto lines = drain(buf, stream);
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[2], "c");
 }
 
 TEST(LineBuffer, EmptyLine) {
   LineBuffer buf;
-  const auto lines = buf.update(to_bytes("\r\nx\r\n"));
+  const Bytes stream = to_bytes("\r\nx\r\n");
+  const auto lines = drain(buf, stream);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "");
 }
 
 TEST(Apps, HttpRequestResponse) {
   World w;
-  HttpServer server(w.loop, w.net, kServer, 80, "<html>hi</html>");
+  const HttpMessages messages("example.com", "/index.html", "<html>hi</html>");
+  HttpServer server(w.loop, w.net, kServer, 80, messages.response);
   w.config.server_port = 80;
-  HttpClient client(w.loop, w.net, w.config, "example.com", "/index.html",
-                    server.expected_response());
+  HttpClient client(w.loop, w.net, w.config, messages.request,
+                    messages.response);
   w.net.set_server(&server);
   w.net.set_client(&client);
   client.start();
@@ -70,10 +84,11 @@ TEST(Apps, HttpRequestResponse) {
 
 TEST(Apps, HttpWrongBodyIsNotSuccess) {
   World w;
-  HttpServer server(w.loop, w.net, kServer, 80, "actual body");
+  const HttpMessages messages("example.com", "/", "actual body");
+  HttpServer server(w.loop, w.net, kServer, 80, messages.response);
   w.config.server_port = 80;
-  HttpClient client(w.loop, w.net, w.config, "example.com", "/",
-                    "some other expected response");
+  HttpClient client(w.loop, w.net, w.config, messages.request,
+                    byte_view("some other expected response"));
   w.net.set_server(&server);
   w.net.set_client(&client);
   client.start();
@@ -82,19 +97,19 @@ TEST(Apps, HttpWrongBodyIsNotSuccess) {
 }
 
 TEST(Apps, HttpRequestCarriesHostAndPath) {
-  World w;
-  HttpClient client(w.loop, w.net, w.config, "blocked-site.kz",
-                    "/?q=ultrasurf", "x");
-  const std::string request = client.request_line();
+  const HttpMessages messages("blocked-site.kz", "/?q=ultrasurf", "x");
+  const std::string request = to_string(messages.request);
   EXPECT_NE(request.find("GET /?q=ultrasurf HTTP/1.1"), std::string::npos);
   EXPECT_NE(request.find("Host: blocked-site.kz"), std::string::npos);
 }
 
 TEST(Apps, HttpsHandshakeCompletes) {
   World w;
-  HttpsServer server(w.loop, w.net, kServer, 443);
+  const Bytes client_hello = build_client_hello("www.wikipedia.org");
+  const Bytes server_hello = build_server_hello();
+  HttpsServer server(w.loop, w.net, kServer, 443, server_hello);
   w.config.server_port = 443;
-  HttpsClient client(w.loop, w.net, w.config, "www.wikipedia.org");
+  HttpsClient client(w.loop, w.net, w.config, client_hello, server_hello);
   w.net.set_server(&server);
   w.net.set_client(&client);
   client.start();
@@ -108,7 +123,7 @@ TEST(Apps, DnsQueryResolves) {
   const Ipv4Address answer = Ipv4Address::parse("198.51.100.7");
   DnsServer server(w.loop, w.net, kServer, 53, answer);
   w.config.server_port = 53;
-  DnsClient client(w.loop, w.net, w.config, "www.wikipedia.org", answer);
+  DnsClient client(w.loop, w.net, w.config, queries, answer);
   client.on_new_attempt = [&server] { server.reopen(); };
   w.net.set_server(&server);
   client.start();
@@ -122,7 +137,7 @@ TEST(Apps, DnsRetriesAfterMidConnectionReset) {
   const Ipv4Address answer = Ipv4Address::parse("198.51.100.7");
   DnsServer server(w.loop, w.net, kServer, 53, answer);
   w.config.server_port = 53;
-  DnsClient client(w.loop, w.net, w.config, "www.wikipedia.org", answer);
+  DnsClient client(w.loop, w.net, w.config, queries, answer);
   client.on_new_attempt = [&server] { server.reopen(); };
   w.net.set_server(&server);
   client.start();
@@ -154,7 +169,7 @@ TEST(Apps, DnsRetryLeavesReplacedEndpointsSilent) {
   config.server_port = 53;
   const Ipv4Address answer = Ipv4Address::parse("198.51.100.7");
   DnsServer server(loop, net, kServer, 53, answer);
-  DnsClient client(loop, net, config, "www.wikipedia.org", answer);
+  DnsClient client(loop, net, config, queries, answer);
   Time retry_at = 0;
   client.on_new_attempt = [&] {
     if (client.tries_used() == 2) retry_at = loop.now();
@@ -190,7 +205,7 @@ TEST(Apps, DnsRetryLeavesReplacedEndpointsSilent) {
 TEST(Apps, DnsGivesUpAfterMaxTries) {
   World w;
   // No server attached at all: every attempt times out and resets.
-  DnsClient client(w.loop, w.net, w.config, "www.wikipedia.org",
+  DnsClient client(w.loop, w.net, w.config, queries,
                    Ipv4Address::parse("198.51.100.7"), /*max_tries=*/3);
   client.start();
   w.loop.run();
@@ -202,7 +217,8 @@ TEST(Apps, FtpDialogueCompletes) {
   World w;
   FtpServer server(w.loop, w.net, kServer, 21);
   w.config.server_port = 21;
-  FtpClient client(w.loop, w.net, w.config, "ultrasurf");
+  const Bytes retr = ftp_retr_command("ultrasurf");
+  FtpClient client(w.loop, w.net, w.config, retr);
   w.net.set_server(&server);
   w.net.set_client(&client);
   client.start();
@@ -215,7 +231,8 @@ TEST(Apps, SmtpDialogueCompletes) {
   World w;
   SmtpServer server(w.loop, w.net, kServer, 25);
   w.config.server_port = 25;
-  SmtpClient client(w.loop, w.net, w.config, "xiazai@upup8.com");
+  const Bytes rcpt = smtp_rcpt_command("xiazai@upup8.com");
+  SmtpClient client(w.loop, w.net, w.config, rcpt);
   w.net.set_server(&server);
   w.net.set_client(&client);
   client.start();
@@ -236,7 +253,8 @@ TEST(Apps, AllProtocolsSurviveLossyLink) {
   config.server_addr = kServer;
   config.server_port = 25;
   SmtpServer server(loop, net, kServer, 25);
-  SmtpClient client(loop, net, config, "someone@example.com");
+  const Bytes rcpt = smtp_rcpt_command("someone@example.com");
+  SmtpClient client(loop, net, config, rcpt);
   net.set_server(&server);
   net.set_client(&client);
   client.start();

@@ -12,6 +12,8 @@
 #include <new>
 #include <vector>
 
+#include "eval/rates.h"
+#include "eval/strategies.h"
 #include "eval/trial.h"
 #include "netsim/event_loop.h"
 #include "packet/packet.h"
@@ -121,27 +123,83 @@ TEST(PacketPool, PacketLaneIsAllocationFreeInSteadyState) {
       << "recirculating a packet through the event loop allocated";
 }
 
-TEST(PacketPool, TrialAllocationsAreFlatAcrossIdenticalTrials) {
-  // Fresh same-seed Environments do identical work; once the per-thread
-  // buffer/rep pools are warm (trial 0), every later trial must allocate
-  // exactly the same amount. A drifting count means per-trial state is
-  // leaking into a global pool or a cache is being defeated.
-  ConnectionOptions options;
-  options.record_trace = false;
-  std::vector<std::uint64_t> per_trial;
-  for (int trial = 0; trial < 4; ++trial) {
-    const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
-    Environment env({.country = Country::kChina,
-                     .protocol = AppProtocol::kHttp,
-                     .seed = 99});
-    const TrialResult result = env.run_connection(options);
-    EXPECT_FALSE(result.timed_out);
-    per_trial.push_back(g_alloc_calls.load(std::memory_order_relaxed) -
-                        before);
+/// Every cell Table 2 reports: each country x protocol, with no strategy
+/// and with each published strategy the paper reports there.
+struct TableCell {
+  Country country;
+  AppProtocol protocol;
+  int strategy;  // 0 = no evasion
+};
+
+std::vector<TableCell> table2_cells() {
+  std::vector<TableCell> cells;
+  for (const AppProtocol protocol : all_protocols()) {
+    cells.push_back({Country::kChina, protocol, 0});
+    for (const PublishedStrategy& s : published_strategies()) {
+      if (!s.china_reported.empty()) {
+        cells.push_back({Country::kChina, protocol, s.id});
+      }
+    }
   }
-  EXPECT_EQ(per_trial[2], per_trial[3])
-      << "per-trial allocation count is not flat: " << per_trial[2] << " vs "
-      << per_trial[3];
+  const struct {
+    Country country;
+    AppProtocol protocol;
+    double PublishedStrategy::*reported;
+  } rows[] = {
+      {Country::kIndia, AppProtocol::kHttp,
+       &PublishedStrategy::india_http_reported},
+      {Country::kIran, AppProtocol::kHttp,
+       &PublishedStrategy::iran_http_reported},
+      {Country::kIran, AppProtocol::kHttps,
+       &PublishedStrategy::iran_https_reported},
+      {Country::kKazakhstan, AppProtocol::kHttp,
+       &PublishedStrategy::kazakhstan_http_reported},
+  };
+  for (const auto& row : rows) {
+    cells.push_back({row.country, row.protocol, 0});
+    for (const PublishedStrategy& s : published_strategies()) {
+      if (s.*row.reported >= 0) {
+        cells.push_back({row.country, row.protocol, s.id});
+      }
+    }
+  }
+  return cells;
+}
+
+TEST(PacketPool, WarmTrialsAllocateNothing) {
+  // A warm substrate replaying a seed it has already run twice does the
+  // same work again, and every buffer that work needs is already in the
+  // thread's pools: reset(seed) + run_connection must not allocate at all.
+  // This is what perfbench's eval.allocs_per_trial counts.
+  std::size_t checked = 0;
+  for (const ImpairmentProfile profile :
+       {ImpairmentProfile::kClean, ImpairmentProfile::kLossy}) {
+    for (const TableCell& cell : table2_cells()) {
+      Environment::Config config{.country = cell.country,
+                                 .protocol = cell.protocol,
+                                 .seed = 99 + checked};
+      apply_profile(profile, config);
+      ConnectionOptions options;
+      if (cell.strategy != 0) {
+        options.server_strategy = parsed_strategy(cell.strategy);
+      }
+      Environment env(config);
+      std::uint64_t allocs = 0;
+      for (int run = 0; run < 3; ++run) {
+        const std::uint64_t before =
+            g_alloc_calls.load(std::memory_order_relaxed);
+        env.reset(config.seed);
+        (void)env.run_connection(options);
+        allocs = g_alloc_calls.load(std::memory_order_relaxed) - before;
+      }
+      EXPECT_EQ(allocs, 0u)
+          << to_string(cell.country) << "/" << to_string(cell.protocol)
+          << " published " << cell.strategy << ", profile "
+          << to_string(profile);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
 }
 
 }  // namespace
