@@ -1,5 +1,7 @@
 #include "apps/ftp.h"
 
+#include <string>
+
 namespace caya {
 
 std::optional<std::string_view> LineBuffer::next(
@@ -18,12 +20,7 @@ std::optional<std::string_view> LineBuffer::next(
 }
 
 Bytes ftp_retr_command(std::string_view filename) {
-  ByteWriter w;
-  w.reserve(5 + filename.size() + 2);
-  w.raw(std::string_view("RETR "));
-  w.raw(filename);
-  w.raw(std::string_view("\r\n"));
-  return w.take();
+  return to_bytes("RETR " + std::string(filename) + "\r\n");
 }
 
 FtpServer::FtpServer(EventLoop& loop, Network& net, Ipv4Address addr,

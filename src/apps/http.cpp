@@ -6,32 +6,14 @@
 namespace caya {
 
 HttpMessages::HttpMessages(std::string_view host, std::string_view path,
-                           std::string_view body) {
-  const std::string content_length = std::to_string(body.size());
-  constexpr std::string_view kRequest[] = {
-      "GET ", " HTTP/1.1\r\nHost: ",
-      "\r\nUser-Agent: caya/1.0\r\nAccept: */*\r\n\r\n"};
-  constexpr std::string_view kResponse[] = {
-      "HTTP/1.1 200 OK\r\nContent-Length: ",
-      "\r\nConnection: keep-alive\r\n\r\n"};
-  ByteWriter req;
-  req.reserve(kRequest[0].size() + path.size() + kRequest[1].size() +
-              host.size() + kRequest[2].size());
-  req.raw(kRequest[0]);
-  req.raw(path);
-  req.raw(kRequest[1]);
-  req.raw(host);
-  req.raw(kRequest[2]);
-  request = req.take();
-  ByteWriter resp;
-  resp.reserve(kResponse[0].size() + content_length.size() +
-               kResponse[1].size() + body.size());
-  resp.raw(kResponse[0]);
-  resp.raw(content_length);
-  resp.raw(kResponse[1]);
-  resp.raw(body);
-  response = resp.take();
-}
+                           std::string_view body)
+    : request(to_bytes("GET " + std::string(path) + " HTTP/1.1\r\nHost: " +
+                       std::string(host) +
+                       "\r\nUser-Agent: caya/1.0\r\nAccept: */*\r\n\r\n")),
+      response(to_bytes("HTTP/1.1 200 OK\r\nContent-Length: " +
+                        std::to_string(body.size()) +
+                        "\r\nConnection: keep-alive\r\n\r\n" +
+                        std::string(body))) {}
 
 HttpServer::HttpServer(EventLoop& loop, Network& net, Ipv4Address addr,
                        std::uint16_t port,

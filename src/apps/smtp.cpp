@@ -1,14 +1,11 @@
 #include "apps/smtp.h"
 
+#include <string>
+
 namespace caya {
 
 Bytes smtp_rcpt_command(std::string_view recipient) {
-  ByteWriter w;
-  w.reserve(9 + recipient.size() + 3);
-  w.raw(std::string_view("RCPT TO:<"));
-  w.raw(recipient);
-  w.raw(std::string_view(">\r\n"));
-  return w.take();
+  return to_bytes("RCPT TO:<" + std::string(recipient) + ">\r\n");
 }
 
 SmtpServer::SmtpServer(EventLoop& loop, Network& net, Ipv4Address addr,

@@ -32,9 +32,10 @@ class Reassembler {
   /// this many bytes.
   static constexpr std::size_t kByteCap = 65536;
 
-  /// Leases from `storage`, or from the thread's arena when null.
-  explicit Reassembler(BufferArena* storage = nullptr) noexcept
-      : segments_(storage) {}
+  /// Leases from the thread's arena.
+  Reassembler() = default;
+  /// Leases from `storage`.
+  explicit Reassembler(BufferArena* storage) noexcept : segments_(storage) {}
   Reassembler(Reassembler&&) noexcept = default;
   Reassembler& operator=(Reassembler&&) noexcept = default;
 

@@ -4,7 +4,6 @@
 
 #include <array>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -40,9 +39,6 @@ class DnsName {
 
   friend bool operator==(const DnsName& a, std::string_view b) noexcept {
     return a.view() == b;
-  }
-  friend std::ostream& operator<<(std::ostream& os, const DnsName& name) {
-    return os << name.view();
   }
 
  private:

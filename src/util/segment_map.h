@@ -23,9 +23,10 @@ class BufferArena;
 
 class SegmentMap {
  public:
+  /// Leases from the thread's arena.
+  SegmentMap() = default;
   /// Leases from `storage`, or from the thread's arena when null.
-  explicit SegmentMap(BufferArena* storage = nullptr) noexcept
-      : storage_(storage) {}
+  explicit SegmentMap(BufferArena* storage) noexcept : storage_(storage) {}
   ~SegmentMap() { clear(); }
   SegmentMap(SegmentMap&& other) noexcept;
   SegmentMap& operator=(SegmentMap&& other) noexcept;
@@ -80,7 +81,7 @@ class SegmentMap {
                        std::size_t room_for_records);
   void compact();
 
-  BufferArena* storage_;
+  BufferArena* storage_ = nullptr;
   Bytes buf_;  // Record[count_], packed and ascending by seq, then bytes
   std::size_t count_ = 0;
   std::size_t live_ = 0;
