@@ -1,6 +1,7 @@
 #include "packet/tcp.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -29,18 +30,14 @@ std::optional<std::span<const std::uint8_t>> TcpOptions::find(
 
 std::size_t TcpOptions::remove(std::uint8_t kind) noexcept {
   std::size_t removed = 0;
-  std::size_t at = 0;
+  std::size_t at = offset_of(kind);
   while (at < length_) {
     const std::size_t len = bytes_[at + 1];
-    if (bytes_[at] != kind) {
-      at += len;
-      continue;
-    }
-    std::copy(bytes_.begin() + static_cast<std::ptrdiff_t>(at + len),
-              bytes_.begin() + length_,
-              bytes_.begin() + static_cast<std::ptrdiff_t>(at));
+    std::memmove(bytes_.data() + at, bytes_.data() + at + len,
+                 length_ - at - len);
     length_ = static_cast<std::uint8_t>(length_ - len);
     ++removed;
+    at = offset_of(kind);
   }
   return removed;
 }
@@ -54,19 +51,12 @@ bool TcpOptions::set(std::uint8_t kind,
   const std::size_t old_len = at == length_ ? 0 : bytes_[at + 1];
   const std::size_t new_len = 2 + value.size();
   if (length_ - old_len + new_len > kCapacity) return false;
-  // Shift the options after this one to fit the new length, then write it.
-  const auto tail = bytes_.begin() + static_cast<std::ptrdiff_t>(at + old_len);
-  const auto end = bytes_.begin() + length_;
-  const auto moved = bytes_.begin() + static_cast<std::ptrdiff_t>(at + new_len);
-  if (new_len > old_len) {
-    std::copy_backward(tail, end, end + static_cast<std::ptrdiff_t>(new_len - old_len));
-  } else {
-    std::copy(tail, end, moved);
-  }
+  // Move the options after this one to fit the new length, then write it.
+  std::memmove(bytes_.data() + at + new_len, bytes_.data() + at + old_len,
+               length_ - at - old_len);
   bytes_[at] = kind;
   bytes_[at + 1] = static_cast<std::uint8_t>(new_len);
-  std::copy(value.begin(), value.end(),
-            bytes_.begin() + static_cast<std::ptrdiff_t>(at + 2));
+  std::copy(value.begin(), value.end(), bytes_.begin() + at + 2);
   length_ = static_cast<std::uint8_t>(length_ - old_len + new_len);
   return true;
 }
