@@ -66,10 +66,10 @@ constexpr Field row(Proto proto, std::string_view name, FieldForm form,
 /// An option's value bytes read as one big-endian integer.
 template <std::uint8_t kKind>
 std::optional<std::uint64_t> option_value(const Packet& pkt) {
-  const auto value = pkt.tcp.find_option(kKind);
-  if (!value) return std::nullopt;
+  const TcpOption* opt = pkt.tcp.find_option(kKind);
+  if (opt == nullptr) return std::nullopt;
   std::uint64_t v = 0;
-  for (std::uint8_t b : *value) v = v << 8 | b;
+  for (std::uint8_t b : opt->data) v = v << 8 | b;
   return v;
 }
 
@@ -252,12 +252,11 @@ void Field::replace(Packet& pkt, const FieldValue& value) const {
         return;
       }
       const std::size_t n = width / 8;
-      std::array<std::uint8_t, 8> data{};
+      Bytes data(n);
       for (std::size_t i = 0; i < n; ++i) {
         data[n - 1 - i] = static_cast<std::uint8_t>(value.number >> (8 * i));
       }
-      // An option that does not fit the 40-byte area is not written.
-      (void)pkt.tcp.set_option(option_kind, std::span(data).first(n));
+      pkt.tcp.set_option(option_kind, std::move(data));
       return;
     }
     case kDecimal:
@@ -283,13 +282,9 @@ void Field::corrupt(Packet& pkt, Rng& rng) const {
     case kDnsName:
       set_qname(pkt, to_hex(rng.bytes(8)) + ".example");
       return;
-    case kOption: {
-      std::array<std::uint8_t, 8> data{};
-      const auto value = std::span(data).first(width / 8);
-      rng.fill(value);
-      (void)pkt.tcp.set_option(option_kind, value);
+    case kOption:
+      pkt.tcp.set_option(option_kind, rng.bytes(width / 8));
       return;
-    }
     case kDecimal:
     case kFlags:
     case kAddress:

@@ -1,99 +1,88 @@
 #include "packet/tcp.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "util/arena.h"
 #include "util/checksum.h"
 
 namespace caya {
 
-std::size_t TcpOptions::size() const noexcept {
-  std::size_t n = 0;
-  for (std::size_t at = 0; at < length_; at += bytes_[at + 1]) ++n;
-  return n;
-}
-
-std::size_t TcpOptions::offset_of(std::uint8_t kind) const noexcept {
-  std::size_t at = 0;
-  while (at < length_ && bytes_[at] != kind) at += bytes_[at + 1];
-  return at;
-}
-
-std::optional<std::span<const std::uint8_t>> TcpOptions::find(
-    std::uint8_t kind) const noexcept {
-  const std::size_t at = offset_of(kind);
-  if (at == length_) return std::nullopt;
-  return std::span(bytes_).subspan(at + 2, bytes_[at + 1] - 2u);
-}
-
-std::size_t TcpOptions::remove(std::uint8_t kind) noexcept {
-  std::size_t removed = 0;
-  std::size_t at = offset_of(kind);
-  while (at < length_) {
-    const std::size_t len = bytes_[at + 1];
-    std::memmove(bytes_.data() + at, bytes_.data() + at + len,
-                 length_ - at - len);
-    length_ = static_cast<std::uint8_t>(length_ - len);
-    ++removed;
-    at = offset_of(kind);
+const TcpOption* TcpHeader::find_option(std::uint8_t kind) const noexcept {
+  for (const auto& opt : options) {
+    if (opt.kind == kind) return &opt;
   }
-  return removed;
+  return nullptr;
 }
 
-bool TcpOptions::set(std::uint8_t kind,
-                     std::span<const std::uint8_t> value) noexcept {
-  if (kind == TcpOption::kEndOfOptions || kind == TcpOption::kNop) {
-    return false;
+std::size_t TcpHeader::remove_option(std::uint8_t kind) {
+  const auto before = options.size();
+  std::erase_if(options, [kind](const TcpOption& o) { return o.kind == kind; });
+  return before - options.size();
+}
+
+void TcpHeader::set_option(std::uint8_t kind, Bytes data) {
+  for (auto& opt : options) {
+    if (opt.kind == kind) {
+      opt.data = std::move(data);
+      return;
+    }
   }
-  const std::size_t at = offset_of(kind);
-  const std::size_t old_len = at == length_ ? 0 : bytes_[at + 1];
-  const std::size_t new_len = 2 + value.size();
-  if (length_ - old_len + new_len > kCapacity) return false;
-  // Move the options after this one to fit the new length, then write it.
-  std::memmove(bytes_.data() + at + new_len, bytes_.data() + at + old_len,
-               length_ - at - old_len);
-  bytes_[at] = kind;
-  bytes_[at + 1] = static_cast<std::uint8_t>(new_len);
-  std::copy(value.begin(), value.end(), bytes_.begin() + at + 2);
-  length_ = static_cast<std::uint8_t>(length_ - old_len + new_len);
-  return true;
-}
-
-bool TcpOptions::append(std::uint8_t kind,
-                        std::span<const std::uint8_t> value) noexcept {
-  const std::size_t len = 2 + value.size();
-  if (length_ + len > kCapacity) return false;
-  bytes_[length_] = kind;
-  bytes_[length_ + 1] = static_cast<std::uint8_t>(len);
-  std::copy(value.begin(), value.end(), bytes_.begin() + length_ + 2);
-  length_ = static_cast<std::uint8_t>(length_ + len);
-  return true;
+  options.push_back(TcpOption{kind, std::move(data)});
 }
 
 std::optional<std::uint8_t> TcpHeader::window_scale() const noexcept {
-  const auto value = find_option(TcpOption::kWindowScale);
-  if (!value || value->size() != 1) return std::nullopt;
-  return (*value)[0];
+  const TcpOption* opt = find_option(TcpOption::kWindowScale);
+  if (opt == nullptr || opt->data.size() != 1) return std::nullopt;
+  return opt->data[0];
 }
 
 std::optional<std::uint16_t> TcpHeader::mss() const noexcept {
-  const auto value = find_option(TcpOption::kMss);
-  if (!value || value->size() != 2) return std::nullopt;
-  return static_cast<std::uint16_t>((*value)[0] << 8 | (*value)[1]);
+  const TcpOption* opt = find_option(TcpOption::kMss);
+  if (opt == nullptr || opt->data.size() != 2) return std::nullopt;
+  return static_cast<std::uint16_t>(opt->data[0] << 8 | opt->data[1]);
+}
+
+void TcpHeader::serialize_options_into(Bytes& out) const {
+  ByteWriter w(std::move(out));
+  for (const auto& opt : options) {
+    if (opt.kind == TcpOption::kEndOfOptions || opt.kind == TcpOption::kNop) {
+      w.u8(opt.kind);
+      continue;
+    }
+    w.u8(opt.kind);
+    w.u8(static_cast<std::uint8_t>(2 + opt.data.size()));
+    w.raw(opt.data);
+  }
+  out = w.take();
+  while (out.size() % 4 != 0) out.push_back(TcpOption::kNop);
+}
+
+Bytes TcpHeader::serialize_options() const {
+  Bytes out;
+  serialize_options_into(out);
+  return out;
+}
+
+std::size_t TcpHeader::computed_header_length() const {
+  BufferArena::Scoped opts;
+  serialize_options_into(*opts);
+  return 20 + opts->size();
 }
 
 void TcpHeader::serialize_into(Bytes& out, Ipv4Address src, Ipv4Address dst,
                                std::span<const std::uint8_t> payload,
                                bool compute_checksum,
                                bool compute_offset) const {
-  const std::size_t header_len = computed_header_length();
+  BufferArena::Scoped opts;
+  serialize_options_into(*opts);
   const std::uint8_t offset_words =
-      compute_offset ? static_cast<std::uint8_t>(header_len / 4) : data_offset;
+      compute_offset ? static_cast<std::uint8_t>((20 + opts->size()) / 4)
+                     : data_offset;
 
   ByteWriter w(std::move(out));
-  w.reserve(header_len + payload.size());
+  w.reserve(20 + opts->size() + payload.size());
   w.u16(sport);
   w.u16(dport);
   w.u32(seq);
@@ -103,10 +92,7 @@ void TcpHeader::serialize_into(Bytes& out, Ipv4Address src, Ipv4Address dst,
   w.u16(window);
   w.u16(0);  // checksum placeholder
   w.u16(urgent_pointer);
-  w.raw(options.encoded());
-  for (std::size_t i = 20 + options.encoded().size(); i < header_len; ++i) {
-    w.u8(TcpOption::kNop);
-  }
+  w.raw(*opts);
   w.raw(payload);
 
   out = w.take();
@@ -169,9 +155,10 @@ DecodeResult<TcpHeader> TcpHeader::try_parse(
       return R::failure(on_short, c.pos());
     }
     opt_remaining -= static_cast<std::size_t>(len - 2);
-    // Fits: the stored options never outgrow the option region they came
-    // from, and that is at most 40 bytes.
-    (void)h.options.append(kind, value);
+    TcpOption opt;
+    opt.kind = kind;
+    opt.data.assign(value.begin(), value.end());
+    h.options.push_back(std::move(opt));
   }
   R out;
   out.value = std::move(h);

@@ -2,11 +2,9 @@
 // MSS), and the wire codec with pseudo-header checksums.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
-#include <span>
+#include <vector>
 
 #include "packet/ipv4.h"
 #include "packet/tcp_flags.h"
@@ -14,55 +12,20 @@
 
 namespace caya {
 
-/// TCP option kinds. kEndOfOptions and kNop have no length/value on the
-/// wire: they are padding, not options, and are never stored.
+/// A single TCP option in kind/length/value form. kEndOfOptions and kNop have
+/// no length/value on the wire.
 struct TcpOption {
+  std::uint8_t kind = 0;
+  Bytes data;  // value bytes (excluding kind and length octets)
+
   static constexpr std::uint8_t kEndOfOptions = 0;
   static constexpr std::uint8_t kNop = 1;
   static constexpr std::uint8_t kMss = 2;
   static constexpr std::uint8_t kWindowScale = 3;
   static constexpr std::uint8_t kSackPermitted = 4;
   static constexpr std::uint8_t kTimestamps = 8;
-};
 
-/// A header's options in wire order, kept inline in their kind/length/value
-/// encoding. RFC 9293 §3.1 caps the option region at 40 bytes, so the area
-/// is a fixed 40 bytes and copying a header never allocates. The wire parse
-/// fits by construction (it is bounded by the data offset). A write that
-/// would take the list past 40 bytes is refused and leaves it unchanged:
-/// only a tamper on a packet already near the cap can get there, and a real
-/// stack could not emit the result either.
-class TcpOptions {
- public:
-  static constexpr std::size_t kCapacity = 40;
-
-  /// Number of options.
-  [[nodiscard]] std::size_t size() const noexcept;
-  [[nodiscard]] bool empty() const noexcept { return length_ == 0; }
-  /// The options' encoding, unpadded.
-  [[nodiscard]] std::span<const std::uint8_t> encoded() const noexcept {
-    return {bytes_.data(), length_};
-  }
-
-  /// Value bytes of the first option with `kind`, if any.
-  [[nodiscard]] std::optional<std::span<const std::uint8_t>> find(
-      std::uint8_t kind) const noexcept;
-  /// Removes every option with `kind`; returns how many were removed.
-  std::size_t remove(std::uint8_t kind) noexcept;
-  /// Replaces the value of the first option with `kind`, or appends the
-  /// option. Returns false, changing nothing, when the list would exceed
-  /// kCapacity bytes or `kind` is padding.
-  bool set(std::uint8_t kind, std::span<const std::uint8_t> value) noexcept;
-  /// Appends an option after the others, as the wire parse does (it keeps
-  /// duplicates); false, changing nothing, when it does not fit.
-  bool append(std::uint8_t kind, std::span<const std::uint8_t> value) noexcept;
-
- private:
-  /// Offset of the first option with `kind`, or length_ when absent.
-  [[nodiscard]] std::size_t offset_of(std::uint8_t kind) const noexcept;
-
-  std::array<std::uint8_t, kCapacity> bytes_{};
-  std::uint8_t length_ = 0;
+  friend bool operator==(const TcpOption&, const TcpOption&) = default;
 };
 
 struct TcpHeader {
@@ -75,37 +38,27 @@ struct TcpHeader {
   std::uint16_t window = 65535;
   std::uint16_t checksum = 0;  // recomputed at serialization unless overridden
   std::uint16_t urgent_pointer = 0;
-  TcpOptions options;
+  std::vector<TcpOption> options;
 
-  /// Value bytes of the first option with `kind`, if any.
-  [[nodiscard]] std::optional<std::span<const std::uint8_t>> find_option(
-      std::uint8_t kind) const noexcept {
-    return options.find(kind);
-  }
+  /// Looks up the first option with `kind`, if any.
+  [[nodiscard]] const TcpOption* find_option(std::uint8_t kind) const noexcept;
   /// Removes every option with `kind`; returns how many were removed.
-  std::size_t remove_option(std::uint8_t kind) noexcept {
-    return options.remove(kind);
-  }
-  /// Replaces (or appends) the option with `kind`; false when it does not
-  /// fit (see TcpOptions).
-  bool set_option(std::uint8_t kind,
-                  std::span<const std::uint8_t> value) noexcept {
-    return options.set(kind, value);
-  }
-  bool set_option(std::uint8_t kind,
-                  std::initializer_list<std::uint8_t> value) noexcept {
-    return options.set(kind, {value.begin(), value.size()});
-  }
+  std::size_t remove_option(std::uint8_t kind);
+  /// Replaces (or appends) the option with `kind`.
+  void set_option(std::uint8_t kind, Bytes data);
 
   /// Window-scale shift advertised in a SYN/SYN+ACK, if present.
   [[nodiscard]] std::optional<std::uint8_t> window_scale() const noexcept;
   [[nodiscard]] std::optional<std::uint16_t> mss() const noexcept;
 
-  /// Header length in bytes implied by the current options: 20 plus the
-  /// options padded with NOPs to a 4-byte boundary.
-  [[nodiscard]] std::size_t computed_header_length() const noexcept {
-    return 20 + (options.encoded().size() + 3) / 4 * 4;
-  }
+  /// Serialized option bytes, padded with NOPs to a 4-byte boundary.
+  [[nodiscard]] Bytes serialize_options() const;
+  /// Same, written into `out` (cleared first; capacity retained) so hot
+  /// paths can reuse an arena buffer.
+  void serialize_options_into(Bytes& out) const;
+
+  /// Header length in bytes implied by the current options (>= 20).
+  [[nodiscard]] std::size_t computed_header_length() const;
 
   /// Serializes header + payload with the IPv4 pseudo-header checksum over
   /// (src, dst). When `compute_checksum` is false the stored checksum field

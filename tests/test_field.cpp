@@ -131,27 +131,6 @@ TEST(Field, CorruptLoadPreservesNonEmptyLength) {
   EXPECT_EQ(pkt.payload.size(), 8u);
 }
 
-TEST(Field, OptionTamperThatCannotFitLeavesThePacket) {
-  // Four timestamp options fill the 40-byte option area: a tamper that
-  // would add the window scale is not written, but corrupt still draws its
-  // bytes, so the RNG stream does not depend on whether the write fit.
-  Packet pkt = sample();
-  pkt.tcp.remove_option(TcpOption::kWindowScale);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(pkt.tcp.options.append(TcpOption::kTimestamps,
-                                       Bytes{0, 0, 1, 2, 0, 0, 3, 4}));
-  }
-  set(pkt, tcp("options-wscale"), "7");
-  EXPECT_EQ(pkt.tcp.window_scale(), std::nullopt);
-  Rng rng(5);
-  Rng reference(5);
-  tcp("options-wscale").corrupt(pkt, rng);
-  EXPECT_EQ(pkt.tcp.window_scale(), std::nullopt);
-  (void)reference.uniform(0, 255);  // the one value byte corrupt draws
-  EXPECT_EQ(rng.uniform(0, 1u << 30), reference.uniform(0, 1u << 30));
-  EXPECT_EQ(pkt.tcp.options.size(), 4u);
-}
-
 TEST(Field, FieldNamesAreAllReadable) {
   const Packet pkt = sample();
   EXPECT_EQ(fields(Proto::kIp).size(), 13u);

@@ -106,72 +106,5 @@ TEST(TcpHeader, ParseHandlesNopPaddingAndEol) {
   EXPECT_EQ(consumed, 24u);
 }
 
-TEST(TcpHeader, OptionsKeepWireOrderAndDuplicates) {
-  // Two MSS options and a window scale as they arrive on the wire: the
-  // parse keeps both MSS options, lookups see the first, and a re-serialize
-  // emits all three in order.
-  TcpHeader h;
-  h.set_option(TcpOption::kMss, {0x05, 0xb4});
-  h.set_option(TcpOption::kWindowScale, {7});
-  Bytes wire = h.serialize(src(), dst(), {});  // 20 + 7 option bytes + NOP
-  ASSERT_EQ(wire.size(), 28u);
-  wire[12] = static_cast<std::uint8_t>(8 << 4);  // one more option word
-  wire.insert(wire.begin() + 27, {TcpOption::kMss, 4, 0x02, 0x18});
-  std::size_t consumed = 0;
-  const TcpHeader parsed = TcpHeader::parse(wire, consumed);
-  EXPECT_EQ(parsed.options.size(), 3u);
-  EXPECT_EQ(parsed.mss(), 1460);
-  const Bytes encoded(parsed.options.encoded().begin(),
-                      parsed.options.encoded().end());
-  EXPECT_EQ(encoded, (Bytes{2, 4, 0x05, 0xb4, 3, 3, 7, 2, 4, 0x02, 0x18}));
-  TcpHeader without = parsed;
-  EXPECT_EQ(without.remove_option(TcpOption::kMss), 2u);
-  EXPECT_EQ(without.options.size(), 1u);
-  EXPECT_EQ(without.window_scale(), 7);
-}
-
-TEST(TcpHeader, SetOptionThatWouldPassFortyBytesIsRefused) {
-  // Four timestamp options fill the 40-byte option area (RFC 9293 §3.1).
-  TcpHeader h;
-  const Bytes ts = {0, 0, 1, 2, 0, 0, 3, 4};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(h.options.append(TcpOption::kTimestamps, ts));
-  }
-  ASSERT_EQ(h.options.encoded().size(), TcpOptions::kCapacity);
-  const Bytes before(h.options.encoded().begin(), h.options.encoded().end());
-  // Adding an option, or growing one, would overflow: the write is
-  // refused and the header keeps its options.
-  EXPECT_FALSE(h.set_option(TcpOption::kWindowScale, {7}));
-  EXPECT_FALSE(h.set_option(TcpOption::kTimestamps, Bytes(9, 0xee)));
-  EXPECT_FALSE(h.options.append(TcpOption::kSackPermitted, {}));
-  EXPECT_EQ(Bytes(h.options.encoded().begin(), h.options.encoded().end()),
-            before);
-  EXPECT_EQ(h.window_scale(), std::nullopt);
-  // A same-size replacement still writes in place.
-  EXPECT_TRUE(h.set_option(TcpOption::kTimestamps, Bytes(8, 0xee)));
-  EXPECT_EQ(Bytes(h.find_option(TcpOption::kTimestamps)->begin(),
-                  h.find_option(TcpOption::kTimestamps)->end()),
-            Bytes(8, 0xee));
-  // The full area serializes to the largest data offset, 15 words.
-  const Bytes wire = h.serialize(src(), dst(), {});
-  EXPECT_EQ(wire.size(), 60u);
-  EXPECT_EQ(wire[12] >> 4, 15);
-  // Padding kinds are never stored.
-  TcpHeader empty;
-  EXPECT_FALSE(empty.set_option(TcpOption::kNop, {}));
-  EXPECT_TRUE(empty.options.empty());
-}
-
-TEST(TcpHeader, ShrinkingAnOptionMovesTheOthersDown) {
-  TcpHeader h;
-  h.set_option(TcpOption::kTimestamps, {1, 2, 3, 4, 5, 6, 7, 8});
-  h.set_option(TcpOption::kWindowScale, {7});
-  h.set_option(TcpOption::kTimestamps, {9, 9});
-  EXPECT_EQ(Bytes(h.options.encoded().begin(), h.options.encoded().end()),
-            (Bytes{8, 4, 9, 9, 3, 3, 7}));
-  EXPECT_EQ(h.window_scale(), 7);
-  EXPECT_EQ(h.computed_header_length(), 28u);
-}
-
 }  // namespace
 }  // namespace caya
