@@ -30,7 +30,6 @@ class DnsName {
   }
   // NOLINTNEXTLINE(google-explicit-constructor)
   operator std::string_view() const noexcept { return view(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Appends one label, dot-separated from the last; false, changing
   /// nothing, when the name would pass kMaxLength.

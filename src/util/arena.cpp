@@ -47,7 +47,9 @@ void BufferArena::release(Bytes&& buf) noexcept {
   // the floor (a Payload built from a caller's Bytes releases that buffer
   // here): every buffer on the list holds kMinCapacity bytes.
   if (free_.size() >= kMaxFree || buf.capacity() < kMinCapacity) return;
-  if (free_.capacity() < kMaxFree) free_.reserve(kMaxFree);
+  // The list grows only while it reaches a new peak (a warm-up): a GFW
+  // box's arena holds a few buffers, and a full kMaxFree slots in each of
+  // a pool's boxes would cost more than the buffers themselves.
   free_.push_back(std::move(buf));
 }
 

@@ -35,7 +35,6 @@ class SegmentMap {
 
   /// Number of segments.
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   /// Bytes held by the live segments.
   [[nodiscard]] std::size_t live_bytes() const noexcept { return live_; }
 

@@ -22,8 +22,9 @@
 // ---- counting allocator -----------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_alloc_calls{0};
-// Allocations of any size but a TCP option list's: a vector of one or two
-// TcpOptions, or a one- or two-byte option value (MSS, window scale).
+// Allocations of any size but a TCP option list's: a std::vector holding
+// one or two TcpOption entries, or a one- or two-byte option value (MSS,
+// window scale).
 std::atomic<std::uint64_t> g_other_allocs{0};
 
 bool is_option_list_size(std::size_t size) {
