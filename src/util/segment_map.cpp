@@ -11,6 +11,7 @@ SegmentMap::SegmentMap(SegmentMap&& other) noexcept
     : storage_(other.storage_),
       buf_(std::exchange(other.buf_, Bytes())),
       count_(std::exchange(other.count_, 0)),
+      slots_(std::exchange(other.slots_, 0)),
       live_(std::exchange(other.live_, 0)) {}
 
 SegmentMap& SegmentMap::operator=(SegmentMap&& other) noexcept {
@@ -19,6 +20,7 @@ SegmentMap& SegmentMap::operator=(SegmentMap&& other) noexcept {
     storage_ = other.storage_;
     buf_ = std::exchange(other.buf_, Bytes());
     count_ = std::exchange(other.count_, 0);
+    slots_ = std::exchange(other.slots_, 0);
     live_ = std::exchange(other.live_, 0);
   }
   return *this;
@@ -82,17 +84,19 @@ void SegmentMap::assign(std::uint32_t seq,
     } else {
       r.length = 0;  // the old bytes are garbage before any compaction
       store(i, r);
-      r.offset = append(bytes, 0);
+      r.offset = append(bytes);
     }
     r.length = length;
     store(i, r);
     live_ += length;
     return;
   }
-  const std::uint32_t offset = append(bytes, sizeof(Record));
-  // The new record shifts the bytes region up; offsets are relative to it.
-  const auto at = static_cast<std::ptrdiff_t>(i * sizeof(Record));
-  buf_.insert(buf_.begin() + at, sizeof(Record), 0);
+  if (count_ == slots_) add_slots();
+  const std::uint32_t offset = append(bytes);
+  // Only the records after i move up a slot; the bytes stay where they are.
+  std::memmove(buf_.data() + (i + 1) * sizeof(Record),
+               buf_.data() + i * sizeof(Record),
+               (count_ - i) * sizeof(Record));
   ++count_;
   store(i, Record{seq, offset, length});
   live_ += length;
@@ -100,19 +104,30 @@ void SegmentMap::assign(std::uint32_t seq,
 
 void SegmentMap::erase_at(std::size_t i) noexcept {
   live_ -= load(i).length;
-  const auto at = static_cast<std::ptrdiff_t>(i * sizeof(Record));
-  buf_.erase(buf_.begin() + at,
-             buf_.begin() + at + static_cast<std::ptrdiff_t>(sizeof(Record)));
-  if (--count_ == 0) buf_.clear();  // nothing live: drop the garbage
+  std::memmove(buf_.data() + i * sizeof(Record),
+               buf_.data() + (i + 1) * sizeof(Record),
+               (count_ - i - 1) * sizeof(Record));
+  if (--count_ == 0) {  // nothing live: drop the slots and the garbage
+    buf_.clear();
+    slots_ = 0;
+  }
 }
 
-std::uint32_t SegmentMap::append(std::span<const std::uint8_t> bytes,
-                                 std::size_t room_for_records) {
+void SegmentMap::add_slots() {
+  // Doubling the slots moves the bytes region once per doubling, where a
+  // record inserted in front of it would move it on every insert: an
+  // in-order flood up to the segment budget stays linear.
+  const std::size_t more = slots_ == 0 ? kFirstSlots : slots_;
+  buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(data_start()),
+              more * sizeof(Record), 0);
+  slots_ += more;
+}
+
+std::uint32_t SegmentMap::append(std::span<const std::uint8_t> bytes) {
   // Compact only when the append would otherwise grow the buffer and at
   // least half of the bytes region is garbage.
   const std::size_t held = buf_.size() - data_start();
-  if (buf_.size() + bytes.size() + room_for_records > buf_.capacity() &&
-      held - live_ > live_) {
+  if (buf_.size() + bytes.size() > buf_.capacity() && held - live_ > live_) {
     compact();
   }
   const auto offset = static_cast<std::uint32_t>(buf_.size() - data_start());
@@ -138,6 +153,7 @@ void SegmentMap::compact() {
 
 void SegmentMap::clear() noexcept {
   count_ = 0;
+  slots_ = 0;
   live_ = 0;
   if (buf_.capacity() == 0) return;
   // A map in a thread-local pool can be destroyed after this thread's

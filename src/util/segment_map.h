@@ -1,8 +1,9 @@
 // A map from 32-bit sequence number to a byte segment, kept in one buffer
 // leased from a BufferArena: a record per segment, sorted by seq and found
-// by binary search, followed by the segment bytes. It replaces a
-// std::map<std::uint32_t, Bytes>, whose every insert allocated a node. The
-// censors' reassembler and the TCP endpoint's out-of-order queue use it.
+// by binary search, in slots that double as they fill, followed by the
+// segment bytes. It replaces a std::map<std::uint32_t, Bytes>, whose every
+// insert allocated a node. The censors' reassembler and the TCP endpoint's
+// out-of-order queue use it.
 //
 // The buffer is leased on the first insert and goes back on clear() and
 // destruction, to the thread's arena or to one the owner names. A segment
@@ -68,21 +69,25 @@ class SegmentMap {
   [[nodiscard]] BufferArena& source() const noexcept;
   [[nodiscard]] Record load(std::size_t i) const noexcept;
   void store(std::size_t i, const Record& r) noexcept;
-  /// Where the bytes region starts: just past the records.
+  /// Where the bytes region starts: just past the record slots.
   [[nodiscard]] std::size_t data_start() const noexcept {
-    return count_ * sizeof(Record);
+    return slots_ * sizeof(Record);
   }
   /// Index of the first record whose seq is not below `seq`.
   [[nodiscard]] std::size_t lower_bound(std::uint32_t seq) const noexcept;
+  /// Record slots a map's first insert makes room for.
+  static constexpr std::size_t kFirstSlots = 4;
+  /// Doubles the record slots (the first insert makes kFirstSlots).
+  void add_slots();
   /// Appends `bytes` to the bytes region (compacting first when garbage
   /// dominates) and returns their offset in it.
-  std::uint32_t append(std::span<const std::uint8_t> bytes,
-                       std::size_t room_for_records);
+  std::uint32_t append(std::span<const std::uint8_t> bytes);
   void compact();
 
   BufferArena* storage_ = nullptr;
-  Bytes buf_;  // Record[count_], packed and ascending by seq, then bytes
+  Bytes buf_;  // Record[slots_], the first count_ ascending by seq; bytes
   std::size_t count_ = 0;
+  std::size_t slots_ = 0;
   std::size_t live_ = 0;
 };
 
