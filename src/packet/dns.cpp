@@ -168,12 +168,6 @@ void build_dns_response_into(Bytes& out, const DnsResponse& response) {
   out = w.take();
 }
 
-Bytes build_dns_response(const DnsResponse& response) {
-  Bytes out;
-  build_dns_response_into(out, response);
-  return out;
-}
-
 DecodeResult<DnsName> try_parse_dns_qname(
     std::span<const std::uint8_t> stream) {
   using R = DecodeResult<DnsName>;

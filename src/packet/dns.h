@@ -59,10 +59,9 @@ struct DnsResponse {
 /// Length-prefixed A-record query message, in one exactly reserved buffer.
 [[nodiscard]] Bytes build_dns_query(const DnsQuery& query);
 
-/// Length-prefixed response echoing the question plus one A record. The
-/// `_into` form writes `out` (cleared first, capacity kept), so a server
-/// can answer into a leased buffer.
-[[nodiscard]] Bytes build_dns_response(const DnsResponse& response);
+/// Length-prefixed response echoing the question plus one A record,
+/// written into `out` (cleared first, capacity kept), so a server can
+/// answer into a leased buffer.
 void build_dns_response_into(Bytes& out, const DnsResponse& response);
 
 /// Compression-pointer (RFC 1035 §4.1.4) jump budget: following more than

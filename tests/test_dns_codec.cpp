@@ -23,7 +23,9 @@ TEST(DnsCodec, ResponseRoundTrip) {
   const DnsResponse in{.id = 77,
                        .qname = "blocked.example",
                        .address = Ipv4Address::parse("198.51.100.7")};
-  const auto out = parse_dns_response(build_dns_response(in));
+  Bytes wire;
+  build_dns_response_into(wire, in);
+  const auto out = parse_dns_response(wire);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->id, 77);
   EXPECT_EQ(out->qname, "blocked.example");

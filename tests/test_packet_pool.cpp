@@ -182,7 +182,7 @@ std::vector<TableCell> table2_cells() {
   return cells;
 }
 
-TEST(PacketPool, WarmTrialsAllocateOnlyTcpOptionLists) {
+TEST(PacketPool, TrialAllocationsAreFlatAcrossIdenticalTrials) {
   // A warm substrate replaying a seed it has already run twice does the
   // same work again, and every buffer that work needs is already in the
   // thread's pools. What reset(seed) + run_connection still allocates (as
